@@ -5,8 +5,10 @@ low-dimensional latent space, y_i = V_i x_i + noise.  The V_i are tied
 together by a Markov-random-field prior on the Stiefel manifold whose
 Gaussian-kernel coupling strengths follow the latent positions, so nearby
 latent points share similar frames.  Posterior inference is by Gibbs
-sampling, with von Mises-Fisher full conditionals for the frames drawn by
-uniform-envelope rejection or column-wise Gibbs.
+sampling: each frame moves by one column-wise Gibbs pass from its current
+value, which leaves its von Mises-Fisher full conditional exactly invariant,
+and each latent is drawn from the paper's Gaussian conditional, which ignores
+the dependence of the MRF weights on the latents.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +25,6 @@ from .stiefel import (
 from .vmf import (
     RejectionBudgetError,
     SampleInfo,
-    SamplerPolicy,
     VmfParam,
     vmf_log_density_unnorm,
     vmf_mode,
@@ -47,14 +48,12 @@ from .pca import (
     center,
     pca_fit,
     pilot_tau2,
-    ppca_ml_loading,
     reconstruct_linear,
 )
 from .gibbs import (
     HyperParams,
     ModelState,
     PosteriorSummary,
-    SamplerDiagnostics,
     default_hyperparams,
     init_state,
     iterate_sweeps,

@@ -27,6 +27,7 @@ from scipy import integrate
 from . import __version__
 from .datasets import (
     IdxFormatError,
+    data_sha256,
     generate_sphere,
     import_matrix_csv,
     load_checkpoint,
@@ -40,6 +41,8 @@ from .datasets import (
     export_matrix_csv,
 )
 from .gibbs import (
+    FRAME_KERNEL,
+    LATENT_UPDATE,
     default_hyperparams,
     reconstruct_nonlinear,
     run,
@@ -126,8 +129,8 @@ def _validate_chain(args) -> None:
         raise UsageError("--dim must be >= 1")
     for name in ("c", "w"):
         value = getattr(args, name)
-        if value is not None and not value > 0:
-            raise UsageError(f"--{name} must be positive, got {value}")
+        if value is not None and not 0 < value < math.inf:
+            raise UsageError(f"--{name} must be positive and finite, got {value}")
 
 
 def _add_chain_options(sub) -> None:
@@ -153,16 +156,11 @@ class _TraceWriter:
     def __init__(self, path):
         self._fh = open(path, "w", newline="")
         self._writer = csv.writer(self._fh)
-        self._writer.writerow(["sweep", "sigma2", "log_posterior", "fallbacks"])
+        self._writer.writerow(["sweep", "sigma2", "log_posterior"])
 
     def __call__(self, t, state, stats) -> None:
         self._writer.writerow(
-            [
-                str(t),
-                repr(float(stats.sigma2)),
-                repr(float(stats.log_posterior)),
-                str(stats.fallbacks),
-            ]
+            [str(t), repr(float(stats.sigma2)), repr(float(stats.log_posterior))]
         )
 
     def close(self) -> None:
@@ -185,6 +183,8 @@ def _hyper_summary(hp, seed: int) -> dict:
         "tau2": hp.tau2,
         "c_strength": hp.c_strength,
         "bandwidth": hp.bandwidth,
+        "frame_kernel": FRAME_KERNEL,
+        "latent_update": LATENT_UPDATE,
     }
 
 
@@ -263,8 +263,7 @@ def cmd_sphere_demo(args) -> int:
             "model_mean_sphere_distance": float(model_sphere.mean()),
             "pca_mean_sphere_distance": float(pca_sphere.mean()),
             "data_mean_sphere_distance": float(data_sphere.mean()),
-            "fallback_draws": summary.diagnostics.fallbacks,
-            "total_draws": summary.diagnostics.draws,
+            "total_draws": summary.total_draws,
         }
     )
     save_json(out / "summary.json", doc)
@@ -349,8 +348,7 @@ def cmd_digits_demo(args) -> int:
             "model_nn_mismatch": model_mismatch,
             "reference_pca_mismatch": _REFERENCE_PCA_MISMATCH,
             "reference_model_mismatch": _REFERENCE_MODEL_MISMATCH,
-            "fallback_draws": summary.diagnostics.fallbacks,
-            "total_draws": summary.diagnostics.draws,
+            "total_draws": summary.total_draws,
         }
     )
     save_json(out / "summary.json", doc)
@@ -391,6 +389,7 @@ def cmd_fit(args) -> int:
         bandwidth=args.w,
     )
 
+    data_hash = data_sha256(data.y)
     state = None
     start_sweep = 0
     if args.resume is not None:
@@ -408,6 +407,22 @@ def cmd_fit(args) -> int:
         if ck.counter >= args.sweeps:
             raise UsageError(
                 f"checkpoint already has {ck.counter} sweeps; --sweeps is {args.sweeps}"
+            )
+        changed = [
+            name
+            for name, saved, now in (
+                ("--c", ck.c_strength, hp.c_strength),
+                ("--w", ck.bandwidth, hp.bandwidth),
+                ("--a2", ck.a2, hp.a2),
+                ("eta", ck.eta, hp.eta),
+                ("input data", ck.data_sha256, data_hash),
+            )
+            if saved != now
+        ]
+        if changed:
+            raise UsageError(
+                f"checkpoint belongs to a different chain: {', '.join(changed)} "
+                "differ from the run that wrote it"
             )
         state = state_from_checkpoint(ck.transformations, ck.latents, ck.sigma2, hp)
         start_sweep = ck.counter
@@ -429,6 +444,11 @@ def cmd_fit(args) -> int:
         sigma2=final.sigma2,
         seed=seed,
         counter=hp.n_sweeps,
+        c_strength=hp.c_strength,
+        bandwidth=hp.bandwidth,
+        a2=hp.a2,
+        eta=hp.eta,
+        data_hash=data_hash,
     )
     export_matrix_csv(out / "mean_latents.csv", summary.mean_latents, labels=data.labels)
 
@@ -441,8 +461,7 @@ def cmd_fit(args) -> int:
             "kept_sweeps": summary.n_kept,
             "final_sigma2": float(final.sigma2),
             "final_log_posterior": float(summary.log_posterior_trace[-1]),
-            "fallback_draws": summary.diagnostics.fallbacks,
-            "total_draws": summary.diagnostics.draws,
+            "total_draws": summary.total_draws,
         }
     )
     save_json(out / "summary.json", doc)

@@ -4,9 +4,13 @@ CSV/JSON import/export for latents, histograms, and sampler checkpoints."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +35,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointData",
+    "data_sha256",
 ]
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -291,6 +296,8 @@ def import_matrix_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
                     labels.append(int(row[-1]))
             except ValueError as err:
                 raise ValueError(f"{path}: line {line_no}: {err}") from None
+            if not all(map(math.isfinite, values[-1])):
+                raise ValueError(f"{path}: line {line_no}: non-finite value")
     matrix = np.asarray(values, dtype=float).reshape(len(values), n_cols)
     return matrix, (np.asarray(labels, dtype=int) if has_labels else None)
 
@@ -317,6 +324,14 @@ def save_json(path, obj) -> None:
         fh.write("\n")
 
 
+def data_sha256(y: np.ndarray) -> str:
+    """SHA-256 of a data matrix: its shape, then its float64 values in C order."""
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    digest = hashlib.sha256(repr(y.shape).encode())
+    digest.update(y.tobytes())
+    return digest.hexdigest()
+
+
 @dataclass(eq=False)
 class CheckpointData:
     """Deserialized sampler checkpoint."""
@@ -329,6 +344,12 @@ class CheckpointData:
     counter: int
     transformations: np.ndarray  # (n, p, d)
     latents: np.ndarray  # (n, d)
+    # The chain's fingerprint: resolved hyperparameters and the data hash.
+    c_strength: float
+    bandwidth: float
+    a2: float
+    eta: float
+    data_sha256: str
 
 
 def save_checkpoint(
@@ -339,16 +360,28 @@ def save_checkpoint(
     sigma2: float,
     seed: int,
     counter: int,
+    c_strength: float,
+    bandwidth: float,
+    a2: float,
+    eta: float,
+    data_hash: str,
 ) -> None:
-    """JSON checkpoint: dimensions, row-major flattened matrices, sigma^2, and
-    the RNG seed plus completed-sweep counter for bit-exact resumption."""
+    """JSON checkpoint: dimensions, row-major flattened matrices, sigma^2, the
+    RNG seed plus completed-sweep counter for bit-exact resumption, and the
+    hyperparameters and data hash that identify the chain.
+
+    The file is written beside its destination and moved into place with
+    os.replace, so a reader never sees a partly written checkpoint.
+    """
     v = np.asarray(transformations, dtype=float)
     x = np.asarray(latents, dtype=float)
     n, p, d = v.shape
     if x.shape != (n, d):
         raise ValueError("latents do not match the transformations")
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
     save_json(
-        path,
+        tmp,
         {
             "n": int(n),
             "p": int(p),
@@ -356,16 +389,25 @@ def save_checkpoint(
             "sigma2": float(sigma2),
             "seed": int(seed),
             "counter": int(counter),
+            "c_strength": float(c_strength),
+            "bandwidth": float(bandwidth),
+            "a2": "inf" if math.isinf(a2) else float(a2),
+            "eta": float(eta),
+            "data_sha256": data_hash,
             "transformations": [v[i].reshape(-1).tolist() for i in range(n)],
             "latents": [x[i].tolist() for i in range(n)],
         },
     )
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> CheckpointData:
     with open(path, "r") as fh:
         doc = json.load(fh)
-    required = {"n", "p", "d", "sigma2", "seed", "counter", "transformations", "latents"}
+    required = {
+        "n", "p", "d", "sigma2", "seed", "counter", "transformations", "latents",
+        "c_strength", "bandwidth", "a2", "eta", "data_sha256",
+    }
     missing = required - doc.keys()
     if missing:
         raise ValueError(f"{path}: checkpoint missing fields {sorted(missing)}")
@@ -381,4 +423,9 @@ def load_checkpoint(path) -> CheckpointData:
         counter=int(doc["counter"]),
         transformations=v,
         latents=x,
+        c_strength=float(doc["c_strength"]),
+        bandwidth=float(doc["bandwidth"]),
+        a2=math.inf if doc["a2"] == "inf" else float(doc["a2"]),
+        eta=float(doc["eta"]),
+        data_sha256=str(doc["data_sha256"]),
     )

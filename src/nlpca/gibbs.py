@@ -6,15 +6,22 @@ coupling the V_i through Gaussian-kernel weights on the latent positions, and
 a conjugate Gamma(eta/2, rate eta tau^2 / 2) prior on the precision 1/sigma^2
 (so its prior mean is 1/tau^2).
 
-One sweep updates, in order: every V_i from its vMF full conditional, every
-x_i from its Gaussian full conditional, the interaction weights from the new
-latents (c and w stay fixed), and sigma^2 from its Gamma full conditional.
+One sweep updates, in order: every V_i by one column-Gibbs pass (Hoff 2009)
+started from the current V_i, a kernel that leaves its vMF full conditional
+exactly invariant; every x_i from the paper's Gaussian conditional; the
+interaction weights from the new latents (c and w stay fixed); and sigma^2
+from its Gamma full conditional.
+
+The x-step is the paper's approximation: it ignores that the weights
+lambda_ij depend on x, so the chain does not exactly target
+log_posterior_unnorm, which includes the MRF term.  Both choices are named
+in the run output through FRAME_KERNEL and LATENT_UPDATE.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +29,12 @@ from .mrf import InteractionWeights, compute_weights, conditional_param, \
     default_bandwidth, default_strength, mrf_log_density_unnorm
 from .pca import Dataset, avg_variance, pca_fit, pilot_tau2
 from .stiefel import ORTHONORMALITY_TOL, StiefelPoint, polar_project
-from .vmf import SampleInfo, SamplerPolicy, VmfParam, vmf_sample
+from .vmf import VmfParam, vmf_sample_column_gibbs
 
 __all__ = [
     "HyperParams",
     "ModelState",
     "PosteriorSummary",
-    "SamplerDiagnostics",
     "SweepStats",
     "default_hyperparams",
     "init_state",
@@ -53,6 +59,10 @@ SIGMA2_FLOOR = 1e-12
 # Stream tag separating per-sweep generators from any other use of the seed.
 _SWEEP_STREAM_TAG = 1_000_003
 
+# Names of the frame and latent steps, reported in every run summary.
+FRAME_KERNEL = "column_gibbs_1pass_from_current"
+LATENT_UPDATE = "paper_gaussian_ignores_lambda_dependence_on_x"
+
 
 @dataclass
 class HyperParams:
@@ -68,17 +78,16 @@ class HyperParams:
     burn_in: int
     thin: int
     eta: float = 2.0
-    policy: SamplerPolicy = field(default_factory=SamplerPolicy)
 
     def __post_init__(self):
         if not self.a2 > 0:
             raise ValueError("a2 must be positive (math.inf allowed)")
         if not self.tau2 > 0:
             raise ValueError("tau2 must be positive")
-        if not self.c_strength > 0:
-            raise ValueError("c_strength must be positive")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.c_strength < math.inf:
+            raise ValueError("c_strength must be positive and finite")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.eta <= 0:
@@ -133,27 +142,11 @@ class ModelState:
 
 
 @dataclass
-class SamplerDiagnostics:
-    """Aggregate vMF sampler health counters."""
-
-    draws: int = 0
-    fallbacks: int = 0
-    rejection_attempts: int = 0
-
-    def record(self, info: SampleInfo) -> None:
-        self.draws += 1
-        self.fallbacks += int(info.fallback)
-        self.rejection_attempts += info.attempts
-
-
-@dataclass
 class SweepStats:
     """Per-sweep trace row."""
 
     log_posterior: float
     sigma2: float
-    fallbacks: int
-    rejection_attempts: int
 
 
 @dataclass(eq=False)
@@ -169,7 +162,7 @@ class PosteriorSummary:
     sigma2_trace: np.ndarray  # one entry per kept sweep
     log_posterior_trace: np.ndarray  # one entry per sweep
     n_kept: int
-    diagnostics: SamplerDiagnostics
+    total_draws: int  # frame draws made by this run: n per sweep
     final_state: ModelState
 
 
@@ -184,7 +177,6 @@ def default_hyperparams(
     c_strength: float | None = None,
     bandwidth: float | None = None,
     eta: float = 2.0,
-    policy: SamplerPolicy | None = None,
 ) -> HyperParams:
     """Pilot-study defaults: tau^2 from the rank-d PCA residual, a^2 from the
     average sample variance, c = 100/n, w = mean pairwise distance of the
@@ -207,7 +199,6 @@ def default_hyperparams(
         burn_in=burn_in,
         thin=thin,
         eta=eta,
-        policy=policy if policy is not None else SamplerPolicy(),
     )
 
 
@@ -233,11 +224,19 @@ def update_transformation(
     data: Dataset,
     hp: HyperParams,
     rng: np.random.Generator,
-) -> tuple[StiefelPoint, SampleInfo]:
-    """Draw V_i from vMF(y_i x_i^T / sigma^2 + sum_{j != i} lambda_ij V_j)."""
+) -> StiefelPoint:
+    """Move V_i by one column-Gibbs pass started from the current V_i.
+
+    The target is V_i's full conditional vMF(y_i x_i^T / sigma^2 +
+    sum_{j != i} lambda_ij V_j).  Each column (each overlapping column pair
+    when d = p) is redrawn exactly given the rest, so the pass leaves that
+    conditional invariant without an SVD, a rejection loop or a fallback.
+    """
     c = np.outer(data.y[i], state.latents[i]) / state.sigma2
     c += conditional_param(i, state.transformations, state.weights).c_matrix
-    return vmf_sample(VmfParam(c), rng, hp.policy)
+    return vmf_sample_column_gibbs(
+        VmfParam(c), StiefelPoint(state.transformations[i]), 1, rng
+    )
 
 
 def update_latent(
@@ -248,7 +247,12 @@ def update_latent(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw x_i from N(a^2/(a^2+sigma^2) V_i^T y_i, a^2 sigma^2/(a^2+sigma^2) I);
-    the improper a^2 = inf limit is N(V_i^T y_i, sigma^2 I)."""
+    the improper a^2 = inf limit is N(V_i^T y_i, sigma^2 I).
+
+    This is the paper's x-step (LATENT_UPDATE): the Gaussian conditional of
+    the likelihood and latent prior alone, ignoring how the MRF weights
+    lambda_ij change with x_i.
+    """
     proj = state.transformations[i].T @ data.y[i]
     if math.isinf(hp.a2):
         mean, var = proj, state.sigma2
@@ -317,13 +321,8 @@ def sweep(
     conditions on the freshest neighbors; weights are rebuilt from the new
     latents before the noise update."""
     st = state.copy()
-    fallbacks = 0
-    attempts = 0
     for i in range(st.n):
-        point, info = update_transformation(i, st, data, hp, rng)
-        st.transformations[i] = point.matrix
-        fallbacks += int(info.fallback)
-        attempts += info.attempts
+        st.transformations[i] = update_transformation(i, st, data, hp, rng).matrix
     for i in range(st.n):
         st.latents[i] = update_latent(i, st, data, hp, rng)
     st.weights = compute_weights(st.latents, hp.c_strength, hp.bandwidth)
@@ -337,8 +336,6 @@ def sweep(
     stats = SweepStats(
         log_posterior=log_posterior_unnorm(st, data, hp),
         sigma2=st.sigma2,
-        fallbacks=fallbacks,
-        rejection_attempts=attempts,
     )
     return st, stats
 
@@ -388,14 +385,10 @@ def run(
     n_kept = 0
     sigma2_trace: list[float] = []
     log_post_trace: list[float] = []
-    diagnostics = SamplerDiagnostics()
 
     st = None
     for t, st, stats in iterate_sweeps(data, hp, seed, state, start_sweep):
         log_post_trace.append(stats.log_posterior)
-        diagnostics.draws += st.n
-        diagnostics.fallbacks += stats.fallbacks
-        diagnostics.rejection_attempts += stats.rejection_attempts
         if t >= hp.burn_in and (t - hp.burn_in) % hp.thin == 0:
             sum_v += st.transformations
             sum_x += st.latents
@@ -413,7 +406,7 @@ def run(
         sigma2_trace=np.asarray(sigma2_trace),
         log_posterior_trace=np.asarray(log_post_trace),
         n_kept=n_kept,
-        diagnostics=diagnostics,
+        total_draws=n * len(log_post_trace),
         final_state=st,
     )
 

@@ -1,4 +1,4 @@
-"""Classical PCA and the PPCA closed forms used for initialization and pilots."""
+"""Classical PCA and the pilot estimates used for initialization."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ __all__ = [
     "PcaFit",
     "center",
     "pca_fit",
-    "ppca_ml_loading",
     "reconstruct_linear",
     "pilot_tau2",
     "avg_variance",
@@ -37,6 +36,8 @@ class Dataset:
             raise ValueError("observations must form an n x p matrix")
         if self.column_means.shape != (self.y.shape[1],):
             raise ValueError("column_means must have one entry per column")
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("observations contain non-finite values")
         if self.y.size and np.max(np.abs(self.y.mean(axis=0))) > _CENTERING_TOL:
             raise ValueError("data are not centered")
         if self.labels is not None:
@@ -93,12 +94,6 @@ def pca_fit(data: Dataset, d: int) -> PcaFit:
         singular_values=s[:d].copy(),
         latents=data.y @ v,
     )
-
-
-def ppca_ml_loading(data: Dataset, d: int) -> np.ndarray:
-    """The zero-noise PPCA maximum-likelihood loading V diag(D)."""
-    fit = pca_fit(data, d)
-    return fit.loadings.matrix * fit.singular_values
 
 
 def reconstruct_linear(fit: PcaFit) -> np.ndarray:

@@ -2,9 +2,14 @@
 
 Density relative to the uniform measure: p(X | C) proportional to
 exp{tr(C^T X)}.  The SVD C = U D V^T gives the mode U V^T; the singular
-values D set the concentration.  Sampling is by uniform-proposal rejection
-with the tight envelope exp{sum(D)}, falling back to column-wise Gibbs when
-the concentration makes rejection hopeless.
+values D set the concentration.
+
+The Gibbs sampler's frame step is vmf_sample_column_gibbs: one pass of
+column-wise Gibbs (Hoff 2009) started from the chain's current frame, which
+leaves vMF(C) exactly invariant.  vmf_sample (uniform-proposal rejection
+with the tight envelope exp{sum(D)}, falling back to column-wise Gibbs from
+the mode) and vmf_sample_rejection serve the vmf-diag command and act as
+exact references in the tests.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .stiefel import (
     StiefelPoint,
@@ -210,6 +216,32 @@ def _householder_apply(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x - (2.0 * (u @ x) / (u @ u)) * u
 
 
+def _sample_orthogonal2(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Exact draw Q from the density prop. to exp{tr(M^T Q)} on O(2).
+
+    Rotations [[c, -s], [s, c]] give tr(M^T Q) = (m11 + m22) c + (m21 - m12) s
+    and reflections [[c, s], [s, -c]] give (m11 - m22) c + (m12 + m21) s.
+    Each component has Haar mass 1/2, so its weight is I_0 of the norm of its
+    coefficient vector, and the angle within it is a circular vMF draw.
+    """
+    rot = np.array([m[0, 0] + m[1, 1], m[1, 0] - m[0, 1]])
+    ref = np.array([m[0, 0] - m[1, 1], m[0, 1] + m[1, 0]])
+    r_rot, r_ref = float(np.linalg.norm(rot)), float(np.linalg.norm(ref))
+    # log I_0(r) = log i0e(r) + r keeps the weights finite at any concentration.
+    log_odds = (math.log(special.i0e(r_rot)) + r_rot) - (
+        math.log(special.i0e(r_ref)) + r_ref
+    )
+    is_rotation = 1.0 - rng.random() <= _sigmoid(log_odds)
+    coef, kappa = (rot, r_rot) if is_rotation else (ref, r_ref)
+    if kappa == 0.0:
+        c, s = _uniform_unit_vector(2, rng)
+    else:
+        c, s = vmf_sample_vector(coef / kappa, kappa, rng)
+    if is_rotation:
+        return np.array([[c, -s], [s, c]])
+    return np.array([[c, s], [s, -c]])
+
+
 def vmf_sample_column_gibbs(
     c: VmfParam, x_init: StiefelPoint, sweeps: int, rng: np.random.Generator
 ) -> StiefelPoint:
@@ -218,9 +250,16 @@ def vmf_sample_column_gibbs(
     Each pass redraws every column from its exact full conditional: with the
     other columns fixed, column k lives on the unit sphere of their orthogonal
     complement, where the conditional is a vector vMF with parameter N^T c_k
-    (uniform when that vector vanishes).  For square frames the complement is
-    a single direction n and the conditional is the two-point law on {+n, -n}
-    with odds exp(2 c_k^T n).
+    (uniform when that vector vanishes).  Started from a draw of vMF(C), one
+    pass ends at a draw of vMF(C).
+
+    Square frames (d = p >= 2) are updated two columns at a time instead: a
+    single column's complement is one direction n, so column moves could only
+    flip signs.  Given the other p - 2 columns, a pair is N Q with N a basis
+    of their 2-D complement and Q in O(2) drawn exactly from its conditional
+    exp{tr(M^T Q)}, M = N^T C_pair.  The pairs (k, k+1 mod p) overlap, so
+    their planar moves reach all of O(p).  For p = d = 1 the conditional is
+    the two-point law on {+1, -1}.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
@@ -232,18 +271,24 @@ def vmf_sample_column_gibbs(
     cm = c.c_matrix
     x = x_init.matrix.copy()
 
+    if d == p:
+        if p == 1:
+            for _ in range(sweeps):
+                plus = 1.0 - rng.random() <= _sigmoid(2.0 * cm[0, 0])
+                x[0, 0] = 1.0 if plus else -1.0
+            return StiefelPoint(x)
+        pairs = [(0, 1)] if p == 2 else [(k, (k + 1) % p) for k in range(p)]
+        for _ in range(sweeps):
+            for pair in pairs:
+                basis = null_space_basis(np.delete(x, pair, axis=1))
+                q = _sample_orthogonal2(basis.T @ cm[:, pair], rng)
+                x[:, pair] = basis @ q
+        return StiefelPoint(x)
+
     for _ in range(sweeps):
         for k in range(d):
             ck = cm[:, k]
-            if d == p:
-                # 1-dimensional complement: two-point conditional support.
-                others = np.delete(x, k, axis=1)
-                nvec = null_space_basis(others)[:, 0]
-                if 1.0 - rng.random() <= _sigmoid(2.0 * (ck @ nvec)):
-                    x[:, k] = nvec
-                else:
-                    x[:, k] = -nvec
-            elif d == 1:
+            if d == 1:
                 # Complement is all of R^p: a single exact vMF vector draw.
                 kappa = float(np.linalg.norm(ck))
                 if kappa == 0.0:

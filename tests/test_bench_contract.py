@@ -1,0 +1,52 @@
+"""The hooks perfbench relies on to time the program.
+
+perfbench/launch.py rebinds every function named in its LAYERS table inside
+the nlpca modules, and times one sweep per call of nlpca.gibbs.sweep, which
+iterate_sweeps must therefore look up by its global name once per sweep.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nlpca.gibbs
+from nlpca.datasets import generate_sphere
+from nlpca.gibbs import default_hyperparams, run
+
+LAUNCH = Path(__file__).resolve().parents[1] / "perfbench" / "launch.py"
+
+
+def _bench_layers() -> dict[str, list[str]]:
+    spec = importlib.util.spec_from_file_location("perfbench_launch", LAUNCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+LAYERS = _bench_layers()
+
+
+@pytest.mark.parametrize("module_name", sorted(LAYERS))
+def test_every_timed_layer_resolves(module_name):
+    module = importlib.import_module(f"nlpca.{module_name}")
+    missing = [n for n in LAYERS[module_name] if not callable(getattr(module, n, None))]
+    assert missing == []
+
+
+def test_run_calls_module_level_sweep_once_per_sweep(monkeypatch):
+    calls = []
+    original = nlpca.gibbs.sweep
+
+    def counting_sweep(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nlpca.gibbs, "sweep", counting_sweep)
+    _, data = generate_sphere(6, 0.05, np.random.default_rng(0))
+    hp = default_hyperparams(data, 2, n_sweeps=4, burn_in=1, thin=1)
+    summary = run(data, hp, seed=1)
+    assert len(calls) == hp.n_sweeps
+    assert summary.total_draws == data.n * hp.n_sweeps

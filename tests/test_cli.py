@@ -265,6 +265,60 @@ class TestFit:
         code = main(["fit", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_nan_input_is_io_error_before_output(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("x_1,x_2\n1.0,2.0\nnan,4.0\n0.5,0.1\n")
+        out = tmp_path / "out"
+        code = main(["fit", str(path), "--dim", "1", "--out", str(out)])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--c", "--w"])
+    def test_non_finite_coupling_is_usage_error(self, tmp_path, flag):
+        rng = np.random.default_rng(5)
+        path = self.make_input(tmp_path, rng)
+        out = tmp_path / "out"
+        code = main(["fit", str(path), "--dim", "1", flag, "inf", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
+    def fit_half_chain(self, tmp_path, path):
+        half = tmp_path / "half"
+        assert main(
+            ["fit", str(path), "--dim", "2", "--sweeps", "6", "--burn-in", "2",
+             "--seed", "3", "--out", str(half)]
+        ) == 0
+        return half / "checkpoint.json"
+
+    def test_resume_with_different_c_is_refused(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        path = self.make_input(tmp_path, rng, n=8, p=4)
+        checkpoint = self.fit_half_chain(tmp_path, path)
+        out = tmp_path / "resumed"
+        code = main(
+            ["fit", str(path), "--dim", "2", "--sweeps", "12", "--burn-in", "2",
+             "--c", "0.5", "--resume", str(checkpoint), "--out", str(out)]
+        )
+        assert code == 1
+        assert "--c" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_with_different_data_is_refused(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        path = self.make_input(tmp_path, rng, n=8, p=4)
+        checkpoint = self.fit_half_chain(tmp_path, path)
+        other = tmp_path / "other.csv"
+        export_matrix_csv(other, rng.standard_normal((8, 4)), prefix="x")
+        out = tmp_path / "resumed"
+        code = main(
+            ["fit", str(other), "--dim", "2", "--sweeps", "12", "--burn-in", "2",
+             "--resume", str(checkpoint), "--out", str(out)]
+        )
+        assert code == 1
+        assert "input data" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVmfDiag:
     def test_zero_kappa_full_acceptance(self, capsys):

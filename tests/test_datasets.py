@@ -286,6 +286,12 @@ class TestCsvRoundTrip:
         back, _ = import_matrix_csv(path)
         assert back.shape == (0, 2)
 
+    def test_non_finite_value_names_line(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("latent_1,latent_2\n1.0,inf\n")
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            import_matrix_csv(path)
+
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("latent_1,latent_2\n1.0,2.0\nx,3.0\n")
@@ -301,6 +307,11 @@ class TestCsvRoundTrip:
         assert len(lines) == 3
 
 
+FINGERPRINT = dict(
+    c_strength=0.1, bandwidth=1.0 / 3.0, a2=math.inf, eta=2.0, data_hash="ab" * 32
+)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(18)
@@ -309,7 +320,8 @@ class TestCheckpoint:
         x = rng.standard_normal((n, d))
         path = tmp_path / "ck.json"
         save_checkpoint(
-            path, transformations=v, latents=x, sigma2=0.125, seed=42, counter=17
+            path, transformations=v, latents=x, sigma2=0.125, seed=42, counter=17,
+            **FINGERPRINT,
         )
         ck = load_checkpoint(path)
         assert isinstance(ck, CheckpointData)
@@ -318,6 +330,9 @@ class TestCheckpoint:
         assert (ck.seed, ck.counter) == (42, 17)
         assert np.array_equal(ck.transformations, v)
         assert np.array_equal(ck.latents, x)
+        assert (ck.c_strength, ck.bandwidth, ck.a2, ck.eta) == (0.1, 1.0 / 3.0, math.inf, 2.0)
+        assert ck.data_sha256 == "ab" * 32
+        assert [f.name for f in tmp_path.iterdir()] == ["ck.json"]
 
     def test_schema_fields_present(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -328,10 +343,12 @@ class TestCheckpoint:
             sigma2=1.0,
             seed=0,
             counter=0,
+            **FINGERPRINT,
         )
         doc = json.loads(path.read_text())
         assert set(doc) == {
             "n", "p", "d", "sigma2", "seed", "counter", "transformations", "latents",
+            "c_strength", "bandwidth", "a2", "eta", "data_sha256",
         }
         assert len(doc["transformations"]) == 2
         assert len(doc["transformations"][0]) == 3

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import circle_vmf_moment
+from conftest import circle_vmf_moment, orthogonal2_trace_moment
 from nlpca.datasets import generate_sphere
 from nlpca.gibbs import (
     HyperParams,
@@ -26,7 +26,7 @@ from nlpca.gibbs import (
 from nlpca.mrf import compute_weights, conditional_param, mrf_log_density_unnorm
 from nlpca.pca import Dataset, center, pca_fit, reconstruct_linear
 from nlpca.stiefel import polar_project, sample_uniform_stiefel
-from nlpca.vmf import SamplerPolicy, vmf_mode
+from nlpca.vmf import VmfParam, vmf_mode, vmf_sample_rejection
 
 
 def tiny_hp(**kw):
@@ -42,6 +42,26 @@ def tiny_hp(**kw):
     )
     defaults.update(kw)
     return HyperParams(**defaults)
+
+
+def frame_conditional(i, state, data):
+    """The vMF parameter y_i x_i^T / sigma^2 + sum_j lambda_ij V_j of site i."""
+    c = np.outer(data.y[i], state.latents[i]) / state.sigma2
+    return c + conditional_param(i, state.transformations, state.weights).c_matrix
+
+
+def chain_site(i, state, data, hp, rng, n):
+    """n chained frame updates at site i, neighbours fixed; yields each V_i."""
+    for _ in range(n):
+        frame = update_transformation(i, state, data, hp, rng).matrix
+        state.transformations[i] = frame
+        yield frame
+
+
+def batch_mean_se(values, batches=50):
+    """Standard error of the mean of a correlated chain, by batch means."""
+    means = values[: len(values) // batches * batches].reshape(batches, -1).mean(axis=1)
+    return means.std(ddof=1) / math.sqrt(batches)
 
 
 def tiny_state(rng, data, hp, sigma2=0.5):
@@ -119,17 +139,21 @@ class TestInitState:
 
 class TestUpdateTransformation:
     def test_zero_latent_no_coupling_gives_uniform(self):
-        # x_i = 0 and lambda = 0 make C = 0: the draw comes from the
-        # rejection path in a single attempt.
+        # x_i = 0 and lambda = 0 make C = 0: V_i is uniform on the sphere,
+        # with mean 0 and second moment I/3, wherever the chain starts.
         rng = np.random.default_rng(5)
         data = center(np.vstack([np.eye(3), -np.eye(3)]))
         hp = tiny_hp(d=1, c_strength=1e-300)
         state = tiny_state(rng, data, hp)
         state.latents[:] = 0.0
         state.weights.lam[:] = 0.0
-        _, info = update_transformation(0, state, data, hp, rng)
-        assert info.method == "rejection"
-        assert info.attempts == 1
+        n = 10_000
+        draws = np.array([v[:, 0] for v in chain_site(0, state, data, hp, rng, n)])
+        se = math.sqrt((1.0 / 3.0) / n)
+        assert np.all(np.abs(draws.mean(axis=0)) <= 4 * se)
+        var_diag = 3.0 / 15.0 - 1.0 / 9.0
+        second = draws.T @ draws / n
+        assert np.all(np.abs(second - np.eye(3) / 3.0) <= 4 * math.sqrt(var_diag / n))
 
     def test_small_sigma2_mode_tracks_data(self):
         # As sigma^2 -> 0 the conditional is dominated by y_i x_i^T / sigma^2,
@@ -140,11 +164,7 @@ class TestUpdateTransformation:
         hp = tiny_hp(d=2)
         state = tiny_state(rng, data, hp, sigma2=1e-6)
         i = 2
-        c = np.outer(data.y[i], state.latents[i]) / state.sigma2
-        c += conditional_param(i, state.transformations, state.weights).c_matrix
-        from nlpca.vmf import VmfParam
-
-        mode = vmf_mode(VmfParam(c)).matrix
+        mode = vmf_mode(VmfParam(frame_conditional(i, state, data))).matrix
         u = data.y[i] / np.linalg.norm(data.y[i])
         v = state.latents[i] / np.linalg.norm(state.latents[i])
         assert np.max(np.abs(mode @ v - u)) <= 1e-4
@@ -157,20 +177,55 @@ class TestUpdateTransformation:
         hp = tiny_hp(d=1, a2=2.0)
         state = tiny_state(rng, data, hp, sigma2=0.8)
         i = 1
-        c_vec = (
-            data.y[i] * state.latents[i, 0] / state.sigma2
-            + conditional_param(i, state.transformations, state.weights).c_matrix[:, 0]
-        )
+        c_vec = frame_conditional(i, state, data)[:, 0]
         kappa = np.linalg.norm(c_vec)
         direction = c_vec / kappa
         n = 10_000
-        cosines = np.empty(n)
-        for k in range(n):
-            pt, _ = update_transformation(i, state, data, hp, rng)
-            cosines[k] = direction @ pt.matrix[:, 0]
+        cosines = np.array(
+            [direction @ v[:, 0] for v in chain_site(i, state, data, hp, rng, n)]
+        )
         target = circle_vmf_moment(kappa, math.cos)
         var = circle_vmf_moment(kappa, lambda t: math.cos(t) ** 2) - target**2
         assert abs(cosines.mean() - target) <= 3 * math.sqrt(var / n)
+
+    def test_tall_frame_chain_matches_rejection(self):
+        # p = 3, d = 2: the chained kernel's mean of tr(C^T V_i) must match
+        # exact rejection draws from the same conditional.
+        rng = np.random.default_rng(28)
+        data = center(rng.standard_normal((6, 3)))
+        hp = tiny_hp(d=2)
+        state = tiny_state(rng, data, hp, sigma2=0.5)
+        i = 0
+        c = frame_conditional(i, state, data)
+        chain = np.array(
+            [np.sum(c * v) for v in chain_site(i, state, data, hp, rng, 10_000)]
+        )
+        exact = np.array(
+            [np.sum(c * vmf_sample_rejection(VmfParam(c), rng)[0].matrix)
+             for _ in range(4_000)]
+        )
+        joint_se = math.sqrt(batch_mean_se(chain) ** 2 + exact.var(ddof=1) / len(exact))
+        assert abs(chain.mean() - exact.mean()) <= 4 * joint_se
+
+    def test_square_frame_chain_matches_quadrature_and_rotates(self):
+        # d = p = 2: the conditional lives on O(2).  Column-at-a-time moves
+        # could only flip column signs, visiting the start's rotation by
+        # 0 or 180 degrees; the kernel must reach angles between them and
+        # match the two-component quadrature of tr(C^T V_i).
+        rng = np.random.default_rng(29)
+        data = center(rng.standard_normal((5, 2)))
+        hp = tiny_hp(d=2)
+        state = tiny_state(rng, data, hp, sigma2=0.5)
+        i = 3
+        c = frame_conditional(i, state, data)
+        start = state.transformations[i].copy()
+        n = 10_000
+        frames = np.array(list(chain_site(i, state, data, hp, rng, n)))
+        traces = np.einsum("pd,npd->n", c, frames)
+        assert abs(traces.mean() - orthogonal2_trace_moment(c)) <= 4 * batch_mean_se(traces)
+        rel = np.einsum("pk,npl->nkl", start, frames)
+        sines = rel[:, 1, 0]
+        assert np.mean(np.abs(sines) > 0.25) > 0.2
 
 
 class TestUpdateLatent:
@@ -457,8 +512,7 @@ class TestReconstructNonlinear:
         # d = p with concentrated posterior: reconstruction equals V x.
         rng = np.random.default_rng(26)
         data = center(np.array([[1.0, 0.2], [-1.0, -0.2], [0.4, -0.6], [-0.4, 0.6]]))
-        hp = tiny_hp(d=2, a2=math.inf, tau2=1e-8, n_sweeps=40, burn_in=20, thin=1,
-                     policy=SamplerPolicy(fallback_sweeps=10))
+        hp = tiny_hp(d=2, a2=math.inf, tau2=1e-8, n_sweeps=40, burn_in=20, thin=1)
         summary = run(data, hp, seed=6)
         recon = reconstruct_nonlinear(summary)
         assert np.max(np.abs(recon - data.y)) <= 0.05

@@ -7,7 +7,6 @@ from nlpca.pca import (
     center,
     pca_fit,
     pilot_tau2,
-    ppca_ml_loading,
     reconstruct_linear,
 )
 from nlpca.stiefel import is_orthonormal, sample_uniform_stiefel
@@ -38,6 +37,11 @@ class TestCenter:
     def test_dataset_validates_centering(self):
         with pytest.raises(ValueError):
             Dataset(y=np.ones((4, 2)), column_means=np.zeros(2))
+
+    def test_dataset_rejects_non_finite(self):
+        # NaN fails every comparison, so the centring check alone lets it by.
+        with pytest.raises(ValueError, match="non-finite"):
+            center(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 class TestPcaFit:
@@ -97,26 +101,6 @@ class TestPcaFit:
             fit = pca_fit(ds, d)
             errors.append(np.sum((ds.y - reconstruct_linear(fit)) ** 2))
         assert np.all(np.diff(errors) <= 1e-10)
-
-
-class TestPpcaLoading:
-    def test_isotropic_column_norm(self):
-        # Points at (+-q, 0), (0, +-q) give equal singular values s = q
-        # sqrt(2)/2; the d=1 loading column then has norm s.
-        q = 2.0
-        raw = np.array([[q, 0.0], [-q, 0.0], [0.0, q], [0.0, -q]])
-        ds = center(raw)
-        s = np.linalg.svd(ds.y / 2.0, compute_uv=False)
-        w = ppca_ml_loading(ds, 1)
-        assert np.linalg.norm(w[:, 0]) == pytest.approx(s[0], abs=1e-12)
-
-    def test_columns_orthogonal_with_singular_norms(self):
-        rng = np.random.default_rng(8)
-        ds = center(rng.standard_normal((30, 5)))
-        fit = pca_fit(ds, 3)
-        w = ppca_ml_loading(ds, 3)
-        gram = w.T @ w
-        assert np.max(np.abs(gram - np.diag(fit.singular_values**2))) <= 1e-8
 
 
 class TestReconstructLinear:

@@ -256,6 +256,27 @@ class TestColumnGibbs:
         joint_se = math.sqrt(after.var(ddof=1) / n + exact.var(ddof=1) / n)
         assert abs(after.mean() - exact.mean()) <= 3.5 * joint_se
 
+    def test_square_frame_pairs_invariant_and_not_sign_flips(self):
+        # O(3): one pass of overlapping pair updates from an exact draw must
+        # stay exact, and must move the frame by more than column sign flips
+        # (which would keep X0^T X1 diagonal).
+        rng = np.random.default_rng(30)
+        c = make_param(rng, 3, 3, scale=0.6)
+        n = 2_000
+        after = np.empty(n)
+        exact = np.empty(n)
+        off_diagonal = np.empty(n)
+        for k in range(n):
+            x0, _ = vmf_sample_rejection(c, rng)
+            exact[k] = vmf_log_density_unnorm(x0, c)
+            x1 = vmf_sample_column_gibbs(c, x0, 1, rng)
+            after[k] = vmf_log_density_unnorm(x1, c)
+            rel = x0.matrix.T @ x1.matrix
+            off_diagonal[k] = np.abs(rel - np.diag(np.diag(rel))).max()
+        joint_se = math.sqrt(after.var(ddof=1) / n + exact.var(ddof=1) / n)
+        assert abs(after.mean() - exact.mean()) <= 3.5 * joint_se
+        assert np.mean(off_diagonal > 0.25) > 0.5
+
     def test_validates_arguments(self):
         rng = np.random.default_rng(21)
         c = make_param(rng, 3, 2)

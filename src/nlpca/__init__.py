@@ -23,8 +23,6 @@ from .stiefel import (
     thin_svd,
 )
 from .vmf import (
-    RejectionBudgetError,
-    SampleInfo,
     VmfParam,
     vmf_log_density_unnorm,
     vmf_mode,

@@ -43,6 +43,7 @@ from .datasets import (
 from .gibbs import (
     FRAME_KERNEL,
     LATENT_UPDATE,
+    HyperParams,
     default_hyperparams,
     reconstruct_nonlinear,
     run,
@@ -139,7 +140,7 @@ def _add_chain_options(sub) -> None:
     sub.add_argument("--burn-in", type=int, default=1000, dest="burn_in")
     sub.add_argument("--thin", type=int, default=5, help="keep every thin-th sweep")
     sub.add_argument(
-        "--a2", type=str, default="auto", help="latent prior variance: auto|inf|<value>"
+        "--a2", type=_parse_a2, default="auto", help="latent prior variance: auto|inf|<value>"
     )
     sub.add_argument("--c", type=float, default=None, help="override interaction strength")
     sub.add_argument("--w", type=float, default=None, help="override kernel bandwidth")
@@ -150,42 +151,64 @@ def _add_common_options(sub) -> None:
     sub.add_argument("--out", type=str, default="out", help="output directory")
 
 
-class _TraceWriter:
-    """Streams per-sweep trace rows to a CSV file."""
+def _chain_hyperparams(args, data) -> HyperParams:
+    """Pilot-study hyperparameters under the chain flags, once --dim is
+    known to fit the data."""
+    if args.dim > min(data.n, data.p):
+        raise UsageError(f"--dim must be <= min(n, p) = {min(data.n, data.p)}")
+    return default_hyperparams(
+        data,
+        args.dim,
+        n_sweeps=args.sweeps,
+        burn_in=args.burn_in,
+        thin=args.thin,
+        a2=args.a2,
+        c_strength=args.c,
+        bandwidth=args.w,
+    )
 
-    def __init__(self, path):
-        self._fh = open(path, "w", newline="")
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(["sweep", "sigma2", "log_posterior"])
 
-    def __call__(self, t, state, stats) -> None:
-        self._writer.writerow(
-            [str(t), repr(float(stats.sigma2)), repr(float(stats.log_posterior))]
+def _run_chain(args, data, hp, seed, state, start_sweep):
+    """Create --out and run the chain from start_sweep, streaming one
+    trace.csv row per sweep.  Returns the output directory and the summary."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "trace.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sweep", "sigma2", "log_posterior"])
+
+        def on_sweep(t, _state, stats):
+            writer.writerow(
+                [str(t), repr(float(stats.sigma2)), repr(float(stats.log_posterior))]
+            )
+
+        summary = run(
+            data, hp, seed, state=state, start_sweep=start_sweep, on_sweep=on_sweep
         )
-
-    def close(self) -> None:
-        self._fh.close()
+    return out, summary
 
 
-def _a2_json(hp):
-    return "inf" if math.isinf(hp.a2) else hp.a2
-
-
-def _hyper_summary(hp, seed: int) -> dict:
-    return {
+def _save_summary(out, hp, seed: int, summary, fields: dict) -> None:
+    """summary.json: the chain's settings and draw counts, then the command's
+    own fields."""
+    doc = {
         "seed": seed,
         "d": hp.d,
         "sweeps": hp.n_sweeps,
         "burn_in": hp.burn_in,
         "thin": hp.thin,
-        "a2": _a2_json(hp),
+        "a2": "inf" if math.isinf(hp.a2) else hp.a2,
         "eta": hp.eta,
         "tau2": hp.tau2,
         "c_strength": hp.c_strength,
         "bandwidth": hp.bandwidth,
         "frame_kernel": FRAME_KERNEL,
         "latent_update": LATENT_UPDATE,
+        "kept_sweeps": summary.n_kept,
+        "total_draws": summary.total_draws,
     }
+    doc.update(fields)
+    save_json(out / "summary.json", doc)
 
 
 def cmd_sphere_demo(args) -> int:
@@ -194,13 +217,11 @@ def cmd_sphere_demo(args) -> int:
         raise UsageError("--n must be >= 2")
     if args.noise < 0:
         raise UsageError("--noise must be nonnegative")
-    a2 = _parse_a2(args.a2)
     seed = _resolve_seed(args)
 
     rng = np.random.default_rng([_DATA_STREAM_TAG, seed])
     raw, data = generate_sphere(args.n, args.noise, rng)
-    if args.dim > min(data.n, data.p):
-        raise UsageError(f"--dim must be <= min(n, p) = {min(data.n, data.p)}")
+    hp = _chain_hyperparams(args, data)
 
     fit = pca_fit(data, args.dim)
     pca_recon = reconstruct_linear(fit)
@@ -209,25 +230,7 @@ def cmd_sphere_demo(args) -> int:
     all_sv = np.linalg.svd(data.y / np.sqrt(data.n), compute_uv=False)
     pca_total_analytic = float(data.n * np.sum(all_sv[args.dim:] ** 2))
 
-    hp = default_hyperparams(
-        data,
-        args.dim,
-        n_sweeps=args.sweeps,
-        burn_in=args.burn_in,
-        thin=args.thin,
-        a2=a2,
-        c_strength=args.c,
-        bandwidth=args.w,
-    )
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trace = _TraceWriter(out / "trace.csv")
-    try:
-        summary = run(data, hp, seed, on_sweep=trace)
-    finally:
-        trace.close()
-
+    out, summary = _run_chain(args, data, hp, seed, state=None, start_sweep=0)
     model_recon = reconstruct_nonlinear(summary)
     model_errors = reconstruction_errors(data.y, model_recon)
     model_recon_raw = model_recon + data.column_means
@@ -249,24 +252,18 @@ def cmd_sphere_demo(args) -> int:
         out / "hist_recon_errors.csv", histogram(model_errors, _HIST_BINS)
     )
 
-    doc = _hyper_summary(hp, seed)
-    doc.update(
-        {
-            "n": data.n,
-            "noise": args.noise,
-            "kept_sweeps": summary.n_kept,
-            "model_mean_reconstruction_error": float(model_errors.mean()),
-            "pca_mean_reconstruction_error": float(pca_errors.mean()),
-            "model_total_sq_error": float(np.sum(model_errors**2)),
-            "pca_total_sq_error": float(np.sum(pca_errors**2)),
-            "pca_total_sq_error_analytic": pca_total_analytic,
-            "model_mean_sphere_distance": float(model_sphere.mean()),
-            "pca_mean_sphere_distance": float(pca_sphere.mean()),
-            "data_mean_sphere_distance": float(data_sphere.mean()),
-            "total_draws": summary.total_draws,
-        }
-    )
-    save_json(out / "summary.json", doc)
+    _save_summary(out, hp, seed, summary, {
+        "n": data.n,
+        "noise": args.noise,
+        "model_mean_reconstruction_error": float(model_errors.mean()),
+        "pca_mean_reconstruction_error": float(pca_errors.mean()),
+        "model_total_sq_error": float(np.sum(model_errors**2)),
+        "pca_total_sq_error": float(np.sum(pca_errors**2)),
+        "pca_total_sq_error_analytic": pca_total_analytic,
+        "model_mean_sphere_distance": float(model_sphere.mean()),
+        "pca_mean_sphere_distance": float(pca_sphere.mean()),
+        "data_mean_sphere_distance": float(data_sphere.mean()),
+    })
     print(
         f"sphere-demo: model mean error {model_errors.mean():.6f} "
         f"vs PCA {pca_errors.mean():.6f}; artifacts in {out}"
@@ -276,7 +273,6 @@ def cmd_sphere_demo(args) -> int:
 
 def cmd_digits_demo(args) -> int:
     _validate_chain(args)
-    a2 = _parse_a2(args.a2)
     seed = _resolve_seed(args)
 
     try:
@@ -304,30 +300,12 @@ def cmd_digits_demo(args) -> int:
         np.random.default_rng([_SUBSET_STREAM_TAG, seed]),
     )
     data = to_dataset(subset)
-    if args.dim > min(data.n, data.p):
-        raise UsageError(f"--dim must be <= min(n, p) = {min(data.n, data.p)}")
+    hp = _chain_hyperparams(args, data)
 
     fit = pca_fit(data, args.dim)
     pca_mismatch = nn_mismatch_count(fit.latents, data.labels)
 
-    hp = default_hyperparams(
-        data,
-        args.dim,
-        n_sweeps=args.sweeps,
-        burn_in=args.burn_in,
-        thin=args.thin,
-        a2=a2,
-        c_strength=args.c,
-        bandwidth=args.w,
-    )
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trace = _TraceWriter(out / "trace.csv")
-    try:
-        summary = run(data, hp, seed, on_sweep=trace)
-    finally:
-        trace.close()
+    out, summary = _run_chain(args, data, hp, seed, state=None, start_sweep=0)
     model_mismatch = nn_mismatch_count(summary.mean_latents, data.labels)
 
     export_matrix_csv(out / "pca_latents.csv", fit.latents, labels=data.labels)
@@ -335,23 +313,17 @@ def cmd_digits_demo(args) -> int:
         out / "model_latents.csv", summary.mean_latents, labels=data.labels
     )
 
-    doc = _hyper_summary(hp, seed)
-    doc.update(
-        {
-            "n": data.n,
-            "p": data.p,
-            "classes": list(_DIGIT_CLASSES),
-            "per_class": _DIGIT_PER_CLASS,
-            "pool": args.pool,
-            "kept_sweeps": summary.n_kept,
-            "pca_nn_mismatch": pca_mismatch,
-            "model_nn_mismatch": model_mismatch,
-            "reference_pca_mismatch": _REFERENCE_PCA_MISMATCH,
-            "reference_model_mismatch": _REFERENCE_MODEL_MISMATCH,
-            "total_draws": summary.total_draws,
-        }
-    )
-    save_json(out / "summary.json", doc)
+    _save_summary(out, hp, seed, summary, {
+        "n": data.n,
+        "p": data.p,
+        "classes": list(_DIGIT_CLASSES),
+        "per_class": _DIGIT_PER_CLASS,
+        "pool": args.pool,
+        "pca_nn_mismatch": pca_mismatch,
+        "model_nn_mismatch": model_mismatch,
+        "reference_pca_mismatch": _REFERENCE_PCA_MISMATCH,
+        "reference_model_mismatch": _REFERENCE_MODEL_MISMATCH,
+    })
     print(
         f"digits-demo: NN mismatches model {model_mismatch} vs PCA {pca_mismatch} "
         f"(reference {_REFERENCE_MODEL_MISMATCH} vs {_REFERENCE_PCA_MISMATCH}); "
@@ -362,7 +334,6 @@ def cmd_digits_demo(args) -> int:
 
 def cmd_fit(args) -> int:
     _validate_chain(args)
-    a2 = _parse_a2(args.a2)
     seed = _resolve_seed(args)
 
     try:
@@ -373,21 +344,8 @@ def cmd_fit(args) -> int:
         raise InputFileError(str(err)) from err
     if matrix.shape[0] < 2:
         raise UsageError(f"need at least 2 rows, got {matrix.shape[0]}")
-    n, p = matrix.shape
-    if args.dim > min(n, p):
-        raise UsageError(f"--dim must be <= min(n, p) = {min(n, p)}")
     data = center(matrix, labels=labels)
-
-    hp = default_hyperparams(
-        data,
-        args.dim,
-        n_sweeps=args.sweeps,
-        burn_in=args.burn_in,
-        thin=args.thin,
-        a2=a2,
-        c_strength=args.c,
-        bandwidth=args.w,
-    )
+    hp = _chain_hyperparams(args, data)
 
     data_hash = data_sha256(data.y)
     state = None
@@ -399,10 +357,10 @@ def cmd_fit(args) -> int:
             raise InputFileError(f"cannot read {args.resume}: {err}") from err
         except ValueError as err:
             raise InputFileError(str(err)) from err
-        if (ck.n, ck.p, ck.d) != (n, p, args.dim):
+        if (ck.n, ck.p, ck.d) != (data.n, data.p, args.dim):
             raise UsageError(
                 f"checkpoint is for n={ck.n}, p={ck.p}, d={ck.d}; "
-                f"input gives n={n}, p={p}, d={args.dim}"
+                f"input gives n={data.n}, p={data.p}, d={args.dim}"
             )
         if ck.counter >= args.sweeps:
             raise UsageError(
@@ -428,13 +386,7 @@ def cmd_fit(args) -> int:
         start_sweep = ck.counter
         seed = ck.seed  # the original stream must continue
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trace = _TraceWriter(out / "trace.csv")
-    try:
-        summary = run(data, hp, seed, state=state, start_sweep=start_sweep, on_sweep=trace)
-    finally:
-        trace.close()
+    out, summary = _run_chain(args, data, hp, seed, state, start_sweep)
 
     final = summary.final_state
     save_checkpoint(
@@ -452,19 +404,13 @@ def cmd_fit(args) -> int:
     )
     export_matrix_csv(out / "mean_latents.csv", summary.mean_latents, labels=data.labels)
 
-    doc = _hyper_summary(hp, seed)
-    doc.update(
-        {
-            "n": n,
-            "p": p,
-            "start_sweep": start_sweep,
-            "kept_sweeps": summary.n_kept,
-            "final_sigma2": float(final.sigma2),
-            "final_log_posterior": float(summary.log_posterior_trace[-1]),
-            "total_draws": summary.total_draws,
-        }
-    )
-    save_json(out / "summary.json", doc)
+    _save_summary(out, hp, seed, summary, {
+        "n": data.n,
+        "p": data.p,
+        "start_sweep": start_sweep,
+        "final_sigma2": float(final.sigma2),
+        "final_log_posterior": float(summary.log_posterior_trace[-1]),
+    })
     print(f"fit: {hp.n_sweeps - start_sweep} sweeps done; artifacts in {out}")
     return EXIT_OK
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .pca import Dataset, center
+from .stiefel import ORTHONORMALITY_TOL, frames_orthonormal
 
 __all__ = [
     "IdxFormatError",
@@ -402,6 +403,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> CheckpointData:
+    """Read a checkpoint written by save_checkpoint.  ValueError for a missing
+    field, frames not orthonormal within ORTHONORMALITY_TOL, non-finite
+    latents or a sigma^2 that is not positive and finite."""
     with open(path, "r") as fh:
         doc = json.load(fh)
     required = {
@@ -414,11 +418,20 @@ def load_checkpoint(path) -> CheckpointData:
     n, p, d = int(doc["n"]), int(doc["p"]), int(doc["d"])
     v = np.asarray(doc["transformations"], dtype=float).reshape(n, p, d)
     x = np.asarray(doc["latents"], dtype=float).reshape(n, d)
+    sigma2 = float(doc["sigma2"])
+    if not frames_orthonormal(v):
+        raise ValueError(
+            f"{path}: checkpoint frames are not orthonormal within {ORTHONORMALITY_TOL:g}"
+        )
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{path}: checkpoint latents are not all finite")
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"{path}: checkpoint sigma2 must be positive and finite")
     return CheckpointData(
         n=n,
         p=p,
         d=d,
-        sigma2=float(doc["sigma2"]),
+        sigma2=sigma2,
         seed=int(doc["seed"]),
         counter=int(doc["counter"]),
         transformations=v,

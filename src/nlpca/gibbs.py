@@ -28,8 +28,8 @@ import numpy as np
 from .mrf import InteractionWeights, compute_weights, conditional_param, \
     default_bandwidth, default_strength, mrf_log_density_unnorm
 from .pca import Dataset, avg_variance, pca_fit, pilot_tau2
-from .stiefel import ORTHONORMALITY_TOL, StiefelPoint, polar_project
-from .vmf import VmfParam, vmf_sample_column_gibbs
+from .stiefel import ORTHONORMALITY_TOL, StiefelPoint, frames_orthonormal, polar_project
+from .vmf import column_gibbs_pass
 
 __all__ = [
     "HyperParams",
@@ -222,45 +222,47 @@ def update_transformation(
     i: int,
     state: ModelState,
     data: Dataset,
-    hp: HyperParams,
     rng: np.random.Generator,
-) -> StiefelPoint:
-    """Move V_i by one column-Gibbs pass started from the current V_i.
+) -> None:
+    """Move V_i, in place in state.transformations, by one column-Gibbs pass
+    started from the current V_i.
 
     The target is V_i's full conditional vMF(y_i x_i^T / sigma^2 +
     sum_{j != i} lambda_ij V_j).  Each column (each overlapping column pair
     when d = p) is redrawn exactly given the rest, so the pass leaves that
     conditional invariant without an SVD, a rejection loop or a fallback.
+    Nothing is validated here: sweep checks every frame once per sweep.
     """
     c = np.outer(data.y[i], state.latents[i]) / state.sigma2
-    c += conditional_param(i, state.transformations, state.weights).c_matrix
-    return vmf_sample_column_gibbs(
-        VmfParam(c), StiefelPoint(state.transformations[i]), 1, rng
-    )
+    c += conditional_param(i, state.transformations, state.weights)
+    column_gibbs_pass(c, state.transformations[i], rng)
 
 
 def update_latent(
-    i: int,
     state: ModelState,
     data: Dataset,
     hp: HyperParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw x_i from N(a^2/(a^2+sigma^2) V_i^T y_i, a^2 sigma^2/(a^2+sigma^2) I);
-    the improper a^2 = inf limit is N(V_i^T y_i, sigma^2 I).
+    """Draw all n latents at once, each x_i from
+    N(a^2/(a^2+sigma^2) V_i^T y_i, a^2 sigma^2/(a^2+sigma^2) I); the improper
+    a^2 = inf limit is N(V_i^T y_i, sigma^2 I).  Returns the (n, d) draws.
 
+    Given the frames and sigma^2 the x_i are independent, so one batched
+    draw takes the same normals from the stream, in the same order, as n
+    per-site draws.
     This is the paper's x-step (LATENT_UPDATE): the Gaussian conditional of
     the likelihood and latent prior alone, ignoring how the MRF weights
     lambda_ij change with x_i.
     """
-    proj = state.transformations[i].T @ data.y[i]
+    proj = (state.transformations.transpose(0, 2, 1) @ data.y[:, :, None])[:, :, 0]
     if math.isinf(hp.a2):
         mean, var = proj, state.sigma2
     else:
         shrink = hp.a2 / (hp.a2 + state.sigma2)
         mean = shrink * proj
         var = shrink * state.sigma2
-    return mean + math.sqrt(var) * rng.standard_normal(state.d)
+    return mean + math.sqrt(var) * rng.standard_normal((state.n, state.d))
 
 
 def noise_prior_params(hp: HyperParams) -> tuple[float, float]:
@@ -322,15 +324,12 @@ def sweep(
     latents before the noise update."""
     st = state.copy()
     for i in range(st.n):
-        st.transformations[i] = update_transformation(i, st, data, hp, rng).matrix
-    for i in range(st.n):
-        st.latents[i] = update_latent(i, st, data, hp, rng)
+        update_transformation(i, st, data, rng)
+    st.latents = update_latent(st, data, hp, rng)
     st.weights = compute_weights(st.latents, hp.c_strength, hp.bandwidth)
     st.sigma2 = update_noise(st, data, hp, rng)
 
-    gram = np.einsum("npk,npl->nkl", st.transformations, st.transformations)
-    gram -= np.eye(st.d)
-    if np.max(np.abs(gram)) > ORTHONORMALITY_TOL:
+    if not frames_orthonormal(st.transformations):
         raise ArithmeticError("orthonormality lost during sweep")
 
     stats = SweepStats(
@@ -349,6 +348,13 @@ def sweep_rng(seed: int, sweep_index: int) -> np.random.Generator:
     return np.random.default_rng([_SWEEP_STREAM_TAG, seed, sweep_index])
 
 
+def _check_state(state: ModelState) -> None:
+    if not frames_orthonormal(state.transformations):
+        raise ValueError(f"frames are not orthonormal within {ORTHONORMALITY_TOL:g}")
+    if not (np.all(np.isfinite(state.latents)) and math.isfinite(state.sigma2)):
+        raise ValueError("latents and sigma2 must be finite")
+
+
 def iterate_sweeps(
     data: Dataset,
     hp: HyperParams,
@@ -356,7 +362,11 @@ def iterate_sweeps(
     state: ModelState | None = None,
     start_sweep: int = 0,
 ):
-    """Yield (sweep_index, state, stats) from start_sweep to n_sweeps - 1."""
+    """Yield (sweep_index, state, stats) from start_sweep to n_sweeps - 1.
+    sweep checks nothing on entry, so a state passed in must have frames
+    orthonormal within ORTHONORMALITY_TOL and finite latents and sigma^2."""
+    if state is not None:
+        _check_state(state)
     st = init_state(data, hp) if state is None else state
     for t in range(start_sweep, hp.n_sweeps):
         st, stats = sweep(st, data, hp, sweep_rng(seed, t))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stiefel import StiefelPoint
-from .vmf import VmfParam
 
 __all__ = [
     "InteractionWeights",
@@ -119,8 +118,9 @@ def default_strength(n: int) -> float:
 
 def conditional_param(
     i: int, transformations, weights: InteractionWeights
-) -> VmfParam:
-    """vMF parameter of the full conditional at site i: sum_{j != i} lambda_ij V_j."""
+) -> np.ndarray:
+    """The p x d parameter sum_{j != i} lambda_ij V_j of the vMF full
+    conditional at site i."""
     v = _stack_frames(transformations)
     n = v.shape[0]
     if n != weights.n_sites:
@@ -128,7 +128,7 @@ def conditional_param(
     if not 0 <= i < n:
         raise IndexError(f"site {i} out of range for {n} sites")
     # The zero diagonal makes the j = i term vanish.
-    return VmfParam(np.tensordot(weights.lam[i], v, axes=(0, 0)))
+    return np.tensordot(weights.lam[i], v, axes=(0, 0))
 
 
 def mrf_log_density_unnorm(transformations, weights: InteractionWeights) -> float:

@@ -18,6 +18,7 @@ __all__ = [
     "StiefelPoint",
     "SvdFactors",
     "is_orthonormal",
+    "frames_orthonormal",
     "thin_svd",
     "sample_uniform_stiefel",
     "null_space_basis",
@@ -34,8 +35,13 @@ def is_orthonormal(m: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> bool:
         m = m[:, None]
     if m.ndim != 2 or m.shape[0] < m.shape[1]:
         return False
-    gram = m.T @ m - np.eye(m.shape[1])
-    # NaN entries make the comparison false, which is the right answer.
+    return frames_orthonormal(m, tol)
+
+
+def frames_orthonormal(v: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> bool:
+    """True iff every frame in v, one p x d matrix or an (n, p, d) stack, has
+    max |v_i^T v_i - I| <= tol.  A NaN entry makes the answer false."""
+    gram = np.swapaxes(v, -1, -2) @ v - np.eye(v.shape[-1])
     return bool(np.all(np.abs(gram) <= tol))
 
 

@@ -4,12 +4,13 @@ Density relative to the uniform measure: p(X | C) proportional to
 exp{tr(C^T X)}.  The SVD C = U D V^T gives the mode U V^T; the singular
 values D set the concentration.
 
-The Gibbs sampler's frame step is vmf_sample_column_gibbs: one pass of
+The Gibbs sampler's frame step is column_gibbs_pass: one pass of
 column-wise Gibbs (Hoff 2009) started from the chain's current frame, which
-leaves vMF(C) exactly invariant.  vmf_sample (uniform-proposal rejection
-with the tight envelope exp{sum(D)}, falling back to column-wise Gibbs from
-the mode) and vmf_sample_rejection serve the vmf-diag command and act as
-exact references in the tests.
+leaves vMF(C) exactly invariant.  It updates a raw array in place and
+checks nothing; vmf_sample_column_gibbs is its validated wrapper.
+vmf_sample (uniform-proposal rejection with the tight envelope exp{sum(D)},
+falling back to column-wise Gibbs from the mode) and vmf_sample_rejection
+serve the vmf-diag command and act as exact references in the tests.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "vmf_mode",
     "vmf_sample_rejection",
     "vmf_sample_vector",
+    "column_gibbs_pass",
     "vmf_sample_column_gibbs",
     "vmf_sample",
 ]
@@ -163,10 +165,12 @@ def vmf_sample_vector(
     mu = np.asarray(direction, dtype=float)
     if mu.ndim != 1 or mu.size < 2:
         raise ValueError("direction must be a vector in R^p with p >= 2")
-    if abs(np.linalg.norm(mu) - 1.0) > 1e-10:
+    # Written so that NaN fails: a NaN direction or kappa would otherwise
+    # never pass the rejection test below.
+    if not abs(np.linalg.norm(mu) - 1.0) <= 1e-10:
         raise ValueError("direction must have unit norm")
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    if not 0 <= kappa < math.inf:
+        raise ValueError("kappa must be nonnegative and finite")
     p = mu.size
     if kappa == 0.0:
         return _uniform_unit_vector(p, rng)
@@ -242,10 +246,13 @@ def _sample_orthogonal2(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.array([[c, s], [s, -c]])
 
 
-def vmf_sample_column_gibbs(
-    c: VmfParam, x_init: StiefelPoint, sweeps: int, rng: np.random.Generator
-) -> StiefelPoint:
-    """Column-wise Gibbs updates targeting vMF(C), started from x_init.
+def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -> None:
+    """One column-wise Gibbs pass targeting vMF(cm), updating the p x d frame
+    x in place.
+
+    Unchecked: x must be orthonormal with the shape of cm.  The Gibbs sweep
+    calls this for every site and guards orthonormality once per sweep;
+    vmf_sample_column_gibbs is the validated entry point.
 
     Each pass redraws every column from its exact full conditional: with the
     other columns fixed, column k lives on the unit sphere of their orthogonal
@@ -261,64 +268,68 @@ def vmf_sample_column_gibbs(
     their planar moves reach all of O(p).  For p = d = 1 the conditional is
     the two-point law on {+1, -1}.
     """
+    p, d = x.shape
+    if d == p:
+        if p == 1:
+            plus = 1.0 - rng.random() <= _sigmoid(2.0 * cm[0, 0])
+            x[0, 0] = 1.0 if plus else -1.0
+            return
+        pairs = [(0, 1)] if p == 2 else [(k, (k + 1) % p) for k in range(p)]
+        for pair in pairs:
+            basis = null_space_basis(np.delete(x, pair, axis=1))
+            q = _sample_orthogonal2(basis.T @ cm[:, pair], rng)
+            x[:, pair] = basis @ q
+        return
+
+    for k in range(d):
+        ck = cm[:, k]
+        if d == 1:
+            # Complement is all of R^p: a single exact vMF vector draw.
+            kappa = float(np.linalg.norm(ck))
+            if kappa == 0.0:
+                x[:, 0] = _uniform_unit_vector(p, rng)
+            else:
+                x[:, 0] = vmf_sample_vector(ck / kappa, kappa, rng)
+        elif d == 2:
+            # Complement of one unit column, applied implicitly through a
+            # Householder reflection: O(p) instead of a full QR.
+            u = _householder_u(x[:, 1 - k])
+            m = _householder_apply(u, ck)[1:]
+            kappa = float(np.linalg.norm(m))
+            if kappa == 0.0:
+                z = _uniform_unit_vector(p - 1, rng)
+            else:
+                z = vmf_sample_vector(m / kappa, kappa, rng)
+            lifted = np.empty(p)
+            lifted[0] = 0.0
+            lifted[1:] = z
+            x[:, k] = _householder_apply(u, lifted)
+        else:
+            others = np.delete(x, k, axis=1)
+            basis = null_space_basis(others)
+            m = basis.T @ ck
+            kappa = float(np.linalg.norm(m))
+            if kappa == 0.0:
+                z = _uniform_unit_vector(p - d + 1, rng)
+            else:
+                z = vmf_sample_vector(m / kappa, kappa, rng)
+            x[:, k] = basis @ z
+
+
+def vmf_sample_column_gibbs(
+    c: VmfParam, x_init: StiefelPoint, sweeps: int, rng: np.random.Generator
+) -> StiefelPoint:
+    """``sweeps`` passes of column_gibbs_pass targeting vMF(C), started from
+    x_init, with the shapes checked on entry and the result validated."""
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     if (x_init.p, x_init.d) != (c.p, c.d):
         raise ValueError(
             f"shape mismatch: init is {x_init.p}x{x_init.d}, C is {c.p}x{c.d}"
         )
-    p, d = c.p, c.d
-    cm = c.c_matrix
     x = x_init.matrix.copy()
-
-    if d == p:
-        if p == 1:
-            for _ in range(sweeps):
-                plus = 1.0 - rng.random() <= _sigmoid(2.0 * cm[0, 0])
-                x[0, 0] = 1.0 if plus else -1.0
-            return StiefelPoint(x)
-        pairs = [(0, 1)] if p == 2 else [(k, (k + 1) % p) for k in range(p)]
-        for _ in range(sweeps):
-            for pair in pairs:
-                basis = null_space_basis(np.delete(x, pair, axis=1))
-                q = _sample_orthogonal2(basis.T @ cm[:, pair], rng)
-                x[:, pair] = basis @ q
-        return StiefelPoint(x)
-
     for _ in range(sweeps):
-        for k in range(d):
-            ck = cm[:, k]
-            if d == 1:
-                # Complement is all of R^p: a single exact vMF vector draw.
-                kappa = float(np.linalg.norm(ck))
-                if kappa == 0.0:
-                    x[:, 0] = _uniform_unit_vector(p, rng)
-                else:
-                    x[:, 0] = vmf_sample_vector(ck / kappa, kappa, rng)
-            elif d == 2:
-                # Complement of one unit column, applied implicitly through a
-                # Householder reflection: O(p) instead of a full QR.
-                u = _householder_u(x[:, 1 - k])
-                m = _householder_apply(u, ck)[1:]
-                kappa = float(np.linalg.norm(m))
-                if kappa == 0.0:
-                    z = _uniform_unit_vector(p - 1, rng)
-                else:
-                    z = vmf_sample_vector(m / kappa, kappa, rng)
-                lifted = np.empty(p)
-                lifted[0] = 0.0
-                lifted[1:] = z
-                x[:, k] = _householder_apply(u, lifted)
-            else:
-                others = np.delete(x, k, axis=1)
-                basis = null_space_basis(others)
-                m = basis.T @ ck
-                kappa = float(np.linalg.norm(m))
-                if kappa == 0.0:
-                    z = _uniform_unit_vector(p - d + 1, rng)
-                else:
-                    z = vmf_sample_vector(m / kappa, kappa, rng)
-                x[:, k] = basis @ z
+        column_gibbs_pass(c.c_matrix, x, rng)
     return StiefelPoint(x)
 
 

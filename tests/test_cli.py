@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nlpca.datasets import (
     write_idx_images,
     write_idx_labels,
 )
+from nlpca.gibbs import FRAME_KERNEL, LATENT_UPDATE
 
 SPHERE_FAST = ["--sweeps", "40", "--burn-in", "20", "--thin", "2", "--n", "30"]
 
@@ -291,6 +293,30 @@ class TestFit:
         ) == 0
         return half / "checkpoint.json"
 
+    @pytest.mark.parametrize("corruption", ["frame_scaled", "nan_latent", "negative_sigma2"])
+    def test_corrupt_checkpoint_is_input_error_before_output(
+        self, tmp_path, capsys, corruption
+    ):
+        rng = np.random.default_rng(8)
+        path = self.make_input(tmp_path, rng, n=8, p=4)
+        checkpoint = self.fit_half_chain(tmp_path, path)
+        doc = json.loads(checkpoint.read_text())
+        if corruption == "frame_scaled":
+            doc["transformations"][0] = [2.0 * v for v in doc["transformations"][0]]
+        elif corruption == "nan_latent":
+            doc["latents"][0][0] = math.nan
+        else:
+            doc["sigma2"] = -1.0
+        checkpoint.write_text(json.dumps(doc))
+        out = tmp_path / "resumed"
+        code = main(
+            ["fit", str(path), "--dim", "2", "--sweeps", "12", "--burn-in", "2",
+             "--resume", str(checkpoint), "--out", str(out)]
+        )
+        assert code == 2
+        assert "checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_with_different_c_is_refused(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
         path = self.make_input(tmp_path, rng, n=8, p=4)
@@ -318,6 +344,39 @@ class TestFit:
         assert code == 1
         assert "input data" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sphere-demo", "digits-demo", "fit"])
+def test_chain_commands_share_summary_and_trace(tmp_path, command):
+    rng = np.random.default_rng(8)
+    if command == "sphere-demo":
+        inputs, n = ["--n", "12"], 12
+    elif command == "digits-demo":
+        img, lbl = write_digit_files(tmp_path, rng)
+        inputs, n = ["--images", str(img), "--labels", str(lbl)], 150
+    else:
+        path = tmp_path / "input.csv"
+        export_matrix_csv(path, rng.standard_normal((9, 4)), prefix="x")
+        inputs, n = [str(path)], 9
+    out = tmp_path / "out"
+    code = main(
+        [command, *inputs, "--sweeps", "6", "--burn-in", "2", "--thin", "2",
+         "--seed", "4", "--out", str(out)]
+    )
+    assert code == 0
+    doc = read_summary(out)
+    assert {
+        "a2", "eta", "tau2", "c_strength", "bandwidth", "frame_kernel", "latent_update"
+    } <= doc.keys()
+    assert (doc["seed"], doc["d"], doc["sweeps"], doc["burn_in"], doc["thin"]) == (
+        4, 2, 6, 2, 2
+    )
+    assert (doc["frame_kernel"], doc["latent_update"]) == (FRAME_KERNEL, LATENT_UPDATE)
+    assert doc["kept_sweeps"] == 2
+    assert doc["total_draws"] == n * 6
+    rows = (out / "trace.csv").read_text().splitlines()
+    assert rows[0] == "sweep,sigma2,log_posterior"
+    assert [row.split(",")[0] for row in rows[1:]] == [str(t) for t in range(6)]
 
 
 class TestVmfDiag:

@@ -316,7 +316,7 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(18)
         n, p, d = 4, 3, 2
-        v = rng.standard_normal((n, p, d))
+        v = np.linalg.qr(rng.standard_normal((n, p, d)))[0]
         x = rng.standard_normal((n, d))
         path = tmp_path / "ck.json"
         save_checkpoint(

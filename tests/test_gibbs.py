@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import circle_vmf_moment, orthogonal2_trace_moment
+from nlpca import gibbs
 from nlpca.datasets import generate_sphere
 from nlpca.gibbs import (
     HyperParams,
@@ -25,8 +26,8 @@ from nlpca.gibbs import (
 )
 from nlpca.mrf import compute_weights, conditional_param, mrf_log_density_unnorm
 from nlpca.pca import Dataset, center, pca_fit, reconstruct_linear
-from nlpca.stiefel import polar_project, sample_uniform_stiefel
-from nlpca.vmf import VmfParam, vmf_mode, vmf_sample_rejection
+from nlpca.stiefel import StiefelPoint, polar_project, sample_uniform_stiefel
+from nlpca.vmf import VmfParam, vmf_mode, vmf_sample_column_gibbs, vmf_sample_rejection
 
 
 def tiny_hp(**kw):
@@ -47,15 +48,35 @@ def tiny_hp(**kw):
 def frame_conditional(i, state, data):
     """The vMF parameter y_i x_i^T / sigma^2 + sum_j lambda_ij V_j of site i."""
     c = np.outer(data.y[i], state.latents[i]) / state.sigma2
-    return c + conditional_param(i, state.transformations, state.weights).c_matrix
+    return c + conditional_param(i, state.transformations, state.weights)
 
 
-def chain_site(i, state, data, hp, rng, n):
+def chain_site(i, state, data, rng, n):
     """n chained frame updates at site i, neighbours fixed; yields each V_i."""
     for _ in range(n):
-        frame = update_transformation(i, state, data, hp, rng).matrix
-        state.transformations[i] = frame
-        yield frame
+        update_transformation(i, state, data, rng)
+        yield state.transformations[i].copy()
+
+
+def reference_sweep(state, data, hp, rng):
+    """The per-site sweep: one validated frame draw per site, then one
+    Gaussian latent draw per site, then the weights and sigma^2."""
+    st = state.copy()
+    for i in range(st.n):
+        c = frame_conditional(i, st, data)
+        frame = StiefelPoint(st.transformations[i])
+        st.transformations[i] = vmf_sample_column_gibbs(VmfParam(c), frame, 1, rng).matrix
+    for i in range(st.n):
+        proj = st.transformations[i].T @ data.y[i]
+        if math.isinf(hp.a2):
+            mean, var = proj, st.sigma2
+        else:
+            shrink = hp.a2 / (hp.a2 + st.sigma2)
+            mean, var = shrink * proj, shrink * st.sigma2
+        st.latents[i] = mean + math.sqrt(var) * rng.standard_normal(st.d)
+    st.weights = compute_weights(st.latents, hp.c_strength, hp.bandwidth)
+    st.sigma2 = update_noise(st, data, hp, rng)
+    return st
 
 
 def batch_mean_se(values, batches=50):
@@ -117,7 +138,7 @@ class TestInitState:
         v_pca = pca_fit(ds, 2).loadings.matrix
         for i in (0, 7, 19):
             c = conditional_param(i, state.transformations, state.weights)
-            assert np.max(np.abs(vmf_mode(c).matrix - v_pca)) <= 1e-8
+            assert np.max(np.abs(vmf_mode(VmfParam(c)).matrix - v_pca)) <= 1e-8
 
     def test_log_posterior_finite(self):
         rng = np.random.default_rng(3)
@@ -148,7 +169,7 @@ class TestUpdateTransformation:
         state.latents[:] = 0.0
         state.weights.lam[:] = 0.0
         n = 10_000
-        draws = np.array([v[:, 0] for v in chain_site(0, state, data, hp, rng, n)])
+        draws = np.array([v[:, 0] for v in chain_site(0, state, data, rng, n)])
         se = math.sqrt((1.0 / 3.0) / n)
         assert np.all(np.abs(draws.mean(axis=0)) <= 4 * se)
         var_diag = 3.0 / 15.0 - 1.0 / 9.0
@@ -182,7 +203,7 @@ class TestUpdateTransformation:
         direction = c_vec / kappa
         n = 10_000
         cosines = np.array(
-            [direction @ v[:, 0] for v in chain_site(i, state, data, hp, rng, n)]
+            [direction @ v[:, 0] for v in chain_site(i, state, data, rng, n)]
         )
         target = circle_vmf_moment(kappa, math.cos)
         var = circle_vmf_moment(kappa, lambda t: math.cos(t) ** 2) - target**2
@@ -198,7 +219,7 @@ class TestUpdateTransformation:
         i = 0
         c = frame_conditional(i, state, data)
         chain = np.array(
-            [np.sum(c * v) for v in chain_site(i, state, data, hp, rng, 10_000)]
+            [np.sum(c * v) for v in chain_site(i, state, data, rng, 10_000)]
         )
         exact = np.array(
             [np.sum(c * vmf_sample_rejection(VmfParam(c), rng)[0].matrix)
@@ -220,7 +241,7 @@ class TestUpdateTransformation:
         c = frame_conditional(i, state, data)
         start = state.transformations[i].copy()
         n = 10_000
-        frames = np.array(list(chain_site(i, state, data, hp, rng, n)))
+        frames = np.array(list(chain_site(i, state, data, rng, n)))
         traces = np.einsum("pd,npd->n", c, frames)
         assert abs(traces.mean() - orthogonal2_trace_moment(c)) <= 4 * batch_mean_se(traces)
         rel = np.einsum("pk,npl->nkl", start, frames)
@@ -238,7 +259,7 @@ class TestUpdateLatent:
         i = 0
         target_mean = state.transformations[i][:, 0] @ data.y[i]
         n = 10_000
-        draws = np.array([update_latent(i, state, data, hp, rng)[0] for k in range(n)])
+        draws = np.array([update_latent(state, data, hp, rng)[i, 0] for k in range(n)])
         se_mean = math.sqrt(0.49 / n)
         assert abs(draws.mean() - target_mean) <= 3 * se_mean
         se_var = 0.49 * math.sqrt(2.0 / (n - 1))
@@ -254,7 +275,7 @@ class TestUpdateLatent:
         weights = compute_weights(rng.standard_normal((n, 2)), 1.0, 1.0)
         state = ModelState(frames, rng.standard_normal((n, 2)), 1.0, weights)
         m = 10_000
-        draws = np.array([update_latent(0, state, data, hp, rng) for _ in range(m)])
+        draws = np.array([update_latent(state, data, hp, rng)[0] for _ in range(m)])
         target = data.y[0] / 2.0
         se = math.sqrt(0.5 / m)
         assert np.all(np.abs(draws.mean(axis=0) - target) <= 3 * se)
@@ -267,7 +288,7 @@ class TestUpdateLatent:
         hp = tiny_hp(d=1, a2=5.0)
         state = tiny_state(rng, data, hp, sigma2=1e-10)
         proj = state.transformations[0][:, 0] @ data.y[0]
-        draws = np.array([update_latent(0, state, data, hp, rng)[0] for _ in range(100)])
+        draws = np.array([update_latent(state, data, hp, rng)[0, 0] for _ in range(100)])
         assert np.max(np.abs(draws - proj)) <= 1e-4
 
 
@@ -343,6 +364,58 @@ class TestSweep:
             assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
             assert state.sigma2 > 0
             assert np.array_equal(state.weights.lam, state.weights.lam.T)
+
+    @pytest.mark.parametrize(
+        "p, d, a2",
+        [(3, 1, 1.5), (3, 2, math.inf), (2, 2, 1.5), (3, 3, math.inf), (5, 3, 1.5)],
+    )
+    def test_matches_per_site_reference_loop(self, p, d, a2):
+        # The raw-array sweep must be the per-site sweep: from the same state
+        # and stream, the same frames exactly, and the same latents and
+        # sigma^2 up to rounding.  The latents' V_i^T y_i is one batched
+        # matmul here and n matrix-vector products in the reference; whether
+        # those sum in the same order depends on the BLAS build.
+        rng = np.random.default_rng(30)
+        data = center(rng.standard_normal((7, p)))
+        hp = tiny_hp(d=d, a2=a2, c_strength=2.0)
+        state = tiny_state(rng, data, hp)
+        for t in range(3):
+            reference = reference_sweep(state, data, hp, sweep_rng(4, t))
+            state, _ = sweep(state, data, hp, sweep_rng(4, t))
+            assert np.array_equal(state.transformations, reference.transformations)
+            assert np.allclose(state.latents, reference.latents, rtol=0, atol=1e-13)
+            assert state.sigma2 == pytest.approx(reference.sigma2, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (2, 2), (3, 3), (5, 3)])
+    def test_nan_frame_raises(self, p, d):
+        # A NaN frame poisons its neighbours' conditionals; the frame step
+        # must raise rather than spin in a rejection loop that NaN never exits.
+        rng = np.random.default_rng(32)
+        data = center(rng.standard_normal((6, p)))
+        hp = tiny_hp(d=d)
+        state = tiny_state(rng, data, hp)
+        state.transformations[0] = np.nan
+        with pytest.raises(ValueError):
+            sweep(state, data, hp, sweep_rng(0, 0))
+
+    def test_guard_catches_nan_left_by_frame_step(self, monkeypatch):
+        # NaN written by the last frame update reaches no other conditional;
+        # the once-per-sweep orthonormality check must still stop it.
+        rng = np.random.default_rng(33)
+        data = center(rng.standard_normal((6, 3)))
+        hp = tiny_hp(d=2)
+        state = tiny_state(rng, data, hp)
+        frame_step = gibbs.update_transformation
+
+        def nan_last_frame(i, st, data, rng):
+            frame_step(i, st, data, rng)
+            if i == st.n - 1:
+                st.transformations[i, 0, 0] = np.nan
+
+        monkeypatch.setattr(gibbs, "update_transformation", nan_last_frame)
+        monkeypatch.setattr(gibbs, "update_latent", lambda st, *_: st.latents)
+        with pytest.raises(ArithmeticError, match="orthonormality"):
+            sweep(state, data, hp, sweep_rng(0, 0))
 
     def test_does_not_mutate_input_state(self):
         rng = np.random.default_rng(15)
@@ -420,6 +493,27 @@ class TestRunSummary:
         )
         assert np.array_equal(resumed.final_state.latents, full.final_state.latents)
         assert resumed.final_state.sigma2 == full.final_state.sigma2
+
+    @pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (2, 2), (4, 3)])
+    def test_scaled_start_frame_rejected(self, p, d):
+        # The frame step would quietly redraw a bad frame for small d, so a
+        # caller's state is checked before the first sweep.
+        rng = np.random.default_rng(34)
+        data = center(rng.standard_normal((6, p)))
+        hp = tiny_hp(d=d)
+        state = tiny_state(rng, data, hp)
+        state.transformations[0] *= 2.0
+        with pytest.raises(ValueError, match="not orthonormal"):
+            run(data, hp, 0, state=state)
+
+    def test_nan_start_latent_rejected(self):
+        rng = np.random.default_rng(35)
+        data = center(rng.standard_normal((6, 3)))
+        hp = tiny_hp(d=2)
+        state = tiny_state(rng, data, hp)
+        state.latents[0, 0] = np.nan
+        with pytest.raises(ValueError, match="latents"):
+            run(data, hp, 0, state=state)
 
     def test_state_from_checkpoint_rebuilds_weights(self):
         rng = np.random.default_rng(21)

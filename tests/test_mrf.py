@@ -12,7 +12,7 @@ from nlpca.mrf import (
     mrf_log_density_unnorm,
 )
 from nlpca.stiefel import sample_uniform_stiefel
-from nlpca.vmf import vmf_log_density_unnorm, vmf_mode
+from nlpca.vmf import VmfParam, vmf_log_density_unnorm, vmf_mode
 
 
 def naive_weights(latents, c, w):
@@ -114,7 +114,7 @@ class TestConditionalParam:
         frames = [sample_uniform_stiefel(3, 2, rng) for _ in range(2)]
         weights = compute_weights(np.array([[0.0], [1.0]]), 2.0, 1.0)
         c = conditional_param(0, frames, weights)
-        assert np.allclose(c.c_matrix, weights.lam[0, 1] * frames[1].matrix, atol=1e-14)
+        assert np.allclose(c, weights.lam[0, 1] * frames[1].matrix, atol=1e-14)
 
     def test_identical_frames_give_mode_back(self):
         rng = np.random.default_rng(3)
@@ -123,8 +123,8 @@ class TestConditionalParam:
         weights = compute_weights(rng.standard_normal((5, 2)), 1.0, 1.0)
         c = conditional_param(2, frames, weights)
         total = weights.lam[2].sum()
-        assert np.allclose(c.c_matrix, total * v.matrix, atol=1e-12)
-        assert np.max(np.abs(vmf_mode(c).matrix - v.matrix)) <= 1e-8
+        assert np.allclose(c, total * v.matrix, atol=1e-12)
+        assert np.max(np.abs(vmf_mode(VmfParam(c)).matrix - v.matrix)) <= 1e-8
 
     def test_matches_explicit_sum(self):
         rng = np.random.default_rng(4)
@@ -134,7 +134,7 @@ class TestConditionalParam:
         expected = sum(
             weights.lam[i, j] * frames[j].matrix for j in range(6) if j != i
         )
-        got = conditional_param(i, frames, weights).c_matrix
+        got = conditional_param(i, frames, weights)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_index_out_of_range(self):
@@ -183,6 +183,6 @@ class TestJointDensity:
             trial = list(frames)
             trial[i] = candidate
             joint = mrf_log_density_unnorm(trial, weights)
-            cond = vmf_log_density_unnorm(candidate, c_i)
+            cond = vmf_log_density_unnorm(candidate, VmfParam(c_i))
             offsets.append(joint - cond)
         assert max(offsets) - min(offsets) <= 1e-8

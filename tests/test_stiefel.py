@@ -3,6 +3,7 @@ import pytest
 
 from nlpca.stiefel import (
     StiefelPoint,
+    frames_orthonormal,
     is_orthonormal,
     null_space_basis,
     polar_project,
@@ -30,6 +31,19 @@ class TestIsOrthonormal:
         m = np.eye(3)
         m[0, 0] = np.nan
         assert not is_orthonormal(m)
+
+
+class TestFramesOrthonormal:
+    def test_stack_fails_on_one_bad_frame(self):
+        v = np.stack([np.eye(3, 2)] * 4)
+        assert frames_orthonormal(v)
+        v[2] *= 1.0 + 1e-8
+        assert not frames_orthonormal(v)
+
+    def test_nan_fails(self):
+        v = np.stack([np.eye(3, 2)] * 4)
+        v[1, 0, 0] = np.nan
+        assert not frames_orthonormal(v)
 
 
 class TestStiefelPoint:

@@ -159,6 +159,16 @@ class TestVectorSampler:
         with pytest.raises(ValueError):
             vmf_sample_vector(np.eye(2)[0], -1.0, rng)
 
+    @pytest.mark.parametrize(
+        "direction, kappa",
+        [(np.eye(3)[0], math.nan), (np.eye(3)[0], math.inf), (np.full(3, math.nan), 2.0)],
+    )
+    def test_rejects_nan_and_infinite_input(self, direction, kappa):
+        # NaN never passes the rejection test, so it must fail on entry.
+        rng = np.random.default_rng(16)
+        with pytest.raises(ValueError):
+            vmf_sample_vector(direction, kappa, rng)
+
 
 class TestColumnGibbs:
     def test_circle_matches_rejection_and_quadrature(self):

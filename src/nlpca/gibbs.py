@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mrf import InteractionWeights, compute_weights, conditional_param, \
-    default_bandwidth, default_strength, mrf_log_density_unnorm
+from .mrf import InteractionWeights, compute_weights, default_bandwidth, \
+    default_strength, mrf_log_density_unnorm
 from .pca import Dataset, avg_variance, pca_fit, pilot_tau2
 from .stiefel import ORTHONORMALITY_TOL, StiefelPoint, frames_orthonormal, polar_project
 from .vmf import column_gibbs_pass
@@ -232,10 +232,14 @@ def update_transformation(
     when d = p) is redrawn exactly given the rest, so the pass leaves that
     conditional invariant without an SVD, a rejection loop or a fallback.
     Nothing is validated here: sweep checks every frame once per sweep.
+    The neighbour sum is row i of Lambda times the frames viewed as an
+    n x pd matrix, one BLAS product; the zero diagonal drops j = i.
     """
-    c = np.outer(data.y[i], state.latents[i]) / state.sigma2
-    c += conditional_param(i, state.transformations, state.weights)
-    column_gibbs_pass(c, state.transformations[i], rng)
+    v = state.transformations
+    n, p, d = v.shape
+    c = np.dot(state.weights.lam[i:i + 1], v.reshape(n, p * d)).reshape(p, d)
+    c += np.outer(data.y[i], state.latents[i]) / state.sigma2
+    column_gibbs_pass(c, v[i], rng)
 
 
 def update_latent(

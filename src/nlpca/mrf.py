@@ -120,7 +120,11 @@ def conditional_param(
     i: int, transformations, weights: InteractionWeights
 ) -> np.ndarray:
     """The p x d parameter sum_{j != i} lambda_ij V_j of the vMF full
-    conditional at site i."""
+    conditional at site i.
+
+    The validated public form: gibbs.update_transformation computes the
+    same row product on the sweep's raw arrays.
+    """
     v = _stack_frames(transformations)
     n = v.shape[0]
     if n != weights.n_sites:
@@ -132,11 +136,14 @@ def conditional_param(
 
 
 def mrf_log_density_unnorm(transformations, weights: InteractionWeights) -> float:
-    """sum over unordered pairs i<j of lambda_ij tr(V_i^T V_j)."""
+    """sum over unordered pairs i<j of lambda_ij tr(V_i^T V_j).
+
+    With the n frames viewed as an n x pd matrix W, that is half the inner
+    product of Lambda W with W: one BLAS product, O(n^2 pd).
+    """
     v = _stack_frames(transformations)
-    if v.shape[0] != weights.n_sites:
-        raise ValueError(
-            f"{v.shape[0]} frames but weights for {weights.n_sites} sites"
-        )
-    gram = np.einsum("ipd,jpd->ij", v, v)
-    return 0.5 * float(np.sum(weights.lam * gram))
+    n = v.shape[0]
+    if n != weights.n_sites:
+        raise ValueError(f"{n} frames but weights for {weights.n_sites} sites")
+    w = v.reshape(n, -1)
+    return 0.5 * float(np.vdot(weights.lam @ w, w))

@@ -18,6 +18,7 @@ __all__ = [
     "avg_variance",
 ]
 
+# Largest column mean of centred data, relative to the data's magnitude.
 _CENTERING_TOL = 1e-8
 
 
@@ -38,8 +39,14 @@ class Dataset:
             raise ValueError("column_means must have one entry per column")
         if not np.all(np.isfinite(self.y)):
             raise ValueError("observations contain non-finite values")
-        if self.y.size and np.max(np.abs(self.y.mean(axis=0))) > _CENTERING_TOL:
-            raise ValueError("data are not centered")
+        if self.y.size:
+            # Centring leaves rounding error in proportion to the size of the
+            # data and of the means it removed, so the tolerance scales with them.
+            scale = max(
+                1.0, np.max(np.abs(self.column_means)), np.max(np.abs(self.y))
+            )
+            if np.max(np.abs(self.y.mean(axis=0))) > _CENTERING_TOL * scale:
+                raise ValueError("data are not centered")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
             if self.labels.shape != (self.y.shape[0],):

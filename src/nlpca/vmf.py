@@ -7,7 +7,9 @@ values D set the concentration.
 The Gibbs sampler's frame step is column_gibbs_pass: one pass of
 column-wise Gibbs (Hoff 2009) started from the chain's current frame, which
 leaves vMF(C) exactly invariant.  It updates a raw array in place and
-checks nothing; vmf_sample_column_gibbs is its validated wrapper.
+checks nothing but the concentration of each vector draw;
+vmf_sample_column_gibbs is its validated wrapper, as vmf_sample_vector is
+for the vector draw.
 vmf_sample (uniform-proposal rejection with the tight envelope exp{sum(D)},
 falling back to column-wise Gibbs from the mode) and vmf_sample_rejection
 serve the vmf-diag command and act as exact references in the tests.
@@ -158,23 +160,37 @@ def vmf_sample_vector(
 ) -> np.ndarray:
     """Exact draw from the vector vMF density on the unit sphere in R^p.
 
-    The cosine t of the angle to ``direction`` has marginal density
-    proportional to exp(kappa t) (1 - t^2)^((p-3)/2), sampled by the standard
-    beta-envelope rejection scheme; the tangent component is uniform.
+    The validated form of _vmf_vector_draw: a uniform point when kappa is 0.
     """
     mu = np.asarray(direction, dtype=float)
     if mu.ndim != 1 or mu.size < 2:
         raise ValueError("direction must be a vector in R^p with p >= 2")
-    # Written so that NaN fails: a NaN direction or kappa would otherwise
-    # never pass the rejection test below.
+    # Written so that NaN fails: a NaN direction would otherwise never pass
+    # the tangent step's norm test in the draw.
     if not abs(np.linalg.norm(mu) - 1.0) <= 1e-10:
         raise ValueError("direction must have unit norm")
     if not 0 <= kappa < math.inf:
         raise ValueError("kappa must be nonnegative and finite")
-    p = mu.size
     if kappa == 0.0:
-        return _uniform_unit_vector(p, rng)
+        return _uniform_unit_vector(mu.size, rng)
+    return _vmf_vector_draw(mu, kappa, rng)
 
+
+def _vmf_vector_draw(
+    mu: np.ndarray, kappa: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Vector vMF draw around the unit vector mu (p >= 2), unchecked apart
+    from 0 < kappa < inf, without which a NaN kappa would never leave the
+    rejection loop.
+
+    The cosine t of the angle to mu has marginal density proportional to
+    exp(kappa t) (1 - t^2)^((p-3)/2), sampled by Wood's (1994) beta-envelope
+    rejection scheme; the tangent component is uniform.  Norms are
+    sqrt(v @ v), the same bits as np.linalg.norm on a contiguous 1-D array.
+    """
+    if not 0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
+    p = mu.size
     dim = p - 1
     b = dim / (math.sqrt(4.0 * kappa * kappa + dim * dim) + 2.0 * kappa)
     x0 = (1.0 - b) / (1.0 + b)
@@ -190,12 +206,12 @@ def vmf_sample_vector(
     while True:
         g = rng.standard_normal(p)
         tangent = g - (g @ mu) * mu
-        norm = np.linalg.norm(tangent)
+        norm = math.sqrt(tangent @ tangent)
         if norm > 1e-12:
             tangent /= norm
             break
     x = t * mu + math.sqrt(max(0.0, 1.0 - t * t)) * tangent
-    return x / np.linalg.norm(x)
+    return x / math.sqrt(x @ x)
 
 
 def _sigmoid(t: float) -> float:
@@ -216,8 +232,9 @@ def _householder_u(v: np.ndarray) -> np.ndarray:
     return u
 
 
-def _householder_apply(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return x - (2.0 * (u @ x) / (u @ u)) * u
+def _householder_apply(u: np.ndarray, uu: float, x: np.ndarray) -> np.ndarray:
+    """H x for the reflector u, given uu = u^T u."""
+    return x - (2.0 * (u @ x) / uu) * u
 
 
 def _sample_orthogonal2(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -230,7 +247,7 @@ def _sample_orthogonal2(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """
     rot = np.array([m[0, 0] + m[1, 1], m[1, 0] - m[0, 1]])
     ref = np.array([m[0, 0] - m[1, 1], m[0, 1] + m[1, 0]])
-    r_rot, r_ref = float(np.linalg.norm(rot)), float(np.linalg.norm(ref))
+    r_rot, r_ref = math.sqrt(rot @ rot), math.sqrt(ref @ ref)
     # log I_0(r) = log i0e(r) + r keeps the weights finite at any concentration.
     log_odds = (math.log(special.i0e(r_rot)) + r_rot) - (
         math.log(special.i0e(r_ref)) + r_ref
@@ -240,7 +257,7 @@ def _sample_orthogonal2(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if kappa == 0.0:
         c, s = _uniform_unit_vector(2, rng)
     else:
-        c, s = vmf_sample_vector(coef / kappa, kappa, rng)
+        c, s = _vmf_vector_draw(coef / kappa, kappa, rng)
     if is_rotation:
         return np.array([[c, -s], [s, c]])
     return np.array([[c, s], [s, -c]])
@@ -252,7 +269,9 @@ def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -
 
     Unchecked: x must be orthonormal with the shape of cm.  The Gibbs sweep
     calls this for every site and guards orthonormality once per sweep;
-    vmf_sample_column_gibbs is the validated entry point.
+    vmf_sample_column_gibbs is the validated entry point.  Every vector draw
+    goes through _vmf_vector_draw, whose one guard, 0 < kappa < inf, makes a
+    non-finite cm raise ValueError instead of looping forever.
 
     Each pass redraws every column from its exact full conditional: with the
     other columns fixed, column k lives on the unit sphere of their orthogonal
@@ -285,34 +304,35 @@ def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -
         ck = cm[:, k]
         if d == 1:
             # Complement is all of R^p: a single exact vMF vector draw.
-            kappa = float(np.linalg.norm(ck))
+            kappa = math.sqrt(ck @ ck)
             if kappa == 0.0:
                 x[:, 0] = _uniform_unit_vector(p, rng)
             else:
-                x[:, 0] = vmf_sample_vector(ck / kappa, kappa, rng)
+                x[:, 0] = _vmf_vector_draw(ck / kappa, kappa, rng)
         elif d == 2:
             # Complement of one unit column, applied implicitly through a
             # Householder reflection: O(p) instead of a full QR.
             u = _householder_u(x[:, 1 - k])
-            m = _householder_apply(u, ck)[1:]
-            kappa = float(np.linalg.norm(m))
+            uu = u @ u
+            m = _householder_apply(u, uu, ck)[1:]
+            kappa = math.sqrt(m @ m)
             if kappa == 0.0:
                 z = _uniform_unit_vector(p - 1, rng)
             else:
-                z = vmf_sample_vector(m / kappa, kappa, rng)
+                z = _vmf_vector_draw(m / kappa, kappa, rng)
             lifted = np.empty(p)
             lifted[0] = 0.0
             lifted[1:] = z
-            x[:, k] = _householder_apply(u, lifted)
+            x[:, k] = _householder_apply(u, uu, lifted)
         else:
             others = np.delete(x, k, axis=1)
             basis = null_space_basis(others)
             m = basis.T @ ck
-            kappa = float(np.linalg.norm(m))
+            kappa = math.sqrt(m @ m)
             if kappa == 0.0:
                 z = _uniform_unit_vector(p - d + 1, rng)
             else:
-                z = vmf_sample_vector(m / kappa, kappa, rng)
+                z = _vmf_vector_draw(m / kappa, kappa, rng)
             x[:, k] = basis @ z
 
 

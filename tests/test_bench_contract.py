@@ -3,6 +3,7 @@
 perfbench/launch.py rebinds every function named in its LAYERS table inside
 the nlpca modules, and times one sweep per call of nlpca.gibbs.sweep, which
 iterate_sweeps must therefore look up by its global name once per sweep.
+Likewise sweep must look up nlpca.gibbs.update_transformation once per site.
 """
 
 import importlib
@@ -50,3 +51,18 @@ def test_run_calls_module_level_sweep_once_per_sweep(monkeypatch):
     summary = run(data, hp, seed=1)
     assert len(calls) == hp.n_sweeps
     assert summary.total_draws == data.n * hp.n_sweeps
+
+
+def test_sweep_calls_module_level_frame_step_once_per_site(monkeypatch):
+    sites = []
+    original = nlpca.gibbs.update_transformation
+
+    def counting_step(i, *args, **kwargs):
+        sites.append(i)
+        return original(i, *args, **kwargs)
+
+    monkeypatch.setattr(nlpca.gibbs, "update_transformation", counting_step)
+    _, data = generate_sphere(6, 0.05, np.random.default_rng(0))
+    hp = default_hyperparams(data, 2, n_sweeps=3, burn_in=1, thin=1)
+    run(data, hp, seed=1)
+    assert sites == list(range(data.n)) * hp.n_sweeps

@@ -204,6 +204,19 @@ class TestFit:
         latents, _ = import_matrix_csv(out / "mean_latents.csv")
         assert latents.shape == (4, 1)
 
+    @pytest.mark.parametrize("offset", [3e8, 1e10])
+    def test_large_offset_data_fit(self, tmp_path, offset):
+        # Centring such data leaves column means far above any absolute
+        # tolerance; they are still centred relative to the data's size.
+        rng = np.random.default_rng(8)
+        path = tmp_path / "input.csv"
+        export_matrix_csv(path, offset + rng.standard_normal((50, 3)), prefix="x")
+        code = main(
+            ["fit", str(path), "--dim", "2", "--sweeps", "4", "--burn-in", "2",
+             "--seed", "1", "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+
     def test_dim_out_of_range_fails_before_output(self, tmp_path):
         rng = np.random.default_rng(1)
         path = self.make_input(tmp_path, rng, n=4, p=3)

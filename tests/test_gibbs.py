@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import circle_vmf_moment, orthogonal2_trace_moment
+import nlpca.mrf
+import nlpca.vmf
 from nlpca import gibbs
 from nlpca.datasets import generate_sphere
 from nlpca.gibbs import (
@@ -26,7 +28,12 @@ from nlpca.gibbs import (
 )
 from nlpca.mrf import compute_weights, conditional_param, mrf_log_density_unnorm
 from nlpca.pca import Dataset, center, pca_fit, reconstruct_linear
-from nlpca.stiefel import StiefelPoint, polar_project, sample_uniform_stiefel
+from nlpca.stiefel import (
+    StiefelPoint,
+    frames_orthonormal,
+    polar_project,
+    sample_uniform_stiefel,
+)
 from nlpca.vmf import VmfParam, vmf_mode, vmf_sample_column_gibbs, vmf_sample_rejection
 
 
@@ -385,6 +392,25 @@ class TestSweep:
             assert np.array_equal(state.transformations, reference.transformations)
             assert np.allclose(state.latents, reference.latents, rtol=0, atol=1e-13)
             assert state.sigma2 == pytest.approx(reference.sigma2, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "p, d, a2",
+        [(3, 1, 1.5), (3, 2, math.inf), (2, 2, 1.5), (3, 3, math.inf), (5, 3, 1.5)],
+    )
+    def test_never_calls_validated_wrappers(self, monkeypatch, p, d, a2):
+        # The frame step pays for its arithmetic only: the validated vector
+        # draw and neighbour sum stay public forms, off the sweep's path.
+        def refuse(*args, **kwargs):
+            raise AssertionError("validated wrapper called inside the sweep")
+
+        monkeypatch.setattr(nlpca.vmf, "vmf_sample_vector", refuse)
+        monkeypatch.setattr(nlpca.mrf, "conditional_param", refuse)
+        monkeypatch.setattr(gibbs, "conditional_param", refuse, raising=False)
+        rng = np.random.default_rng(30)
+        data = center(rng.standard_normal((7, p)))
+        hp = tiny_hp(d=d, a2=a2, c_strength=2.0)
+        state, _ = sweep(tiny_state(rng, data, hp), data, hp, sweep_rng(4, 0))
+        assert frames_orthonormal(state.transformations)
 
     @pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (2, 2), (3, 3), (5, 3)])
     def test_nan_frame_raises(self, p, d):

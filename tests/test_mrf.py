@@ -168,6 +168,20 @@ class TestJointDensity:
         base = mrf_log_density_unnorm(frames, weights)
         assert abs(mrf_log_density_unnorm(rotated, weights) - base) <= 1e-10
 
+    @pytest.mark.parametrize("p, d", [(3, 1), (4, 2), (3, 3)])
+    def test_matches_pair_double_loop(self, p, d):
+        rng = np.random.default_rng(10)
+        n = 7
+        frames = [sample_uniform_stiefel(p, d, rng).matrix for _ in range(n)]
+        weights = compute_weights(rng.standard_normal((n, d)), 1.3, 0.8)
+        pair_sum = sum(
+            weights.lam[i, j] * np.trace(frames[i].T @ frames[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+        got = mrf_log_density_unnorm(np.stack(frames), weights)
+        assert got == pytest.approx(pair_sum, rel=1e-12, abs=0)
+
     def test_joint_conditional_consistency(self):
         # As a function of V_i alone, the joint log density differs from
         # tr(C_i^T V_i) by a constant.

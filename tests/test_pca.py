@@ -38,6 +38,14 @@ class TestCenter:
         with pytest.raises(ValueError):
             Dataset(y=np.ones((4, 2)), column_means=np.zeros(2))
 
+    def test_uncentred_unit_scale_data_rejected(self):
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal((50, 3))
+        y -= y.mean(axis=0)
+        y[:, 1] += 1e-6
+        with pytest.raises(ValueError, match="not centered"):
+            Dataset(y=y, column_means=np.zeros(3))
+
     def test_dataset_rejects_non_finite(self):
         # NaN fails every comparison, so the centring check alone lets it by.
         with pytest.raises(ValueError, match="non-finite"):

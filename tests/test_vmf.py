@@ -10,6 +10,7 @@ from nlpca.vmf import (
     RejectionBudgetError,
     SamplerPolicy,
     VmfParam,
+    _vmf_vector_draw,
     vmf_log_density_unnorm,
     vmf_mode,
     vmf_sample,
@@ -168,6 +169,27 @@ class TestVectorSampler:
         rng = np.random.default_rng(16)
         with pytest.raises(ValueError):
             vmf_sample_vector(direction, kappa, rng)
+
+
+class TestVectorDraw:
+    """The unchecked draw behind column_gibbs_pass and vmf_sample_vector."""
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0])
+    def test_raises_instead_of_looping(self, kappa):
+        rng = np.random.default_rng(17)
+        with pytest.raises(ValueError):
+            _vmf_vector_draw(np.eye(3)[0], kappa, rng)
+
+    @pytest.mark.parametrize("p, kappa", [(2, 0.5), (3, 10.0), (196, 3.0), (5, 1e6)])
+    def test_same_bits_as_validated_form(self, p, kappa):
+        mu = np.random.default_rng(18).standard_normal(p)
+        mu /= np.linalg.norm(mu)
+        rng_a, rng_b = np.random.default_rng(19), np.random.default_rng(19)
+        for _ in range(20):
+            assert np.array_equal(
+                _vmf_vector_draw(mu, kappa, rng_a), vmf_sample_vector(mu, kappa, rng_b)
+            )
+        assert rng_a.random() == rng_b.random()
 
 
 class TestColumnGibbs:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .stiefel import (
     StiefelPoint,
@@ -245,6 +244,10 @@ def _sample_orthogonal2(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     Each component has Haar mass 1/2, so its weight is I_0 of the norm of its
     coefficient vector, and the angle within it is a circular vMF draw.
     """
+    # Imported here, not at module level: scipy.special adds ~0.3 s and ~25 MB
+    # to start-up (2-vCPU x86 VM), and only square frames need it.
+    from scipy import special
+
     rot = np.array([m[0, 0] + m[1, 1], m[1, 0] - m[0, 1]])
     ref = np.array([m[0, 0] - m[1, 1], m[0, 1] + m[1, 0]])
     r_rot, r_ref = math.sqrt(rot @ rot), math.sqrt(ref @ ref)
@@ -271,7 +274,8 @@ def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -
     calls this for every site and guards orthonormality once per sweep;
     vmf_sample_column_gibbs is the validated entry point.  Every vector draw
     goes through _vmf_vector_draw, whose one guard, 0 < kappa < inf, makes a
-    non-finite cm raise ValueError instead of looping forever.
+    non-finite cm raise ValueError instead of looping forever; p = d = 1,
+    which draws no vector, checks its one entry itself.
 
     Each pass redraws every column from its exact full conditional: with the
     other columns fixed, column k lives on the unit sphere of their orthogonal
@@ -290,6 +294,9 @@ def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -
     p, d = x.shape
     if d == p:
         if p == 1:
+            # No vector draw here, and _sigmoid(nan) would pick -1: refuse it.
+            if not math.isfinite(cm[0, 0]):
+                raise ValueError("C has non-finite entries")
             plus = 1.0 - rng.random() <= _sigmoid(2.0 * cm[0, 0])
             x[0, 0] = 1.0 if plus else -1.0
             return

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from nlpca.datasets import (
 from nlpca.gibbs import FRAME_KERNEL, LATENT_UPDATE
 
 SPHERE_FAST = ["--sweeps", "40", "--burn-in", "20", "--thin", "2", "--n", "30"]
+TINY_CHAIN = ["--sweeps", "3", "--burn-in", "1", "--thin", "1", "--seed", "1"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_summary(out_dir):
@@ -74,11 +80,14 @@ class TestSphereDemo:
 
     def test_invalid_chain_flags_fail_before_output(self, tmp_path):
         out = tmp_path / "never"
-        code = main(
-            ["sphere-demo", "--sweeps", "10", "--burn-in", "20", "--out", str(out)]
-        )
-        assert code == 1
-        assert not out.exists()
+        for flags in (
+            ["--sweeps", "10", "--burn-in", "20"],
+            ["--noise", "nan"],
+            ["--noise", "inf"],
+            ["--noise", "-0.1"],
+        ):
+            assert main(["sphere-demo", *flags, "--out", str(out)]) == 1, flags
+            assert not out.exists()
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLPCA_SEED", "77")
@@ -423,6 +432,8 @@ class TestVmfDiag:
     def test_invalid_dimensions(self):
         assert main(["vmf-diag", "--p", "1", "--kappa", "1"]) == 1
         assert main(["vmf-diag", "--p", "3", "--d-frame", "4", "--kappa", "1"]) == 1
+        for kappa in ("nan", "inf", "-1"):
+            assert main(["vmf-diag", "--p", "2", "--kappa", kappa]) == 1, kappa
 
 
 class TestUsage:
@@ -434,3 +445,65 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+def run_fresh(script, *argv):
+    """Run script in a new interpreter with the package under src on its
+    path, so no module this test session has already imported can leak in."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        )},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+# Runs each command given as one JSON argv, then prints the scipy modules
+# loaded in this interpreter.
+_CLI_SCRIPT = """
+import json, sys
+import nlpca
+from nlpca.cli import main
+for argv in sys.argv[1:]:
+    code = main(json.loads(argv))
+    if code != 0:
+        sys.exit(f"exit {code}: {argv}")
+print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
+"""
+
+
+class TestFreshInterpreter:
+    """scipy is imported on first use only; the suite's conftest imports it,
+    so these checks need an interpreter of their own."""
+
+    def test_chain_commands_load_no_scipy(self, tmp_path):
+        img, lbl = write_digit_files(tmp_path, np.random.default_rng(5), per_class=50)
+        csv_path = tmp_path / "data.csv"
+        export_matrix_csv(csv_path, np.random.default_rng(6).standard_normal((12, 4)))
+        commands = [
+            ["sphere-demo", "--n", "20", *TINY_CHAIN, "--out", str(tmp_path / "s")],
+            ["digits-demo", "--images", str(img), "--labels", str(lbl),
+             *TINY_CHAIN, "--out", str(tmp_path / "d")],
+            ["fit", str(csv_path), "--dim", "2", *TINY_CHAIN, "--out", str(tmp_path / "f")],
+        ]
+        proc = run_fresh(_CLI_SCRIPT, *(json.dumps(argv) for argv in commands))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_square_frames_import_scipy_on_first_use(self, tmp_path):
+        argv = ["sphere-demo", "--n", "30", "--dim", "3", *TINY_CHAIN,
+                "--out", str(tmp_path / "sq")]
+        proc = run_fresh(_CLI_SCRIPT, json.dumps(argv))
+        assert proc.returncode == 0, proc.stderr
+        assert "scipy.special" in json.loads(proc.stdout.splitlines()[-1])
+
+    def test_vmf_diag_quadrature_imports_scipy_on_first_use(self):
+        argv = ["vmf-diag", "--p", "2", "--d-frame", "1", "--kappa", "2",
+                "--samples", "200", "--seed", "1"]
+        proc = run_fresh(_CLI_SCRIPT, json.dumps(argv))
+        assert proc.returncode == 0, proc.stderr
+        assert "mean_resultant_quadrature: " in proc.stdout
+        assert "scipy.integrate" in json.loads(proc.stdout.splitlines()[-1])

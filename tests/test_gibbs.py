@@ -412,7 +412,7 @@ class TestSweep:
         state, _ = sweep(tiny_state(rng, data, hp), data, hp, sweep_rng(4, 0))
         assert frames_orthonormal(state.transformations)
 
-    @pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (2, 2), (3, 3), (5, 3)])
+    @pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (2, 2), (3, 3), (5, 3), (1, 1)])
     def test_nan_frame_raises(self, p, d):
         # A NaN frame poisons its neighbours' conditionals; the frame step
         # must raise rather than spin in a rejection loop that NaN never exits.

@@ -15,26 +15,18 @@ __version__ = "0.1.0"
 
 from .stiefel import (
     StiefelPoint,
-    SvdFactors,
     is_orthonormal,
-    null_space_basis,
     polar_project,
     sample_uniform_stiefel,
-    thin_svd,
 )
 from .vmf import (
     VmfParam,
     vmf_log_density_unnorm,
     vmf_mode,
-    vmf_sample,
-    vmf_sample_column_gibbs,
-    vmf_sample_rejection,
-    vmf_sample_vector,
 )
 from .mrf import (
     InteractionWeights,
     compute_weights,
-    conditional_param,
     default_bandwidth,
     default_strength,
     mrf_log_density_unnorm,

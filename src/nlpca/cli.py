@@ -97,15 +97,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("NLPCA_SEED")
-    if env is not None:
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        source = "NLPCA_SEED"
+        env = os.environ.get(source)
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise UsageError(f"NLPCA_SEED must be an integer, got {env!r}") from None
-    return 0
+    if seed < 0:
+        raise UsageError(f"{source} must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def _parse_a2(text: str):
@@ -282,6 +286,8 @@ def cmd_digits_demo(args) -> int:
         image_set = load_image_set(args.images, args.labels)
     except OSError as err:
         raise InputFileError(f"cannot read IDX input: {err}") from err
+    except ValueError as err:
+        raise InputFileError(str(err)) from err
 
     side = _DIGIT_TARGET_SIDE
     if (
@@ -296,12 +302,15 @@ def cmd_digits_demo(args) -> int:
         )
     factor = image_set.rows // side
     small = subsample_images(image_set, factor, mode=args.pool)
-    subset = select_digit_subset(
-        small,
-        _DIGIT_CLASSES,
-        _DIGIT_PER_CLASS,
-        np.random.default_rng([_SUBSET_STREAM_TAG, seed]),
-    )
+    try:
+        subset = select_digit_subset(
+            small,
+            _DIGIT_CLASSES,
+            _DIGIT_PER_CLASS,
+            np.random.default_rng([_SUBSET_STREAM_TAG, seed]),
+        )
+    except ValueError as err:
+        raise InputFileError(f"{args.labels}: {err}") from err
     data = to_dataset(subset)
     hp = _chain_hyperparams(args, data)
 

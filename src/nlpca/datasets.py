@@ -405,7 +405,8 @@ def save_checkpoint(
 def load_checkpoint(path) -> CheckpointData:
     """Read a checkpoint written by save_checkpoint.  ValueError for a missing
     field, frames not orthonormal within ORTHONORMALITY_TOL, non-finite
-    latents or a sigma^2 that is not positive and finite."""
+    latents, a sigma^2 that is not positive and finite, or a negative seed or
+    sweep counter."""
     with open(path, "r") as fh:
         doc = json.load(fh)
     required = {
@@ -427,13 +428,16 @@ def load_checkpoint(path) -> CheckpointData:
         raise ValueError(f"{path}: checkpoint latents are not all finite")
     if not 0 < sigma2 < math.inf:
         raise ValueError(f"{path}: checkpoint sigma2 must be positive and finite")
+    seed, counter = int(doc["seed"]), int(doc["counter"])
+    if seed < 0 or counter < 0:
+        raise ValueError(f"{path}: checkpoint seed and counter must be nonnegative")
     return CheckpointData(
         n=n,
         p=p,
         d=d,
         sigma2=sigma2,
-        seed=int(doc["seed"]),
-        counter=int(doc["counter"]),
+        seed=seed,
+        counter=counter,
         transformations=v,
         latents=x,
         c_strength=float(doc["c_strength"]),

@@ -6,7 +6,10 @@ values D set the concentration.
 
 The Gibbs sampler's frame step is column_gibbs_pass: one pass of
 column-wise Gibbs (Hoff 2009) started from the chain's current frame, which
-leaves vMF(C) exactly invariant.  It updates a raw array in place and
+leaves vMF(C) exactly invariant.  Each column (each column pair of a
+square frame) is drawn in coordinates of the orthogonal complement of the
+other columns, built one way for every shape: from their Householder
+reflectors, applied implicitly.  The pass updates a raw array in place and
 checks nothing but the concentration of each vector draw;
 vmf_sample_column_gibbs is its validated wrapper, as vmf_sample_vector is
 for the vector draw.
@@ -25,7 +28,6 @@ import numpy as np
 from .stiefel import (
     StiefelPoint,
     _uniform_unit_vector,
-    null_space_basis,
     polar_project,
     sample_uniform_stiefel,
     thin_svd,
@@ -220,20 +222,38 @@ def _sigmoid(t: float) -> float:
     return e / (1.0 + e)
 
 
-def _householder_u(v: np.ndarray) -> np.ndarray:
-    """Reflector u such that H = I - 2 u u^T / (u^T u) maps e_1 to +/- v.
-
-    Columns 2..p of H are then an orthonormal basis of the complement of v.
-    The sign is chosen to avoid cancellation in u[0].
+def _complement_reflectors(x: np.ndarray, skip: tuple) -> list:
+    """Householder reflectors (u, u^T u), H = I - 2 u u^T / (u^T u), of the QR
+    factorisation of the columns of x not in skip; Q = H_1 H_2 ... has their
+    complement as its trailing columns.  Each reduced column a is a unit
+    vector, so u = a + sign(a_0) e_1 needs no norm: LAPACK's convention, so
+    the complement basis is null_space_basis's up to rounding.
     """
-    u = v.copy()
-    u[0] += 1.0 if v[0] >= 0 else -1.0
-    return u
+    reflectors = []
+    for j in range(x.shape[1]):
+        if j not in skip:
+            u = _to_complement(reflectors, x[:, j]).copy()
+            u[0] += 1.0 if u[0] >= 0 else -1.0
+            reflectors.append((u, u @ u))
+    return reflectors
 
 
-def _householder_apply(u: np.ndarray, uu: float, x: np.ndarray) -> np.ndarray:
-    """H x for the reflector u, given uu = u^T u."""
-    return x - (2.0 * (u @ x) / uu) * u
+def _to_complement(reflectors: list, c: np.ndarray) -> np.ndarray:
+    """Coordinates of c in the complement basis: Q^T c without its leading
+    entries, one reflection at a time and out of place."""
+    for u, uu in reflectors:
+        c = (c - (2.0 * (u @ c) / uu) * u)[1:]
+    return c
+
+
+def _lift(reflectors: list, z: np.ndarray) -> np.ndarray:
+    """The vector with complement coordinates z: Q [0; z]."""
+    for u, uu in reversed(reflectors):
+        w = np.empty(z.size + 1)
+        w[0] = 0.0
+        w[1:] = z
+        z = w - (2.0 * (u @ w) / uu) * u
+    return z
 
 
 def _sample_orthogonal2(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -274,73 +294,53 @@ def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -
     calls this for every site and guards orthonormality once per sweep;
     vmf_sample_column_gibbs is the validated entry point.  Every vector draw
     goes through _vmf_vector_draw, whose one guard, 0 < kappa < inf, makes a
-    non-finite cm raise ValueError instead of looping forever; p = d = 1,
+    non-finite cm or x raise ValueError instead of looping forever; p = d = 1,
     which draws no vector, checks its one entry itself.
 
-    Each pass redraws every column from its exact full conditional: with the
+    Each pass redraws every column from its exact full conditional.  With the
     other columns fixed, column k lives on the unit sphere of their orthogonal
-    complement, where the conditional is a vector vMF with parameter N^T c_k
+    complement N, where the conditional is a vector vMF with parameter N^T c_k
     (uniform when that vector vanishes).  Started from a draw of vMF(C), one
     pass ends at a draw of vMF(C).
 
     Square frames (d = p >= 2) are updated two columns at a time instead: a
-    single column's complement is one direction n, so column moves could only
-    flip signs.  Given the other p - 2 columns, a pair is N Q with N a basis
-    of their 2-D complement and Q in O(2) drawn exactly from its conditional
-    exp{tr(M^T Q)}, M = N^T C_pair.  The pairs (k, k+1 mod p) overlap, so
-    their planar moves reach all of O(p).  For p = d = 1 the conditional is
-    the two-point law on {+1, -1}.
+    single column's complement is one direction, so column moves could only
+    flip signs.  Given the other p - 2 columns, a pair is N Q with Q in O(2)
+    drawn exactly from its conditional exp{tr(M^T Q)}, M = N^T C_pair.  The
+    pairs (k, k+1 mod p) overlap, so their planar moves reach all of O(p).
+    For p = d = 1 the conditional is the two-point law on {+1, -1}.
+
+    N is never formed: it is the trailing columns of the Q of the other
+    columns' reflectors (none for d = 1 or p = d = 2, where N = I), so
+    _to_complement gives N^T c and _lift gives N z.
     """
     p, d = x.shape
-    if d == p:
-        if p == 1:
-            # No vector draw here, and _sigmoid(nan) would pick -1: refuse it.
-            if not math.isfinite(cm[0, 0]):
-                raise ValueError("C has non-finite entries")
-            plus = 1.0 - rng.random() <= _sigmoid(2.0 * cm[0, 0])
-            x[0, 0] = 1.0 if plus else -1.0
-            return
-        pairs = [(0, 1)] if p == 2 else [(k, (k + 1) % p) for k in range(p)]
-        for pair in pairs:
-            basis = null_space_basis(np.delete(x, pair, axis=1))
-            q = _sample_orthogonal2(basis.T @ cm[:, pair], rng)
-            x[:, pair] = basis @ q
-        return
-
-    for k in range(d):
-        ck = cm[:, k]
-        if d == 1:
-            # Complement is all of R^p: a single exact vMF vector draw.
-            kappa = math.sqrt(ck @ ck)
-            if kappa == 0.0:
-                x[:, 0] = _uniform_unit_vector(p, rng)
-            else:
-                x[:, 0] = _vmf_vector_draw(ck / kappa, kappa, rng)
-        elif d == 2:
-            # Complement of one unit column, applied implicitly through a
-            # Householder reflection: O(p) instead of a full QR.
-            u = _householder_u(x[:, 1 - k])
-            uu = u @ u
-            m = _householder_apply(u, uu, ck)[1:]
-            kappa = math.sqrt(m @ m)
-            if kappa == 0.0:
-                z = _uniform_unit_vector(p - 1, rng)
-            else:
-                z = _vmf_vector_draw(m / kappa, kappa, rng)
-            lifted = np.empty(p)
-            lifted[0] = 0.0
-            lifted[1:] = z
-            x[:, k] = _householder_apply(u, uu, lifted)
-        else:
-            others = np.delete(x, k, axis=1)
-            basis = null_space_basis(others)
-            m = basis.T @ ck
+    if d == p == 1:
+        # No vector draw here, and _sigmoid(nan) would pick -1: refuse it.
+        if not math.isfinite(cm[0, 0]):
+            raise ValueError("C has non-finite entries")
+        plus = 1.0 - rng.random() <= _sigmoid(2.0 * cm[0, 0])
+        x[0, 0] = 1.0 if plus else -1.0
+    elif d == p:
+        for k in range(1 if p == 2 else p):
+            j = (k + 1) % p
+            reflectors = _complement_reflectors(x, (k, j))
+            m = np.column_stack(
+                (_to_complement(reflectors, cm[:, k]), _to_complement(reflectors, cm[:, j]))
+            )
+            q = _sample_orthogonal2(m, rng)
+            x[:, k] = _lift(reflectors, q[:, 0])
+            x[:, j] = _lift(reflectors, q[:, 1])
+    else:
+        for k in range(d):
+            reflectors = _complement_reflectors(x, (k,))
+            m = _to_complement(reflectors, cm[:, k])
             kappa = math.sqrt(m @ m)
             if kappa == 0.0:
                 z = _uniform_unit_vector(p - d + 1, rng)
             else:
                 z = _vmf_vector_draw(m / kappa, kappa, rng)
-            x[:, k] = basis @ z
+            x[:, k] = _lift(reflectors, z)
 
 
 def vmf_sample_column_gibbs(

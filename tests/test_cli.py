@@ -85,6 +85,7 @@ class TestSphereDemo:
             ["--noise", "nan"],
             ["--noise", "inf"],
             ["--noise", "-0.1"],
+            ["--seed", "-1"],
         ):
             assert main(["sphere-demo", *flags, "--out", str(out)]) == 1, flags
             assert not out.exists()
@@ -96,10 +97,11 @@ class TestSphereDemo:
         assert read_summary(out)["seed"] == 77
 
     def test_bad_env_seed_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NLPCA_SEED", "not-a-number")
         out = tmp_path / "bad"
-        assert main(["sphere-demo", *SPHERE_FAST, "--out", str(out)]) == 1
-        assert not out.exists()
+        for value in ("not-a-number", "-5"):
+            monkeypatch.setenv("NLPCA_SEED", value)
+            assert main(["sphere-demo", *SPHERE_FAST, "--out", str(out)]) == 1, value
+            assert not out.exists()
 
 
 class TestDigitsDemo:
@@ -183,6 +185,29 @@ class TestDigitsDemo:
         )
         assert code == 2
         assert not (tmp_path / "out").exists()
+
+    def test_too_few_digits_is_input_error_before_output(self, tmp_path, capsys):
+        img, lbl = write_digit_files(tmp_path, np.random.default_rng(4), per_class=10)
+        out = tmp_path / "out"
+        code = main(["digits-demo", "--images", str(img), "--labels", str(lbl),
+                     "--out", str(out)])
+        assert code == 2
+        assert "only 10 instances" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_label_outside_digits_is_input_error_before_output(self, tmp_path, capsys):
+        images, labels = make_digit_corpus(np.random.default_rng(4), 50)
+        labels[0] = 11
+        img = tmp_path / "images.idx3-ubyte"
+        lbl = tmp_path / "labels.idx1-ubyte"
+        write_idx_images(img, images, 28, 28)
+        write_idx_labels(lbl, labels)
+        out = tmp_path / "out"
+        code = main(["digits-demo", "--images", str(img), "--labels", str(lbl),
+                     "--out", str(out)])
+        assert code == 2
+        assert "digits 0-9" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFit:
@@ -315,7 +340,10 @@ class TestFit:
         ) == 0
         return half / "checkpoint.json"
 
-    @pytest.mark.parametrize("corruption", ["frame_scaled", "nan_latent", "negative_sigma2"])
+    @pytest.mark.parametrize(
+        "corruption",
+        ["frame_scaled", "nan_latent", "negative_sigma2", "negative_seed", "negative_counter"],
+    )
     def test_corrupt_checkpoint_is_input_error_before_output(
         self, tmp_path, capsys, corruption
     ):
@@ -327,8 +355,10 @@ class TestFit:
             doc["transformations"][0] = [2.0 * v for v in doc["transformations"][0]]
         elif corruption == "nan_latent":
             doc["latents"][0][0] = math.nan
-        else:
+        elif corruption == "negative_sigma2":
             doc["sigma2"] = -1.0
+        else:
+            doc[corruption.removeprefix("negative_")] = -1
         checkpoint.write_text(json.dumps(doc))
         out = tmp_path / "resumed"
         code = main(

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import circle_vmf_moment, orthogonal2_trace_moment
 import nlpca.mrf
+import nlpca.stiefel
 import nlpca.vmf
 from nlpca import gibbs
 from nlpca.datasets import generate_sphere
@@ -399,17 +400,22 @@ class TestSweep:
     )
     def test_never_calls_validated_wrappers(self, monkeypatch, p, d, a2):
         # The frame step pays for its arithmetic only: the validated vector
-        # draw and neighbour sum stay public forms, off the sweep's path.
+        # draw, neighbour sum and explicit complement basis stay public forms,
+        # off the sweep's path.  The start frames are drawn before the patch,
+        # since sample_uniform_stiefel builds them with null_space_basis.
         def refuse(*args, **kwargs):
             raise AssertionError("validated wrapper called inside the sweep")
 
-        monkeypatch.setattr(nlpca.vmf, "vmf_sample_vector", refuse)
-        monkeypatch.setattr(nlpca.mrf, "conditional_param", refuse)
-        monkeypatch.setattr(gibbs, "conditional_param", refuse, raising=False)
         rng = np.random.default_rng(30)
         data = center(rng.standard_normal((7, p)))
         hp = tiny_hp(d=d, a2=a2, c_strength=2.0)
-        state, _ = sweep(tiny_state(rng, data, hp), data, hp, sweep_rng(4, 0))
+        state = tiny_state(rng, data, hp)
+        monkeypatch.setattr(nlpca.vmf, "vmf_sample_vector", refuse)
+        monkeypatch.setattr(nlpca.vmf, "null_space_basis", refuse, raising=False)
+        monkeypatch.setattr(nlpca.stiefel, "null_space_basis", refuse)
+        monkeypatch.setattr(nlpca.mrf, "conditional_param", refuse)
+        monkeypatch.setattr(gibbs, "conditional_param", refuse, raising=False)
+        state, _ = sweep(state, data, hp, sweep_rng(4, 0))
         assert frames_orthonormal(state.transformations)
 
     @pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (2, 2), (3, 3), (5, 3), (1, 1)])

@@ -5,11 +5,14 @@ import pytest
 from scipy import stats
 
 from conftest import circle_mean_resultant, circle_vmf_moment, sphere_cosine_moment
-from nlpca.stiefel import is_orthonormal, sample_uniform_stiefel
+from nlpca.stiefel import is_orthonormal, null_space_basis, sample_uniform_stiefel
 from nlpca.vmf import (
     RejectionBudgetError,
     SamplerPolicy,
     VmfParam,
+    _complement_reflectors,
+    _lift,
+    _to_complement,
     _vmf_vector_draw,
     vmf_log_density_unnorm,
     vmf_mode,
@@ -272,42 +275,62 @@ class TestColumnGibbs:
         se = traces.std(ddof=1) / math.sqrt(n)
         assert abs(traces.mean() - target) <= 3.5 * se
 
-    def test_tall_frame_invariance_one_sweep(self):
-        # Same one-sweep invariance check on a 3 x 2 frame via the
-        # rejection sampler as the exact reference.
-        rng = np.random.default_rng(20)
-        c = make_param(rng, 3, 2)
-        n = 3_000
+    @staticmethod
+    def one_pass_from_exact(c, n, rng):
+        """One pass from each of n exact rejection draws: asserts that the
+        mean of tr(C^T X) is unchanged, and returns X0^T X1 per draw."""
         after = np.empty(n)
         exact = np.empty(n)
+        moves = np.empty((n, c.d, c.d))
         for k in range(n):
             x0, _ = vmf_sample_rejection(c, rng)
             exact[k] = vmf_log_density_unnorm(x0, c)
             x1 = vmf_sample_column_gibbs(c, x0, 1, rng)
             after[k] = vmf_log_density_unnorm(x1, c)
+            moves[k] = x0.matrix.T @ x1.matrix
         joint_se = math.sqrt(after.var(ddof=1) / n + exact.var(ddof=1) / n)
         assert abs(after.mean() - exact.mean()) <= 3.5 * joint_se
+        return moves
 
-    def test_square_frame_pairs_invariant_and_not_sign_flips(self):
-        # O(3): one pass of overlapping pair updates from an exact draw must
-        # stay exact, and must move the frame by more than column sign flips
+    def test_tall_frame_invariance_one_sweep(self):
+        # Same one-sweep invariance check on a 3 x 2 frame (one reflector per
+        # column) via the rejection sampler as the exact reference.
+        rng = np.random.default_rng(20)
+        self.one_pass_from_exact(make_param(rng, 3, 2), 3_000, rng)
+
+    def test_tall_frame_two_reflectors_invariance_one_sweep(self):
+        # 4 x 3: each column's complement takes two reflectors.
+        rng = np.random.default_rng(20)
+        self.one_pass_from_exact(make_param(rng, 4, 3, scale=0.6), 2_000, rng)
+
+    def square_pairs_move_exactly(self, p, scale):
+        # One pass of overlapping pair updates from an exact draw must stay
+        # exact, and must move the frame by more than column sign flips
         # (which would keep X0^T X1 diagonal).
         rng = np.random.default_rng(30)
-        c = make_param(rng, 3, 3, scale=0.6)
-        n = 2_000
-        after = np.empty(n)
-        exact = np.empty(n)
-        off_diagonal = np.empty(n)
-        for k in range(n):
-            x0, _ = vmf_sample_rejection(c, rng)
-            exact[k] = vmf_log_density_unnorm(x0, c)
-            x1 = vmf_sample_column_gibbs(c, x0, 1, rng)
-            after[k] = vmf_log_density_unnorm(x1, c)
-            rel = x0.matrix.T @ x1.matrix
-            off_diagonal[k] = np.abs(rel - np.diag(np.diag(rel))).max()
-        joint_se = math.sqrt(after.var(ddof=1) / n + exact.var(ddof=1) / n)
-        assert abs(after.mean() - exact.mean()) <= 3.5 * joint_se
+        moves = self.one_pass_from_exact(make_param(rng, p, p, scale=scale), 2_000, rng)
+        off_diagonal = np.abs(moves * (1.0 - np.eye(p))).max(axis=(1, 2))
         assert np.mean(off_diagonal > 0.25) > 0.5
+
+    def test_square_frame_pairs_invariant_and_not_sign_flips(self):
+        self.square_pairs_move_exactly(3, 0.6)
+
+    def test_square_frame_o4_pairs_invariant_and_not_sign_flips(self):
+        # O(4): each pair's complement takes two reflectors.
+        self.square_pairs_move_exactly(4, 0.5)
+
+    @pytest.mark.parametrize("p, r", [(5, 1), (196, 1), (5, 2), (6, 4)])
+    def test_implicit_complement_matches_null_space_basis(self, p, r):
+        # The reflectors give the explicit QR complement basis N: N^T c into
+        # complement coordinates and N z back, to rounding.
+        rng = np.random.default_rng(25)
+        others = sample_uniform_stiefel(p, r, rng).matrix
+        basis = null_space_basis(others)
+        reflectors = _complement_reflectors(others, ())
+        c = rng.standard_normal(p)
+        z = rng.standard_normal(p - r)
+        assert np.allclose(_to_complement(reflectors, c), basis.T @ c, rtol=0, atol=1e-12)
+        assert np.allclose(_lift(reflectors, z), basis @ z, rtol=0, atol=1e-12)
 
     def test_validates_arguments(self):
         rng = np.random.default_rng(21)

@@ -405,8 +405,8 @@ def save_checkpoint(
 def load_checkpoint(path) -> CheckpointData:
     """Read a checkpoint written by save_checkpoint.  ValueError for a missing
     field, frames not orthonormal within ORTHONORMALITY_TOL, non-finite
-    latents, a sigma^2 that is not positive and finite, or a negative seed or
-    sweep counter."""
+    latents, a sigma^2 that is not positive and finite, a size, seed or sweep
+    counter that is not a JSON integer, or a negative seed or sweep counter."""
     with open(path, "r") as fh:
         doc = json.load(fh)
     required = {
@@ -416,7 +416,11 @@ def load_checkpoint(path) -> CheckpointData:
     missing = required - doc.keys()
     if missing:
         raise ValueError(f"{path}: checkpoint missing fields {sorted(missing)}")
-    n, p, d = int(doc["n"]), int(doc["p"]), int(doc["d"])
+    # bool is an int subclass, and int() would truncate a float: refuse both.
+    not_int = [k for k in ("n", "p", "d", "seed", "counter") if type(doc[k]) is not int]
+    if not_int:
+        raise ValueError(f"{path}: checkpoint fields {not_int} must be JSON integers")
+    n, p, d = doc["n"], doc["p"], doc["d"]
     v = np.asarray(doc["transformations"], dtype=float).reshape(n, p, d)
     x = np.asarray(doc["latents"], dtype=float).reshape(n, d)
     sigma2 = float(doc["sigma2"])
@@ -428,7 +432,7 @@ def load_checkpoint(path) -> CheckpointData:
         raise ValueError(f"{path}: checkpoint latents are not all finite")
     if not 0 < sigma2 < math.inf:
         raise ValueError(f"{path}: checkpoint sigma2 must be positive and finite")
-    seed, counter = int(doc["seed"]), int(doc["counter"])
+    seed, counter = doc["seed"], doc["counter"]
     if seed < 0 or counter < 0:
         raise ValueError(f"{path}: checkpoint seed and counter must be nonnegative")
     return CheckpointData(

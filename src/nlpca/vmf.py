@@ -13,9 +13,8 @@ reflectors, applied implicitly.  The pass updates a raw array in place and
 checks nothing but the concentration of each vector draw;
 vmf_sample_column_gibbs is its validated wrapper, as vmf_sample_vector is
 for the vector draw.
-vmf_sample (uniform-proposal rejection with the tight envelope exp{sum(D)},
-falling back to column-wise Gibbs from the mode) and vmf_sample_rejection
-serve the vmf-diag command and act as exact references in the tests.
+vmf_sample_rejection, uniform-proposal rejection with the tight envelope
+exp{sum(D)}, is the exact reference the tests check the kernel against.
 """
 
 from __future__ import annotations
@@ -35,9 +34,6 @@ from .stiefel import (
 
 __all__ = [
     "VmfParam",
-    "SamplerPolicy",
-    "SampleInfo",
-    "RejectionBudgetError",
     "vmf_log_density_unnorm",
     "vmf_mode",
     "vmf_sample_rejection",
@@ -46,12 +42,6 @@ __all__ = [
     "vmf_sample_column_gibbs",
     "vmf_sample",
 ]
-
-# Rejection is skipped when sum(D) exceeds log(max_attempts) by this much.
-# The per-attempt acceptance probability is at least exp(-sum(D)), and in low
-# manifold dimensions can be far higher, so a small slack trades a few exact
-# draws for not burning the whole budget in the strongly concentrated regime.
-_REJECTION_SKIP_SLACK = 4.0
 
 
 @dataclass(eq=False)
@@ -81,42 +71,6 @@ class VmfParam:
         return self.c_matrix.shape[1]
 
 
-@dataclass
-class SamplerPolicy:
-    """Controls for the rejection sampler and its column-Gibbs fallback."""
-
-    max_attempts: int = 10_000
-    fallback_sweeps: int = 10
-    # Skip rejection outright when acceptance within the budget is hopeless.
-    skip_hopeless: bool = True
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.fallback_sweeps < 1:
-            raise ValueError("fallback_sweeps must be >= 1")
-
-
-@dataclass
-class SampleInfo:
-    """Diagnostics for one matrix-vMF draw."""
-
-    method: str  # "rejection" or "column_gibbs"
-    attempts: int  # uniform proposals consumed by the rejection stage
-    fallback: bool
-
-
-class RejectionBudgetError(RuntimeError):
-    """Raised when the uniform-proposal rejection sampler exhausts its budget."""
-
-    def __init__(self, attempts: int):
-        super().__init__(
-            f"no acceptance in {attempts} uniform proposals; "
-            "concentration too high for rejection sampling"
-        )
-        self.attempts = attempts
-
-
 def _as_matrix(x) -> np.ndarray:
     return x.matrix if isinstance(x, StiefelPoint) else np.asarray(x, dtype=float)
 
@@ -140,7 +94,7 @@ def vmf_sample_rejection(
     """Exact vMF(C) draw by rejection from the uniform distribution.
 
     A proposal X is accepted with probability exp{tr(C^T X) - sum(D)}, the
-    tight bound for the uniform envelope.  Raises RejectionBudgetError after
+    tight bound for the uniform envelope.  Raises RuntimeError after
     max_attempts rejections.
     """
     if max_attempts < 1:
@@ -153,7 +107,10 @@ def vmf_sample_rejection(
         # 1 - random() lies in (0, 1], so the log is finite.
         if math.log(1.0 - rng.random()) <= log_accept:
             return x, attempt
-    raise RejectionBudgetError(max_attempts)
+    raise RuntimeError(
+        f"no acceptance in {max_attempts} uniform proposals; "
+        "concentration too high for rejection sampling"
+    )
 
 
 def vmf_sample_vector(
@@ -360,23 +317,8 @@ def vmf_sample_column_gibbs(
     return StiefelPoint(x)
 
 
-def vmf_sample(
-    c: VmfParam, rng: np.random.Generator, policy: SamplerPolicy | None = None
-) -> tuple[StiefelPoint, SampleInfo]:
-    """Draw from vMF(C): rejection first, column-Gibbs from the mode on failure."""
-    if policy is None:
-        policy = SamplerPolicy()
-    attempts = 0
-    log_envelope = float(thin_svd(c.c_matrix).singular_values.sum())
-    hopeless = (
-        policy.skip_hopeless
-        and log_envelope > math.log(policy.max_attempts) + _REJECTION_SKIP_SLACK
-    )
-    if not hopeless:
-        try:
-            x, attempts = vmf_sample_rejection(c, rng, policy.max_attempts)
-            return x, SampleInfo(method="rejection", attempts=attempts, fallback=False)
-        except RejectionBudgetError as err:
-            attempts = err.attempts
-    x = vmf_sample_column_gibbs(c, vmf_mode(c), policy.fallback_sweeps, rng)
-    return x, SampleInfo(method="column_gibbs", attempts=attempts, fallback=True)
+def vmf_sample(c: VmfParam, rng: np.random.Generator) -> StiefelPoint:
+    """Exact vMF(C) draw: vmf_sample_rejection's frame, with its default
+    budget.  Nothing in the package calls it; it stays while
+    perfbench/launch.py's LAYERS table names it."""
+    return vmf_sample_rejection(c, rng)[0]

@@ -342,7 +342,8 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "corruption",
-        ["frame_scaled", "nan_latent", "negative_sigma2", "negative_seed", "negative_counter"],
+        ["frame_scaled", "nan_latent", "negative_sigma2", "negative_seed", "negative_counter",
+         "fractional_seed", "boolean_counter"],
     )
     def test_corrupt_checkpoint_is_input_error_before_output(
         self, tmp_path, capsys, corruption
@@ -357,6 +358,10 @@ class TestFit:
             doc["latents"][0][0] = math.nan
         elif corruption == "negative_sigma2":
             doc["sigma2"] = -1.0
+        elif corruption == "fractional_seed":
+            doc["seed"] = 3.9
+        elif corruption == "boolean_counter":
+            doc["counter"] = True
         else:
             doc[corruption.removeprefix("negative_")] = -1
         checkpoint.write_text(json.dumps(doc))
@@ -431,14 +436,26 @@ def test_chain_commands_share_summary_and_trace(tmp_path, command):
     assert [row.split(",")[0] for row in rows[1:]] == [str(t) for t in range(6)]
 
 
+def diag_fields(out):
+    return dict(line.split(": ") for line in out.strip().splitlines() if ": " in line)
+
+
 class TestVmfDiag:
-    def test_zero_kappa_full_acceptance(self, capsys):
-        code = main(["vmf-diag", "--p", "2", "--d-frame", "1", "--kappa", "0",
-                     "--samples", "500", "--seed", "1"])
+    @pytest.mark.parametrize(
+        "kappa, samples, seed",
+        [
+            pytest.param("0", 500, 1, id="kappa0"),
+            pytest.param("200", 200, 3, id="kappa200"),
+            pytest.param("1e8", 2000, 4, id="kappa1e8"),
+        ],
+    )
+    def test_kernel_matches_exact_mean_resultant(self, capsys, kappa, samples, seed):
+        code = main(["vmf-diag", "--p", "2", "--d-frame", "1", "--kappa", kappa,
+                     "--samples", str(samples), "--seed", str(seed)])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "acceptance_rate: 1.000000" in out
-        assert "fallback_engaged: False" in out
+        fields = diag_fields(capsys.readouterr().out)
+        assert fields["frame_kernel"] == FRAME_KERNEL == "column_gibbs_1pass_from_current"
+        assert float(fields["z_score"]) <= 3.0
 
     def test_moderate_kappa_matches_quadrature(self, capsys):
         code = main(["vmf-diag", "--p", "2", "--d-frame", "1", "--kappa", "2",
@@ -451,19 +468,32 @@ class TestVmfDiag:
         z = float(fields["z_score"])
         assert z <= 3.0
 
-    def test_huge_kappa_reports_fallback(self, capsys):
-        code = main(["vmf-diag", "--p", "2", "--d-frame", "1", "--kappa", "200",
-                     "--samples", "200", "--seed", "3"])
+    @pytest.mark.parametrize("p, d, kappa", [(3, 2, "30"), (3, 3, "3")])
+    def test_reports_lag1_autocorrelation(self, capsys, p, d, kappa):
+        code = main(["vmf-diag", "--p", str(p), "--d-frame", str(d), "--kappa", kappa,
+                     "--samples", "2000", "--seed", "5"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "fallback_engaged: True" in out
-        assert "fallback_fraction: 1.000000" in out
+        fields = diag_fields(capsys.readouterr().out)
+        assert -1.0 < float(fields["lag1_autocorrelation"]) < 1.0
+        assert "z_score" not in fields
+
+    def test_never_calls_rejection_sampler(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("vmf-diag must run the chain's frame kernel")
+
+        for target in ("nlpca.vmf.vmf_sample", "nlpca.vmf.vmf_sample_rejection",
+                       "nlpca.cli.vmf_sample", "nlpca.cli.vmf_sample_rejection"):
+            monkeypatch.setattr(target, refuse, raising=False)
+        for p, d in ((2, 1), (3, 2), (3, 3)):
+            assert main(["vmf-diag", "--p", str(p), "--d-frame", str(d), "--kappa", "2",
+                         "--samples", "50", "--seed", "6"]) == 0
 
     def test_invalid_dimensions(self):
         assert main(["vmf-diag", "--p", "1", "--kappa", "1"]) == 1
         assert main(["vmf-diag", "--p", "3", "--d-frame", "4", "--kappa", "1"]) == 1
         for kappa in ("nan", "inf", "-1"):
             assert main(["vmf-diag", "--p", "2", "--kappa", kappa]) == 1, kappa
+        assert main(["vmf-diag", "--p", "2", "--kappa", "1", "--samples", "1"]) == 1
 
 
 class TestUsage:
@@ -530,10 +560,20 @@ class TestFreshInterpreter:
         assert proc.returncode == 0, proc.stderr
         assert "scipy.special" in json.loads(proc.stdout.splitlines()[-1])
 
-    def test_vmf_diag_quadrature_imports_scipy_on_first_use(self):
+    def test_vmf_diag_oracle_imports_scipy_special_on_first_use(self):
         argv = ["vmf-diag", "--p", "2", "--d-frame", "1", "--kappa", "2",
                 "--samples", "200", "--seed", "1"]
         proc = run_fresh(_CLI_SCRIPT, json.dumps(argv))
         assert proc.returncode == 0, proc.stderr
-        assert "mean_resultant_quadrature: " in proc.stdout
-        assert "scipy.integrate" in json.loads(proc.stdout.splitlines()[-1])
+        assert "mean_resultant_exact: " in proc.stdout
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert "scipy.special" in loaded
+        assert "scipy.integrate" not in loaded
+
+    def test_vmf_diag_without_oracle_loads_no_scipy(self):
+        argv = ["vmf-diag", "--p", "3", "--d-frame", "2", "--kappa", "2",
+                "--samples", "200", "--seed", "1"]
+        proc = run_fresh(_CLI_SCRIPT, json.dumps(argv))
+        assert proc.returncode == 0, proc.stderr
+        assert "lag1_autocorrelation: " in proc.stdout
+        assert json.loads(proc.stdout.splitlines()[-1]) == []

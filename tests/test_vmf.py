@@ -5,10 +5,8 @@ import pytest
 from scipy import stats
 
 from conftest import circle_mean_resultant, circle_vmf_moment, sphere_cosine_moment
-from nlpca.stiefel import is_orthonormal, null_space_basis, sample_uniform_stiefel
+from nlpca.stiefel import null_space_basis, sample_uniform_stiefel
 from nlpca.vmf import (
-    RejectionBudgetError,
-    SamplerPolicy,
     VmfParam,
     _complement_reflectors,
     _lift,
@@ -16,7 +14,6 @@ from nlpca.vmf import (
     _vmf_vector_draw,
     vmf_log_density_unnorm,
     vmf_mode,
-    vmf_sample,
     vmf_sample_column_gibbs,
     vmf_sample_rejection,
     vmf_sample_vector,
@@ -106,7 +103,7 @@ class TestRejectionSampler:
     def test_budget_exhaustion_raises(self):
         rng = np.random.default_rng(8)
         c = VmfParam(200.0 * np.eye(3, 1))
-        with pytest.raises(RejectionBudgetError):
+        with pytest.raises(RuntimeError, match="no acceptance in 50 uniform proposals"):
             vmf_sample_rejection(c, rng, max_attempts=50)
 
     def test_log_ratio_bounded_over_uniform_draws(self):
@@ -340,39 +337,6 @@ class TestColumnGibbs:
             vmf_sample_column_gibbs(c, start, 0, rng)
         with pytest.raises(ValueError):
             vmf_sample_column_gibbs(c, sample_uniform_stiefel(4, 2, rng), 1, rng)
-
-
-class TestDispatch:
-    def test_zero_param_uses_rejection_in_one_attempt(self):
-        rng = np.random.default_rng(22)
-        x, info = vmf_sample(VmfParam(np.zeros((3, 2))), rng)
-        assert info.method == "rejection"
-        assert info.attempts == 1
-        assert not info.fallback
-
-    def test_high_concentration_falls_back(self):
-        rng = np.random.default_rng(23)
-        c = VmfParam(100.0 * np.eye(3, 2))
-        x, info = vmf_sample(c, rng)
-        assert info.method == "column_gibbs"
-        assert info.fallback
-        assert is_orthonormal(x.matrix, 1e-10)
-
-    def test_exhaustion_without_skip_falls_back(self):
-        rng = np.random.default_rng(24)
-        c = VmfParam(400.0 * np.eye(4, 2))
-        policy = SamplerPolicy(max_attempts=20, skip_hopeless=False)
-        x, info = vmf_sample(c, rng, policy)
-        assert info.fallback
-        assert info.attempts == 20
-
-    def test_output_always_orthonormal(self):
-        rng = np.random.default_rng(25)
-        for scale in (0.0, 0.5, 5.0, 300.0):
-            for shape in ((2, 1), (3, 2), (4, 4)):
-                c = VmfParam(scale * rng.standard_normal(shape))
-                x, _ = vmf_sample(c, rng)
-                assert is_orthonormal(x.matrix, 1e-10)
 
 
 class TestEquivariance:

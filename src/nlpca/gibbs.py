@@ -221,7 +221,7 @@ def init_state(data: Dataset, hp: HyperParams) -> ModelState:
 def update_transformation(
     i: int,
     state: ModelState,
-    data: Dataset,
+    data_term: np.ndarray,
     rng: np.random.Generator,
 ) -> None:
     """Move V_i, in place in state.transformations, by one column-Gibbs pass
@@ -232,13 +232,15 @@ def update_transformation(
     when d = p) is redrawn exactly given the rest, so the pass leaves that
     conditional invariant without an SVD, a rejection loop or a fallback.
     Nothing is validated here: sweep checks every frame once per sweep.
+    data_term is sweep's (n, p, d) stack of the y_i x_i^T / sigma^2: row i
+    holds the same products and division as np.outer(y_i, x_i) / sigma^2.
     The neighbour sum is row i of Lambda times the frames viewed as an
     n x pd matrix, one BLAS product; the zero diagonal drops j = i.
     """
     v = state.transformations
     n, p, d = v.shape
     c = np.dot(state.weights.lam[i:i + 1], v.reshape(n, p * d)).reshape(p, d)
-    c += np.outer(data.y[i], state.latents[i]) / state.sigma2
+    c += data_term[i]
     column_gibbs_pass(c, v[i], rng)
 
 
@@ -325,10 +327,13 @@ def sweep(
 ) -> tuple[ModelState, SweepStats]:
     """One full Gibbs pass.  Frames are updated sequentially so each draw
     conditions on the freshest neighbors; weights are rebuilt from the new
-    latents before the noise update."""
+    latents before the noise update.  The data part y_i x_i^T / sigma^2 of
+    every frame conditional is built once, before the frame loop, because
+    the latents and sigma^2 change only after it."""
     st = state.copy()
+    data_term = (data.y[:, :, None] * st.latents[:, None, :]) / st.sigma2
     for i in range(st.n):
-        update_transformation(i, st, data, rng)
+        update_transformation(i, st, data_term, rng)
     st.latents = update_latent(st, data, hp, rng)
     st.weights = compute_weights(st.latents, hp.c_strength, hp.bandwidth)
     st.sigma2 = update_noise(st, data, hp, rng)

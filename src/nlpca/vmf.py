@@ -12,7 +12,10 @@ other columns, built one way for every shape: from their Householder
 reflectors, applied implicitly.  The pass updates a raw array in place and
 checks nothing but the concentration of each vector draw;
 vmf_sample_column_gibbs is its validated wrapper, as vmf_sample_vector is
-for the vector draw.
+for the vector draw.  That draw is Wood's (1994) scheme, in forms that keep
+full precision at any finite concentration; on the circle (the complement
+of every d = p - 1 frame, and every pair draw of a square frame) its
+uniform tangent is a sign.
 vmf_sample_rejection, uniform-proposal rejection with the tight envelope
 exp{sum(D)}, is the exact reference the tests check the kernel against.
 """
@@ -42,6 +45,8 @@ __all__ = [
     "vmf_sample_column_gibbs",
     "vmf_sample",
 ]
+
+_LOG2 = math.log(2.0)
 
 
 @dataclass(eq=False)
@@ -134,6 +139,47 @@ def vmf_sample_vector(
     return _vmf_vector_draw(mu, kappa, rng)
 
 
+def _wood_cosine(
+    kappa: float, dim: int, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Cosine t and sine sqrt(1 - t^2) of the angle between a vector vMF draw
+    on the unit sphere in R^(dim+1) and its mean direction.
+
+    t has density proportional to exp(kappa t) (1 - t^2)^((dim-2)/2), sampled
+    by Wood's (1994) beta-envelope rejection scheme: for z ~ Beta(dim/2,
+    dim/2), the proposal t = (1 - (1 + b) z) / w with w = 1 - (1 - b) z is
+    accepted when kappa (t - x0) + dim log((1 - x0 t) / (1 - x0^2)) >= log U,
+    where b = dim / (sqrt(4 kappa^2 + dim^2) + 2 kappa) and
+    x0 = (1 - b) / (1 + b).
+
+    b falls below machine epsilon for kappa >~ 1e16, where x0 rounds to 1
+    and the textbook log(1 - x0^2) fails; and 1 - t^2 cancels at both ends
+    of the range of t.  So every quantity is an exact rearrangement in terms
+    of b, z and u = 1 - z (which rounds harmlessly, and not at all when
+    z >= 1/2):
+        w = u + b z,
+        kappa (t - x0) = 2 kappa b (1 - 2z) / ((1 + b) w),
+        log(1 - x0 t) - log(1 - x0^2) = log1p(b) - log 2 - log w,
+        t = (u - b z) / w,   sqrt(1 - t^2) = 2 sqrt(b z u) / w,
+    the last from 1 - t = 2 b z / w and 1 + t = 2 u / w.  These forms take
+    the same variates as the textbook ones and agree with them to rounding,
+    except where the textbook forms lose digits.
+    """
+    half = 0.5 * dim
+    b = dim / (math.hypot(2.0 * kappa, dim) + 2.0 * kappa)
+    scale = 2.0 * (kappa * b) / (1.0 + b)
+    log_level = math.log1p(b) - _LOG2
+    while True:
+        z = rng.beta(half, half)
+        u = 1.0 - z
+        bz = b * z
+        w = u + bz
+        if scale * (1.0 - 2.0 * z) / w + dim * (log_level - math.log(w)) >= math.log(
+            1.0 - rng.random()
+        ):
+            return (u - bz) / w, 2.0 * math.sqrt(bz * u) / w
+
+
 def _vmf_vector_draw(
     mu: np.ndarray, kappa: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -141,26 +187,34 @@ def _vmf_vector_draw(
     from 0 < kappa < inf, without which a NaN kappa would never leave the
     rejection loop.
 
-    The cosine t of the angle to mu has marginal density proportional to
-    exp(kappa t) (1 - t^2)^((p-3)/2), sampled by Wood's (1994) beta-envelope
-    rejection scheme; the tangent component is uniform.  Norms are
-    sqrt(v @ v), the same bits as np.linalg.norm on a contiguous 1-D array.
+    The draw is t mu + sqrt(1 - t^2) u, with (t, sqrt(1 - t^2)) from
+    _wood_cosine and u a uniform unit tangent at mu, renormalised.  u is
+    g - (g . mu) mu normalised, for a standard normal g redrawn while that
+    norm is at most 1e-12; norms are sqrt(v @ v), the same bits as
+    np.linalg.norm on a contiguous 1-D array.  On the circle (p = 2), where
+    g - (g . mu) mu = (g . mu_perp) mu_perp with mu_perp = (-mu_1, mu_0), u is
+    sign(g . mu_perp) mu_perp: the same normal pair, retried under the same
+    condition, and the draw is built from Python scalars.
+
+    The draw keeps its precision up to kappa ~ 1e300 at least, but
+    column_gibbs_pass takes kappa = sqrt(m @ m), which overflows above
+    kappa ~ 1.3e154, so there the guard raises instead.
     """
     if not 0 < kappa < math.inf:
         raise ValueError("kappa must be positive and finite")
     p = mu.size
-    dim = p - 1
-    b = dim / (math.sqrt(4.0 * kappa * kappa + dim * dim) + 2.0 * kappa)
-    x0 = (1.0 - b) / (1.0 + b)
-    c0 = kappa * x0 + dim * math.log(1.0 - x0 * x0)
-    while True:
-        z = rng.beta(0.5 * dim, 0.5 * dim)
-        t = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
-        if kappa * t + dim * math.log(1.0 - x0 * t) - c0 >= math.log(
-            1.0 - rng.random()
-        ):
-            break
-
+    t, sine = _wood_cosine(kappa, p - 1, rng)
+    if p == 2:
+        m0, m1 = mu.tolist()
+        while True:
+            g0, g1 = rng.standard_normal(2).tolist()
+            along = m0 * g1 - m1 * g0
+            if abs(along) > 1e-12:
+                break
+        sine = math.copysign(sine, along)
+        v0, v1 = t * m0 - sine * m1, t * m1 + sine * m0
+        norm = math.sqrt(v0 * v0 + v1 * v1)
+        return np.array([v0 / norm, v1 / norm])
     while True:
         g = rng.standard_normal(p)
         tangent = g - (g @ mu) * mu
@@ -168,7 +222,7 @@ def _vmf_vector_draw(
         if norm > 1e-12:
             tangent /= norm
             break
-    x = t * mu + math.sqrt(max(0.0, 1.0 - t * t)) * tangent
+    x = t * mu + sine * tangent
     return x / math.sqrt(x @ x)
 
 

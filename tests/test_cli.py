@@ -447,6 +447,8 @@ class TestVmfDiag:
             pytest.param("0", 500, 1, id="kappa0"),
             pytest.param("200", 200, 3, id="kappa200"),
             pytest.param("1e8", 2000, 4, id="kappa1e8"),
+            pytest.param("1e15", 4000, 5, id="kappa1e15"),
+            pytest.param("1e16", 200, 6, id="kappa1e16"),
         ],
     )
     def test_kernel_matches_exact_mean_resultant(self, capsys, kappa, samples, seed):
@@ -468,7 +470,7 @@ class TestVmfDiag:
         z = float(fields["z_score"])
         assert z <= 3.0
 
-    @pytest.mark.parametrize("p, d, kappa", [(3, 2, "30"), (3, 3, "3")])
+    @pytest.mark.parametrize("p, d, kappa", [(3, 2, "30"), (3, 3, "3"), (3, 2, "1e16")])
     def test_reports_lag1_autocorrelation(self, capsys, p, d, kappa):
         code = main(["vmf-diag", "--p", str(p), "--d-frame", str(d), "--kappa", kappa,
                      "--samples", "2000", "--seed", "5"])

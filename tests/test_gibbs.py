@@ -61,8 +61,9 @@ def frame_conditional(i, state, data):
 
 def chain_site(i, state, data, rng, n):
     """n chained frame updates at site i, neighbours fixed; yields each V_i."""
+    data_term = (data.y[:, :, None] * state.latents[:, None, :]) / state.sigma2
     for _ in range(n):
-        update_transformation(i, state, data, rng)
+        update_transformation(i, state, data_term, rng)
         yield state.transformations[i].copy()
 
 

@@ -5,13 +5,15 @@ import pytest
 from scipy import stats
 
 from conftest import circle_mean_resultant, circle_vmf_moment, sphere_cosine_moment
-from nlpca.stiefel import null_space_basis, sample_uniform_stiefel
+from nlpca.stiefel import frames_orthonormal, null_space_basis, sample_uniform_stiefel
 from nlpca.vmf import (
     VmfParam,
     _complement_reflectors,
     _lift,
     _to_complement,
     _vmf_vector_draw,
+    _wood_cosine,
+    column_gibbs_pass,
     vmf_log_density_unnorm,
     vmf_mode,
     vmf_sample_column_gibbs,
@@ -191,6 +193,53 @@ class TestVectorDraw:
             )
         assert rng_a.random() == rng_b.random()
 
+    def test_circle_tangent_matches_general_step(self):
+        # On the circle the tangent is a sign times mu_perp; the general step
+        # projects and normalises a normal pair.  Same variates, same draw.
+        # The projection g - (g . mu) mu cancels when g is nearly along mu, so
+        # the general step loses digits in proportion to |g| / |tangent|, and
+        # the tolerance carries that factor.
+        def general_step_draw(mu, kappa, rng):
+            t, sine = _wood_cosine(kappa, mu.size - 1, rng)
+            while True:
+                g = rng.standard_normal(mu.size)
+                tangent = g - (g @ mu) * mu
+                norm = math.sqrt(tangent @ tangent)
+                if norm > 1e-12:
+                    tangent /= norm
+                    break
+            x = t * mu + sine * tangent
+            return x / math.sqrt(x @ x), math.sqrt(g @ g) / norm
+
+        rng = np.random.default_rng(20)
+        kappas = np.concatenate([[1e-8], 10.0 ** rng.uniform(-8, 8, 1999)])
+        for k, kappa in enumerate(kappas):
+            mu = rng.standard_normal(2)
+            mu /= np.linalg.norm(mu)
+            rng_a, rng_b = np.random.default_rng(k), np.random.default_rng(k)
+            reference, cancellation = general_step_draw(mu, kappa, rng_b)
+            np.testing.assert_allclose(
+                _vmf_vector_draw(mu, kappa, rng_a),
+                reference,
+                rtol=0,
+                atol=1e-14 * cancellation,
+            )
+            assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("p", [2, 3, 196])
+    @pytest.mark.parametrize("kappa", [1e15, 1e16, 1e20, 1e100, 1e300])
+    def test_concentrated_draw_keeps_its_spread(self, p, kappa):
+        # For large kappa, kappa |x_perp|^2 tends to 2 Gamma((p-1)/2, 1), with
+        # mean p - 1 and variance 2(p - 1).  mu = e_1 keeps x_perp exact.
+        rng = np.random.default_rng(21)
+        mu = np.eye(p)[0]
+        n = 4000
+        stat = np.array(
+            [kappa * np.sum(_vmf_vector_draw(mu, kappa, rng)[1:] ** 2) for _ in range(n)]
+        )
+        se = stat.std(ddof=1) / math.sqrt(n)
+        assert abs(stat.mean() - (p - 1)) <= 4 * se
+
 
 class TestColumnGibbs:
     def test_circle_matches_rejection_and_quadrature(self):
@@ -212,6 +261,17 @@ class TestColumnGibbs:
         assert abs(gibbs_cos.mean() - target) <= 3 * se
         joint = math.sqrt(2.0) * se
         assert abs(gibbs_cos.mean() - rej_cos.mean()) <= 3 * joint
+
+    @pytest.mark.parametrize("p, d", [(3, 2), (2, 2)])
+    @pytest.mark.parametrize("kappa", [1e-3, 1.0, 1e4, 1e8, 1e16])
+    def test_chained_passes_stay_orthonormal(self, p, d, kappa):
+        rng = np.random.default_rng(22)
+        g = rng.standard_normal((p, d))
+        cm = kappa * g / np.linalg.norm(g)
+        x = sample_uniform_stiefel(p, d, rng).matrix.copy()
+        for _ in range(2000):
+            column_gibbs_pass(cm, x, rng)
+            assert frames_orthonormal(x, 1e-12)
 
     def test_zero_param_stays_uniform(self):
         rng = np.random.default_rng(17)

@@ -7,6 +7,10 @@ digits-demo   IDX digit images, latent scatter and NN-mismatch comparison
 fit           fit a CSV matrix, with JSON checkpointing and bit-exact resume
 vmf-diag      frame-kernel check against an exact oracle
 
+fit --resume continues the chain a checkpoint holds only if the checkpoint's
+fingerprint matches the run's: --c, --w, --a2, eta and the SHA-256 of the
+centred input data.  Otherwise it names the settings that differ and exits 1.
+
 Every command honors --seed (env NLPCA_SEED as fallback) for full determinism
 and writes only inside --out.  Exit codes: 0 success, 1 usage, 2 I/O,
 3 numerical failure.
@@ -44,13 +48,14 @@ from .datasets import (
     export_matrix_csv,
 )
 from .gibbs import (
+    ETA,
     FRAME_KERNEL,
     LATENT_UPDATE,
     HyperParams,
+    ModelState,
     default_hyperparams,
     reconstruct_nonlinear,
     run,
-    state_from_checkpoint,
 )
 from .metrics import (
     distance_to_unit_sphere,
@@ -58,6 +63,7 @@ from .metrics import (
     nn_mismatch_count,
     reconstruction_errors,
 )
+from .mrf import BANDWIDTH_FLOOR, compute_weights
 from .pca import center, pca_fit, reconstruct_linear
 from .vmf import column_gibbs_pass
 
@@ -78,6 +84,12 @@ _DIGIT_CLASSES = (1, 2, 3)
 _DIGIT_PER_CLASS = 50
 _DIGIT_TARGET_SIDE = 14
 
+# Checkpoint fingerprint key -> the setting named when a --resume differs in it.
+_FINGERPRINT_SOURCES = {
+    "c_strength": "--c", "bandwidth": "--w", "a2": "--a2", "eta": "eta",
+    "data_sha256": "input data",
+}
+
 # Published comparison values for the 150-digit experiment.
 _REFERENCE_PCA_MISMATCH = 53
 _REFERENCE_MODEL_MISMATCH = 25
@@ -94,6 +106,16 @@ class InputFileError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _read_input(name: str, load, *paths):
+    """load(*paths), with an OSError or ValueError reported as an input error."""
+    try:
+        return load(*paths)
+    except OSError as err:
+        raise InputFileError(f"cannot read {name}: {err}") from err
+    except ValueError as err:
+        raise InputFileError(str(err)) from err
 
 
 def _resolve_seed(args) -> int:
@@ -135,10 +157,10 @@ def _validate_chain(args) -> None:
         raise UsageError("--thin must be >= 1")
     if args.dim < 1:
         raise UsageError("--dim must be >= 1")
-    for name in ("c", "w"):
-        value = getattr(args, name)
-        if value is not None and not 0 < value < math.inf:
-            raise UsageError(f"--{name} must be positive and finite, got {value}")
+    if args.c is not None and not 0 < args.c < math.inf:
+        raise UsageError(f"--c must be positive and finite, got {args.c}")
+    if args.w is not None and not BANDWIDTH_FLOOR <= args.w < math.inf:
+        raise UsageError(f"--w must be finite and >= {BANDWIDTH_FLOOR:g}, got {args.w}")
 
 
 def _add_chain_options(sub) -> None:
@@ -184,10 +206,8 @@ def _run_chain(args, data, hp, seed, state, start_sweep):
         writer = csv.writer(fh)
         writer.writerow(["sweep", "sigma2", "log_posterior"])
 
-        def on_sweep(t, _state, stats):
-            writer.writerow(
-                [str(t), repr(float(stats.sigma2)), repr(float(stats.log_posterior))]
-            )
+        def on_sweep(t, state, log_posterior):
+            writer.writerow([str(t), repr(float(state.sigma2)), repr(float(log_posterior))])
 
         summary = run(
             data, hp, seed, state=state, start_sweep=start_sweep, on_sweep=on_sweep
@@ -195,20 +215,27 @@ def _run_chain(args, data, hp, seed, state, start_sweep):
     return out, summary
 
 
+def _chain_settings(hp: HyperParams) -> dict:
+    """The model settings a chain is fixed to, in JSON form (a2 = inf as "inf")."""
+    return {
+        "c_strength": hp.c_strength,
+        "bandwidth": hp.bandwidth,
+        "a2": "inf" if math.isinf(hp.a2) else hp.a2,
+        "eta": ETA,
+    }
+
+
 def _save_summary(out, hp, seed: int, summary, fields: dict) -> None:
     """summary.json: the chain's settings and draw counts, then the command's
     own fields."""
     doc = {
+        **_chain_settings(hp),
         "seed": seed,
         "d": hp.d,
         "sweeps": hp.n_sweeps,
         "burn_in": hp.burn_in,
         "thin": hp.thin,
-        "a2": "inf" if math.isinf(hp.a2) else hp.a2,
-        "eta": hp.eta,
         "tau2": hp.tau2,
-        "c_strength": hp.c_strength,
-        "bandwidth": hp.bandwidth,
         "frame_kernel": FRAME_KERNEL,
         "latent_update": LATENT_UPDATE,
         "kept_sweeps": summary.n_kept,
@@ -282,12 +309,7 @@ def cmd_digits_demo(args) -> int:
     _validate_chain(args)
     seed = _resolve_seed(args)
 
-    try:
-        image_set = load_image_set(args.images, args.labels)
-    except OSError as err:
-        raise InputFileError(f"cannot read IDX input: {err}") from err
-    except ValueError as err:
-        raise InputFileError(str(err)) from err
+    image_set = _read_input("IDX input", load_image_set, args.images, args.labels)
 
     side = _DIGIT_TARGET_SIDE
     if (
@@ -348,27 +370,20 @@ def cmd_fit(args) -> int:
     _validate_chain(args)
     seed = _resolve_seed(args)
 
-    try:
-        matrix, labels = import_matrix_csv(args.input)
-    except OSError as err:
-        raise InputFileError(f"cannot read {args.input}: {err}") from err
-    except ValueError as err:
-        raise InputFileError(str(err)) from err
+    matrix, labels = _read_input(args.input, import_matrix_csv, args.input)
     if matrix.shape[0] < 2:
         raise UsageError(f"need at least 2 rows, got {matrix.shape[0]}")
     data = center(matrix, labels=labels)
     hp = _chain_hyperparams(args, data)
 
-    data_hash = data_sha256(data.y)
+    fingerprint = {**_chain_settings(hp), "data_sha256": data_sha256(data.y)}
     state = None
     start_sweep = 0
     if args.resume is not None:
-        try:
-            ck = load_checkpoint(args.resume)
-        except OSError as err:
-            raise InputFileError(f"cannot read {args.resume}: {err}") from err
-        except ValueError as err:
-            raise InputFileError(str(err)) from err
+        ck = _read_input(args.resume, load_checkpoint, args.resume)
+        missing = fingerprint.keys() - ck.fingerprint.keys()
+        if missing:
+            raise InputFileError(f"{args.resume}: checkpoint missing fields {sorted(missing)}")
         if (ck.n, ck.p, ck.d) != (data.n, data.p, args.dim):
             raise UsageError(
                 f"checkpoint is for n={ck.n}, p={ck.p}, d={ck.d}; "
@@ -379,22 +394,17 @@ def cmd_fit(args) -> int:
                 f"checkpoint already has {ck.counter} sweeps; --sweeps is {args.sweeps}"
             )
         changed = [
-            name
-            for name, saved, now in (
-                ("--c", ck.c_strength, hp.c_strength),
-                ("--w", ck.bandwidth, hp.bandwidth),
-                ("--a2", ck.a2, hp.a2),
-                ("eta", ck.eta, hp.eta),
-                ("input data", ck.data_sha256, data_hash),
-            )
-            if saved != now
+            source
+            for key, source in _FINGERPRINT_SOURCES.items()
+            if ck.fingerprint[key] != fingerprint[key]
         ]
         if changed:
             raise UsageError(
                 f"checkpoint belongs to a different chain: {', '.join(changed)} "
                 "differ from the run that wrote it"
             )
-        state = state_from_checkpoint(ck.transformations, ck.latents, ck.sigma2, hp)
+        weights = compute_weights(ck.latents, hp.c_strength, hp.bandwidth)
+        state = ModelState(ck.transformations, ck.latents, ck.sigma2, weights)
         start_sweep = ck.counter
         seed = ck.seed  # the original stream must continue
 
@@ -408,11 +418,7 @@ def cmd_fit(args) -> int:
         sigma2=final.sigma2,
         seed=seed,
         counter=hp.n_sweeps,
-        c_strength=hp.c_strength,
-        bandwidth=hp.bandwidth,
-        a2=hp.a2,
-        eta=hp.eta,
-        data_hash=data_hash,
+        fingerprint=fingerprint,
     )
     export_matrix_csv(out / "mean_latents.csv", summary.mean_latents, labels=data.labels)
 
@@ -427,15 +433,20 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _circle_mean_resultant(kappa: float) -> float:
-    """E[cos(theta)] under the circular density prop. to exp(kappa cos(theta)):
-    I_1(kappa) / I_0(kappa), from the exponentially scaled Bessel functions so
-    that it stays exact at any concentration."""
+def _circle_mean_gap(kappa: float) -> float:
+    """1 - E[cos(theta)] under the circular density prop. to exp(kappa cos(theta)),
+    that is 1 - I_1(kappa) / I_0(kappa).  Up to kappa = 1e6 it comes from the
+    exponentially scaled Bessel functions; above, from the asymptotic series
+    1/(2 kappa) + 1/(8 kappa^2) + 1/(8 kappa^3), whose next term is below the
+    rounding of the sum there."""
+    if kappa > 1e6:
+        return 1.0 / (2.0 * kappa) + 1.0 / (8.0 * kappa**2) + 1.0 / (8.0 * kappa**3)
     # Imported here, not at module level: scipy.special adds ~0.3 s and ~25 MB
     # to start-up (2-vCPU x86 VM), and only this oracle needs it.
     from scipy import special
 
-    return float(special.i1e(kappa) / special.i0e(kappa))
+    i0 = special.i0e(kappa)
+    return float((i0 - special.i1e(kappa)) / i0)
 
 
 def cmd_vmf_diag(args) -> int:
@@ -453,11 +464,11 @@ def cmd_vmf_diag(args) -> int:
     cm = args.kappa * np.eye(args.p, args.d_frame)
     x = np.eye(args.p, args.d_frame)
     rng = np.random.default_rng([_DIAG_STREAM_TAG, seed])
-    first_coord = np.empty(args.samples)
+    lead = np.empty((args.samples, 2))  # x[0, 0] and x[1, 0] after each pass
     for k in range(args.samples):
         column_gibbs_pass(cm, x, rng)
-        first_coord[k] = x[0, 0]
-    dev = first_coord - first_coord.mean()
+        lead[k] = x[:2, 0]
+    dev = lead[:, 0] - lead[:, 0].mean()
     spread = float(dev @ dev)
     lag1 = float(dev[:-1] @ dev[1:]) / spread if spread > 0 else math.nan
 
@@ -469,12 +480,17 @@ def cmd_vmf_diag(args) -> int:
     print(f"lag1_autocorrelation: {lag1:.6f}")
     if (args.p, args.d_frame) == (2, 1):
         # One pass at d = 1 is an exact draw independent of the last, so the
-        # i.i.d. standard error holds.
-        empirical = float(first_coord.mean())
-        se = float(first_coord.std(ddof=1) / math.sqrt(args.samples))
-        oracle = _circle_mean_resultant(args.kappa)
-        print(f"mean_resultant_empirical: {empirical:.12g}")
-        print(f"mean_resultant_exact: {oracle:.12g}")
+        # i.i.d. standard error holds.  It tests the gap 1 - x[0, 0], as
+        # x[1, 0]^2 / (1 + x[0, 0]) where x[0, 0] >= 0 (|x[0, 0]| keeps the
+        # unused branch finite at -1): above kappa ~ 1e14, x[0, 0] itself
+        # spreads by less than the spacing of doubles near 1.
+        cos, sin = lead.T
+        gap = np.where(cos >= 0.0, sin * sin / (1.0 + np.abs(cos)), 1.0 - cos)
+        empirical = float(gap.mean())
+        se = float(gap.std(ddof=1) / math.sqrt(args.samples))
+        oracle = _circle_mean_gap(args.kappa)
+        print(f"mean_resultant_empirical: {1.0 - empirical:.12g}")
+        print(f"mean_resultant_exact: {1.0 - oracle:.12g}")
         print(f"standard_error: {se:.12g}")
         z = abs(empirical - oracle) / se if se > 0 else 0.0
         print(f"z_score: {z:.3f}")

@@ -335,7 +335,7 @@ def data_sha256(y: np.ndarray) -> str:
 
 @dataclass(eq=False)
 class CheckpointData:
-    """Deserialized sampler checkpoint."""
+    """Deserialized sampler checkpoint: the chain's state and its fingerprint."""
 
     n: int
     p: int
@@ -345,12 +345,11 @@ class CheckpointData:
     counter: int
     transformations: np.ndarray  # (n, p, d)
     latents: np.ndarray  # (n, d)
-    # The chain's fingerprint: resolved hyperparameters and the data hash.
-    c_strength: float
-    bandwidth: float
-    a2: float
-    eta: float
-    data_sha256: str
+    fingerprint: dict
+
+
+# Keys of the chain's state; every other key of a checkpoint is its fingerprint.
+_STATE_KEYS = {"n", "p", "d", "sigma2", "seed", "counter", "transformations", "latents"}
 
 
 def save_checkpoint(
@@ -361,15 +360,12 @@ def save_checkpoint(
     sigma2: float,
     seed: int,
     counter: int,
-    c_strength: float,
-    bandwidth: float,
-    a2: float,
-    eta: float,
-    data_hash: str,
+    fingerprint: dict,
 ) -> None:
-    """JSON checkpoint: dimensions, row-major flattened matrices, sigma^2, the
-    RNG seed plus completed-sweep counter for bit-exact resumption, and the
-    hyperparameters and data hash that identify the chain.
+    """JSON checkpoint: the state keys (dimensions, row-major flattened matrices,
+    sigma^2, the RNG seed plus completed-sweep counter for bit-exact
+    resumption), and the keys of the fingerprint, the JSON values that
+    identify the chain.
 
     The file is written beside its destination and moved into place with
     os.replace, so a reader never sees a partly written checkpoint.
@@ -384,17 +380,13 @@ def save_checkpoint(
     save_json(
         tmp,
         {
+            **fingerprint,
             "n": int(n),
             "p": int(p),
             "d": int(d),
             "sigma2": float(sigma2),
             "seed": int(seed),
             "counter": int(counter),
-            "c_strength": float(c_strength),
-            "bandwidth": float(bandwidth),
-            "a2": "inf" if math.isinf(a2) else float(a2),
-            "eta": float(eta),
-            "data_sha256": data_hash,
             "transformations": [v[i].reshape(-1).tolist() for i in range(n)],
             "latents": [x[i].tolist() for i in range(n)],
         },
@@ -403,17 +395,14 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> CheckpointData:
-    """Read a checkpoint written by save_checkpoint.  ValueError for a missing
-    field, frames not orthonormal within ORTHONORMALITY_TOL, non-finite
-    latents, a sigma^2 that is not positive and finite, a size, seed or sweep
-    counter that is not a JSON integer, or a negative seed or sweep counter."""
+    """Read a checkpoint written by save_checkpoint; keys other than the state
+    keys form the fingerprint.  ValueError for a missing state key, frames
+    not orthonormal within ORTHONORMALITY_TOL, non-finite latents, a sigma^2
+    that is not positive and finite, a size, seed or sweep counter that is not
+    a JSON integer, or a negative seed or sweep counter."""
     with open(path, "r") as fh:
         doc = json.load(fh)
-    required = {
-        "n", "p", "d", "sigma2", "seed", "counter", "transformations", "latents",
-        "c_strength", "bandwidth", "a2", "eta", "data_sha256",
-    }
-    missing = required - doc.keys()
+    missing = _STATE_KEYS - doc.keys()
     if missing:
         raise ValueError(f"{path}: checkpoint missing fields {sorted(missing)}")
     # bool is an int subclass, and int() would truncate a float: refuse both.
@@ -444,9 +433,5 @@ def load_checkpoint(path) -> CheckpointData:
         counter=counter,
         transformations=v,
         latents=x,
-        c_strength=float(doc["c_strength"]),
-        bandwidth=float(doc["bandwidth"]),
-        a2=math.inf if doc["a2"] == "inf" else float(doc["a2"]),
-        eta=float(doc["eta"]),
-        data_sha256=str(doc["data_sha256"]),
+        fingerprint={k: doc[k] for k in doc.keys() - _STATE_KEYS},
     )

@@ -3,14 +3,15 @@
 Model: y_i = V_i x_i + eps_i with V_i on the Stiefel manifold, eps_i isotropic
 Gaussian with variance sigma^2, latent prior x_i ~ N(0, a^2 I), an MRF prior
 coupling the V_i through Gaussian-kernel weights on the latent positions, and
-a conjugate Gamma(eta/2, rate eta tau^2 / 2) prior on the precision 1/sigma^2
+a conjugate Gamma(ETA/2, rate ETA tau^2 / 2) prior on the precision 1/sigma^2
 (so its prior mean is 1/tau^2).
 
 One sweep updates, in order: every V_i by one column-Gibbs pass (Hoff 2009)
 started from the current V_i, a kernel that leaves its vMF full conditional
 exactly invariant; every x_i from the paper's Gaussian conditional; the
 interaction weights from the new latents (c and w stay fixed); and sigma^2
-from its Gamma full conditional.
+from its Gamma full conditional.  sweep returns the new state and its log
+posterior; run is the one loop over sweeps.
 
 The x-step is the paper's approximation: it ignores that the weights
 lambda_ij depend on x, so the chain does not exactly target
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mrf import InteractionWeights, compute_weights, default_bandwidth, \
-    default_strength, mrf_log_density_unnorm
+from .mrf import BANDWIDTH_FLOOR, InteractionWeights, compute_weights, \
+    default_bandwidth, default_strength, mrf_log_density_unnorm
 from .pca import Dataset, avg_variance, pca_fit, pilot_tau2
 from .stiefel import ORTHONORMALITY_TOL, StiefelPoint, frames_orthonormal, polar_project
 from .vmf import column_gibbs_pass
@@ -35,7 +36,6 @@ __all__ = [
     "HyperParams",
     "ModelState",
     "PosteriorSummary",
-    "SweepStats",
     "default_hyperparams",
     "init_state",
     "update_transformation",
@@ -45,16 +45,17 @@ __all__ = [
     "noise_posterior_params",
     "sweep",
     "sweep_rng",
-    "iterate_sweeps",
     "run",
     "reconstruct_nonlinear",
     "log_posterior_unnorm",
-    "state_from_checkpoint",
 ]
 
 # Keeps sampled noise variances away from exact zero on degenerate
 # (noise-free) data; never binds on data with genuine residual noise.
 SIGMA2_FLOOR = 1e-12
+
+# Shape of the Gamma prior on the precision is ETA/2: an exponential prior.
+ETA = 2.0
 
 # Stream tag separating per-sweep generators from any other use of the seed.
 _SWEEP_STREAM_TAG = 1_000_003
@@ -77,7 +78,6 @@ class HyperParams:
     n_sweeps: int
     burn_in: int
     thin: int
-    eta: float = 2.0
 
     def __post_init__(self):
         if not self.a2 > 0:
@@ -86,12 +86,10 @@ class HyperParams:
             raise ValueError("tau2 must be positive")
         if not 0 < self.c_strength < math.inf:
             raise ValueError("c_strength must be positive and finite")
-        if not 0 < self.bandwidth < math.inf:
-            raise ValueError("bandwidth must be positive and finite")
+        if not BANDWIDTH_FLOOR <= self.bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be finite and >= {BANDWIDTH_FLOOR:g}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
         if self.n_sweeps < 1:
             raise ValueError("n_sweeps must be >= 1")
         if not 0 <= self.burn_in < self.n_sweeps:
@@ -141,14 +139,6 @@ class ModelState:
         )
 
 
-@dataclass
-class SweepStats:
-    """Per-sweep trace row."""
-
-    log_posterior: float
-    sigma2: float
-
-
 @dataclass(eq=False)
 class PosteriorSummary:
     """Posterior sample averages and traces from one Gibbs run.
@@ -176,11 +166,10 @@ def default_hyperparams(
     a2: float | str = "auto",
     c_strength: float | None = None,
     bandwidth: float | None = None,
-    eta: float = 2.0,
 ) -> HyperParams:
     """Pilot-study defaults: tau^2 from the rank-d PCA residual, a^2 from the
     average sample variance, c = 100/n, w = mean pairwise distance of the
-    PCA latents."""
+    PCA latents, raised to BANDWIDTH_FLOOR for data at a tinier scale."""
     fit = pca_fit(data, d)
     tau2 = max(pilot_tau2(data, d), SIGMA2_FLOOR)
     if a2 == "auto":
@@ -189,16 +178,17 @@ def default_hyperparams(
         a2_value = math.inf
     else:
         a2_value = float(a2)
+    if bandwidth is None:
+        bandwidth = max(default_bandwidth(fit.latents), BANDWIDTH_FLOOR)
     return HyperParams(
         a2=a2_value,
         tau2=tau2,
         c_strength=default_strength(data.n) if c_strength is None else c_strength,
-        bandwidth=default_bandwidth(fit.latents) if bandwidth is None else bandwidth,
+        bandwidth=bandwidth,
         d=d,
         n_sweeps=n_sweeps,
         burn_in=burn_in,
         thin=thin,
-        eta=eta,
     )
 
 
@@ -274,10 +264,10 @@ def update_latent(
 def noise_prior_params(hp: HyperParams) -> tuple[float, float]:
     """Gamma (shape, rate) of the prior on the precision 1/sigma^2.
 
-    shape = eta/2 and rate = eta tau^2 / 2, so the prior mean is 1/tau^2 and
+    shape = ETA/2 and rate = ETA tau^2 / 2, so the prior mean is 1/tau^2 and
     the conjugate update adds (np/2, residual/2).
     """
-    return 0.5 * hp.eta, 0.5 * hp.eta * hp.tau2
+    return 0.5 * ETA, 0.5 * ETA * hp.tau2
 
 
 def _total_sq_residual(state: ModelState, data: Dataset) -> float:
@@ -290,7 +280,7 @@ def noise_posterior_params(
     state: ModelState, data: Dataset, hp: HyperParams
 ) -> tuple[float, float]:
     """Gamma (shape, rate) of the precision full conditional:
-    ((eta + np)/2, (eta tau^2 + total squared residual)/2)."""
+    ((ETA + np)/2, (ETA tau^2 + total squared residual)/2)."""
     shape0, rate0 = noise_prior_params(hp)
     n, p = data.y.shape
     return shape0 + 0.5 * n * p, rate0 + 0.5 * _total_sq_residual(state, data)
@@ -324,12 +314,13 @@ def log_posterior_unnorm(state: ModelState, data: Dataset, hp: HyperParams) -> f
 
 def sweep(
     state: ModelState, data: Dataset, hp: HyperParams, rng: np.random.Generator
-) -> tuple[ModelState, SweepStats]:
-    """One full Gibbs pass.  Frames are updated sequentially so each draw
-    conditions on the freshest neighbors; weights are rebuilt from the new
-    latents before the noise update.  The data part y_i x_i^T / sigma^2 of
-    every frame conditional is built once, before the frame loop, because
-    the latents and sigma^2 change only after it."""
+) -> tuple[ModelState, float]:
+    """One full Gibbs pass; returns the new state and its log posterior.
+    Frames are updated sequentially so each draw conditions on the freshest
+    neighbors; weights are rebuilt from the new latents before the noise
+    update.  The data part y_i x_i^T / sigma^2 of every frame conditional is
+    built once, before the frame loop, because the latents and sigma^2
+    change only after it."""
     st = state.copy()
     data_term = (data.y[:, :, None] * st.latents[:, None, :]) / st.sigma2
     for i in range(st.n):
@@ -340,12 +331,7 @@ def sweep(
 
     if not frames_orthonormal(st.transformations):
         raise ArithmeticError("orthonormality lost during sweep")
-
-    stats = SweepStats(
-        log_posterior=log_posterior_unnorm(st, data, hp),
-        sigma2=st.sigma2,
-    )
-    return st, stats
+    return st, log_posterior_unnorm(st, data, hp)
 
 
 def sweep_rng(seed: int, sweep_index: int) -> np.random.Generator:
@@ -357,31 +343,6 @@ def sweep_rng(seed: int, sweep_index: int) -> np.random.Generator:
     return np.random.default_rng([_SWEEP_STREAM_TAG, seed, sweep_index])
 
 
-def _check_state(state: ModelState) -> None:
-    if not frames_orthonormal(state.transformations):
-        raise ValueError(f"frames are not orthonormal within {ORTHONORMALITY_TOL:g}")
-    if not (np.all(np.isfinite(state.latents)) and math.isfinite(state.sigma2)):
-        raise ValueError("latents and sigma2 must be finite")
-
-
-def iterate_sweeps(
-    data: Dataset,
-    hp: HyperParams,
-    seed: int,
-    state: ModelState | None = None,
-    start_sweep: int = 0,
-):
-    """Yield (sweep_index, state, stats) from start_sweep to n_sweeps - 1.
-    sweep checks nothing on entry, so a state passed in must have frames
-    orthonormal within ORTHONORMALITY_TOL and finite latents and sigma^2."""
-    if state is not None:
-        _check_state(state)
-    st = init_state(data, hp) if state is None else state
-    for t in range(start_sweep, hp.n_sweeps):
-        st, stats = sweep(st, data, hp, sweep_rng(seed, t))
-        yield t, st, stats
-
-
 def run(
     data: Dataset,
     hp: HyperParams,
@@ -390,32 +351,41 @@ def run(
     start_sweep: int = 0,
     on_sweep=None,
 ) -> PosteriorSummary:
-    """Run the Gibbs sampler and average the kept post-burn-in states.
+    """Run the Gibbs sampler, the chain's only sweep loop, and average the kept
+    post-burn-in states.  Sweep t, from start_sweep to n_sweeps - 1, draws
+    from sweep_rng(seed, t).  sweep checks nothing on entry, so a state passed
+    in must have frames orthonormal within ORTHONORMALITY_TOL and finite
+    latents and sigma^2, or ValueError is raised before the first sweep.
 
     Sweeps t with t >= burn_in and (t - burn_in) % thin == 0 contribute to the
     running sums.  When resuming (start_sweep > 0) only sweeps from the
     resumed portion are averaged; the state trajectory itself is bit-identical
-    to the unbroken run.  ``on_sweep(t, state, stats)`` is called after every
-    sweep, e.g. to stream a trace file.
+    to the unbroken run.  ``on_sweep(t, state, log_posterior)`` is called
+    after every sweep, e.g. to stream a trace file.
     """
+    if state is not None:
+        if not frames_orthonormal(state.transformations):
+            raise ValueError(f"frames are not orthonormal within {ORTHONORMALITY_TOL:g}")
+        if not (np.all(np.isfinite(state.latents)) and math.isfinite(state.sigma2)):
+            raise ValueError("latents and sigma2 must be finite")
+    st = init_state(data, hp) if state is None else state
     n, p, d = data.n, data.p, hp.d
     sum_v = np.zeros((n, p, d))
     sum_x = np.zeros((n, d))
-    n_kept = 0
     sigma2_trace: list[float] = []
     log_post_trace: list[float] = []
 
-    st = None
-    for t, st, stats in iterate_sweeps(data, hp, seed, state, start_sweep):
-        log_post_trace.append(stats.log_posterior)
+    for t in range(start_sweep, hp.n_sweeps):
+        st, log_post = sweep(st, data, hp, sweep_rng(seed, t))
+        log_post_trace.append(log_post)
         if t >= hp.burn_in and (t - hp.burn_in) % hp.thin == 0:
             sum_v += st.transformations
             sum_x += st.latents
-            n_kept += 1
             sigma2_trace.append(st.sigma2)
         if on_sweep is not None:
-            on_sweep(t, st, stats)
-    if st is None or n_kept == 0:
+            on_sweep(t, st, log_post)
+    n_kept = len(sigma2_trace)
+    if n_kept == 0:
         raise ValueError("no sweeps were kept; check n_sweeps/burn_in/start_sweep")
 
     mean_frames = [polar_project(sum_v[i] / n_kept) for i in range(n)]
@@ -434,20 +404,3 @@ def reconstruct_nonlinear(summary: PosteriorSummary) -> np.ndarray:
     """Reconstructions from the posterior means: row i is V_i x_i."""
     v = np.stack([f.matrix for f in summary.mean_transformations])
     return np.einsum("npd,nd->np", v, summary.mean_latents)
-
-
-def state_from_checkpoint(
-    transformations: np.ndarray,
-    latents: np.ndarray,
-    sigma2: float,
-    hp: HyperParams,
-) -> ModelState:
-    """Rebuild a ModelState from checkpointed arrays, recomputing the
-    interaction weights from the stored latents under the given c and w."""
-    weights = compute_weights(latents, hp.c_strength, hp.bandwidth)
-    return ModelState(
-        transformations=np.asarray(transformations, dtype=float),
-        latents=np.asarray(latents, dtype=float),
-        sigma2=float(sigma2),
-        weights=weights,
-    )

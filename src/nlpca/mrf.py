@@ -24,8 +24,8 @@ __all__ = [
     "mrf_log_density_unnorm",
 ]
 
-# Lower bound on the kernel width so degenerate latent configurations cannot
-# divide by zero.
+# Smallest kernel width accepted, so that degenerate latent configurations
+# cannot divide by zero.
 BANDWIDTH_FLOOR = 1e-8
 
 
@@ -80,18 +80,17 @@ def compute_weights(
     """Gaussian-kernel couplings lambda_ij = c * exp(-||x_i - x_j||^2 / (2 w^2))."""
     if c_strength <= 0:
         raise ValueError(f"c_strength must be positive, got {c_strength}")
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    if not bandwidth >= BANDWIDTH_FLOOR:
+        raise ValueError(f"bandwidth must be >= {BANDWIDTH_FLOOR:g}, got {bandwidth}")
     x = np.atleast_2d(np.asarray(latents, dtype=float))
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least two latent points")
-    w = max(bandwidth, BANDWIDTH_FLOOR)
     diff = x[:, None, :] - x[None, :, :]
     sq_dist = np.einsum("ijk,ijk->ij", diff, diff)
-    lam = c_strength * np.exp(-sq_dist / (2.0 * w * w))
+    lam = c_strength * np.exp(-sq_dist / (2.0 * bandwidth * bandwidth))
     np.fill_diagonal(lam, 0.0)
-    return InteractionWeights(lam=lam, c_strength=c_strength, bandwidth=w)
+    return InteractionWeights(lam=lam, c_strength=c_strength, bandwidth=bandwidth)
 
 
 def default_bandwidth(latents: np.ndarray) -> float:

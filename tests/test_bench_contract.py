@@ -2,7 +2,7 @@
 
 perfbench/launch.py rebinds every function named in its LAYERS table inside
 the nlpca modules, and times one sweep per call of nlpca.gibbs.sweep, which
-iterate_sweeps must therefore look up by its global name once per sweep.
+run must therefore look up by its global name once per sweep.
 Likewise sweep must look up nlpca.gibbs.update_transformation once per site.
 """
 

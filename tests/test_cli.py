@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_digit_corpus
+import nlpca.vmf
 from nlpca.cli import main
 from nlpca.datasets import (
     export_matrix_csv,
@@ -328,9 +329,11 @@ class TestFit:
         rng = np.random.default_rng(5)
         path = self.make_input(tmp_path, rng)
         out = tmp_path / "out"
-        code = main(["fit", str(path), "--dim", "1", flag, "inf", "--out", str(out)])
-        assert code == 1
-        assert not out.exists()
+        # --w below the kernel-width floor is refused, not clamped.
+        for value in ("inf", "1e-9") if flag == "--w" else ("inf",):
+            code = main(["fit", str(path), "--dim", "1", flag, value, "--out", str(out)])
+            assert code == 1, value
+            assert not out.exists()
 
     def fit_half_chain(self, tmp_path, path):
         half = tmp_path / "half"
@@ -343,7 +346,7 @@ class TestFit:
     @pytest.mark.parametrize(
         "corruption",
         ["frame_scaled", "nan_latent", "negative_sigma2", "negative_seed", "negative_counter",
-         "fractional_seed", "boolean_counter"],
+         "fractional_seed", "boolean_counter", "missing_eta"],
     )
     def test_corrupt_checkpoint_is_input_error_before_output(
         self, tmp_path, capsys, corruption
@@ -362,6 +365,8 @@ class TestFit:
             doc["seed"] = 3.9
         elif corruption == "boolean_counter":
             doc["counter"] = True
+        elif corruption == "missing_eta":
+            del doc["eta"]
         else:
             doc[corruption.removeprefix("negative_")] = -1
         checkpoint.write_text(json.dumps(doc))
@@ -379,13 +384,15 @@ class TestFit:
         path = self.make_input(tmp_path, rng, n=8, p=4)
         checkpoint = self.fit_half_chain(tmp_path, path)
         out = tmp_path / "resumed"
-        code = main(
-            ["fit", str(path), "--dim", "2", "--sweeps", "12", "--burn-in", "2",
-             "--c", "0.5", "--resume", str(checkpoint), "--out", str(out)]
-        )
-        assert code == 1
-        assert "--c" in capsys.readouterr().err
-        assert not out.exists()
+        for flag, value in (("--c", "0.5"), ("--w", "0.5"), ("--a2", "inf")):
+            code = main(
+                ["fit", str(path), "--dim", "2", "--sweeps", "12", "--burn-in", "2",
+                 flag, value, "--resume", str(checkpoint), "--out", str(out)]
+            )
+            assert code == 1, flag
+            err = capsys.readouterr().err
+            assert flag in err and "differ" in err, flag
+            assert not out.exists()
 
     def test_resume_with_different_data_is_refused(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
@@ -458,6 +465,18 @@ class TestVmfDiag:
         fields = diag_fields(capsys.readouterr().out)
         assert fields["frame_kernel"] == FRAME_KERNEL == "column_gibbs_1pass_from_current"
         assert float(fields["z_score"]) <= 3.0
+
+    def test_detects_kernel_drawing_at_half_kappa(self, capsys, monkeypatch):
+        # At kappa = 1e16 the spread of x[0, 0] is below the spacing of doubles
+        # near 1, so only a test on the gap 1 - x[0, 0] can see this bias.
+        draw = nlpca.vmf._vmf_vector_draw
+        monkeypatch.setattr(
+            nlpca.vmf, "_vmf_vector_draw", lambda mu, kappa, rng: draw(mu, 0.5 * kappa, rng)
+        )
+        code = main(["vmf-diag", "--p", "2", "--d-frame", "1", "--kappa", "1e16",
+                     "--samples", "4000", "--seed", "0"])
+        assert code == 0
+        assert float(diag_fields(capsys.readouterr().out)["z_score"]) > 5.0
 
     def test_moderate_kappa_matches_quadrature(self, capsys):
         code = main(["vmf-diag", "--p", "2", "--d-frame", "1", "--kappa", "2",

@@ -307,9 +307,10 @@ class TestCsvRoundTrip:
         assert len(lines) == 3
 
 
-FINGERPRINT = dict(
-    c_strength=0.1, bandwidth=1.0 / 3.0, a2=math.inf, eta=2.0, data_hash="ab" * 32
-)
+FINGERPRINT = {
+    "c_strength": 0.1, "bandwidth": 1.0 / 3.0, "a2": "inf", "eta": 2.0,
+    "data_sha256": "ab" * 32,
+}
 
 
 class TestCheckpoint:
@@ -321,7 +322,7 @@ class TestCheckpoint:
         path = tmp_path / "ck.json"
         save_checkpoint(
             path, transformations=v, latents=x, sigma2=0.125, seed=42, counter=17,
-            **FINGERPRINT,
+            fingerprint=FINGERPRINT,
         )
         ck = load_checkpoint(path)
         assert isinstance(ck, CheckpointData)
@@ -330,8 +331,7 @@ class TestCheckpoint:
         assert (ck.seed, ck.counter) == (42, 17)
         assert np.array_equal(ck.transformations, v)
         assert np.array_equal(ck.latents, x)
-        assert (ck.c_strength, ck.bandwidth, ck.a2, ck.eta) == (0.1, 1.0 / 3.0, math.inf, 2.0)
-        assert ck.data_sha256 == "ab" * 32
+        assert ck.fingerprint == FINGERPRINT
         assert [f.name for f in tmp_path.iterdir()] == ["ck.json"]
 
     def test_schema_fields_present(self, tmp_path):
@@ -343,7 +343,7 @@ class TestCheckpoint:
             sigma2=1.0,
             seed=0,
             counter=0,
-            **FINGERPRINT,
+            fingerprint=FINGERPRINT,
         )
         doc = json.loads(path.read_text())
         assert set(doc) == {

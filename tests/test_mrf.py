@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nlpca.mrf import (
+    BANDWIDTH_FLOOR,
     InteractionWeights,
     compute_weights,
     conditional_param,
@@ -63,6 +64,13 @@ class TestComputeWeights:
             compute_weights(x, c_strength=1.0, bandwidth=-1.0)
         with pytest.raises(ValueError):
             compute_weights(np.zeros((1, 2)), 1.0, 1.0)
+
+    def test_bandwidth_below_floor_refused(self):
+        x = np.array([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="bandwidth"):
+            compute_weights(x, c_strength=1.0, bandwidth=0.1 * BANDWIDTH_FLOOR)
+        weights = compute_weights(x, c_strength=1.0, bandwidth=BANDWIDTH_FLOOR)
+        assert weights.bandwidth == BANDWIDTH_FLOOR
 
     def test_invariants_validated_on_construction(self):
         with pytest.raises(ValueError):

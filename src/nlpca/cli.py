@@ -54,6 +54,8 @@ from .gibbs import (
     HyperParams,
     ModelState,
     default_hyperparams,
+    init_state,
+    kept_sweeps,
     reconstruct_nonlinear,
     run,
 )
@@ -64,7 +66,7 @@ from .metrics import (
     reconstruction_errors,
 )
 from .mrf import BANDWIDTH_FLOOR, compute_weights
-from .pca import center, pca_fit, reconstruct_linear
+from .pca import PcaFit, center, pca_fit, reconstruct_linear
 from .vmf import column_gibbs_pass
 
 EXIT_OK = 0
@@ -180,14 +182,15 @@ def _add_common_options(sub) -> None:
     sub.add_argument("--out", type=str, default="out", help="output directory")
 
 
-def _chain_hyperparams(args, data) -> HyperParams:
-    """Pilot-study hyperparameters under the chain flags, once --dim is
-    known to fit the data."""
+def _pilot(args, data) -> tuple[PcaFit, HyperParams]:
+    """The command's one rank-d PCA fit, once --dim is known to fit the data,
+    and the pilot-study hyperparameters it gives under the chain flags."""
     if args.dim > min(data.n, data.p):
         raise UsageError(f"--dim must be <= min(n, p) = {min(data.n, data.p)}")
-    return default_hyperparams(
+    fit = pca_fit(data, args.dim)
+    return fit, default_hyperparams(
         data,
-        args.dim,
+        fit,
         n_sweeps=args.sweeps,
         burn_in=args.burn_in,
         thin=args.thin,
@@ -255,16 +258,14 @@ def cmd_sphere_demo(args) -> int:
 
     rng = np.random.default_rng([_DATA_STREAM_TAG, seed])
     raw, data = generate_sphere(args.n, args.noise, rng)
-    hp = _chain_hyperparams(args, data)
-
-    fit = pca_fit(data, args.dim)
+    fit, hp = _pilot(args, data)
     pca_recon = reconstruct_linear(fit)
     pca_errors = reconstruction_errors(data.y, pca_recon)
     # Rank-d optimum from the trailing singular values, cross-checking the fit.
     all_sv = np.linalg.svd(data.y / np.sqrt(data.n), compute_uv=False)
     pca_total_analytic = float(data.n * np.sum(all_sv[args.dim:] ** 2))
 
-    out, summary = _run_chain(args, data, hp, seed, state=None, start_sweep=0)
+    out, summary = _run_chain(args, data, hp, seed, init_state(fit, hp), 0)
     model_recon = reconstruct_nonlinear(summary)
     model_errors = reconstruction_errors(data.y, model_recon)
     model_recon_raw = model_recon + data.column_means
@@ -334,12 +335,10 @@ def cmd_digits_demo(args) -> int:
     except ValueError as err:
         raise InputFileError(f"{args.labels}: {err}") from err
     data = to_dataset(subset)
-    hp = _chain_hyperparams(args, data)
-
-    fit = pca_fit(data, args.dim)
+    fit, hp = _pilot(args, data)
     pca_mismatch = nn_mismatch_count(fit.latents, data.labels)
 
-    out, summary = _run_chain(args, data, hp, seed, state=None, start_sweep=0)
+    out, summary = _run_chain(args, data, hp, seed, init_state(fit, hp), 0)
     model_mismatch = nn_mismatch_count(summary.mean_latents, data.labels)
 
     export_matrix_csv(out / "pca_latents.csv", fit.latents, labels=data.labels)
@@ -374,12 +373,13 @@ def cmd_fit(args) -> int:
     if matrix.shape[0] < 2:
         raise UsageError(f"need at least 2 rows, got {matrix.shape[0]}")
     data = center(matrix, labels=labels)
-    hp = _chain_hyperparams(args, data)
+    fit, hp = _pilot(args, data)
 
     fingerprint = {**_chain_settings(hp), "data_sha256": data_sha256(data.y)}
-    state = None
     start_sweep = 0
-    if args.resume is not None:
+    if args.resume is None:
+        state = init_state(fit, hp)
+    else:
         ck = _read_input(args.resume, load_checkpoint, args.resume)
         missing = fingerprint.keys() - ck.fingerprint.keys()
         if missing:
@@ -392,6 +392,11 @@ def cmd_fit(args) -> int:
         if ck.counter >= args.sweeps:
             raise UsageError(
                 f"checkpoint already has {ck.counter} sweeps; --sweeps is {args.sweeps}"
+            )
+        if not kept_sweeps(hp, ck.counter):
+            raise UsageError(
+                f"--sweeps {args.sweeps}, --burn-in {args.burn_in} and --thin {args.thin} "
+                f"keep no sweep after the checkpoint's {ck.counter}"
             )
         changed = [
             source

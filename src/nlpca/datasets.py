@@ -94,68 +94,55 @@ def generate_sphere(
     return raw, center(raw)
 
 
-def _read_header_fields(data: bytes, path, expected_magic: int, n_fields: int) -> tuple[int, ...]:
+def _read_idx(path, magic: int, fields: tuple[str, ...], payload: str):
+    """Read an IDX file: the big-endian uint32 magic, one uint32 per name in
+    fields, then as many uint8 bytes as their product.  Returns the header
+    values and the payload; IdxFormatError names the offending offset."""
+    data = Path(path).read_bytes()
     # The magic is checked before the header length so that a too-short file
     # of the wrong kind is still reported as a magic mismatch.
     if len(data) < 4:
+        raise IdxFormatError(f"{path}: truncated header, file ends at offset {len(data)}")
+    found = struct.unpack(">I", data[:4])[0]
+    if found != magic:
         raise IdxFormatError(
-            f"{path}: truncated header, file ends at offset {len(data)}"
+            f"{path}: wrong magic 0x{found:08x} at offset 0 (expected 0x{magic:08x})"
         )
-    magic = struct.unpack(">I", data[:4])[0]
-    if magic != expected_magic:
+    start = 4 + 4 * len(fields)
+    if len(data) < start:
         raise IdxFormatError(
-            f"{path}: wrong magic 0x{magic:08x} at offset 0 "
-            f"(expected 0x{expected_magic:08x})"
+            f"{path}: truncated header, file ends at offset {len(data)} (need {start} bytes)"
         )
-    header_len = 4 * n_fields
-    if len(data) < header_len:
+    values = struct.unpack(f">{len(fields)}I", data[4:start])
+    for k, (name, value) in enumerate(zip(fields, values)):
+        if value > 2**31 - 1:
+            raise IdxFormatError(
+                f"{path}: {name} {value} at offset {4 + 4 * k} overflows a signed int32"
+            )
+    expected = start + math.prod(values)
+    if len(data) < expected:
         raise IdxFormatError(
-            f"{path}: truncated header, file ends at offset {len(data)} "
-            f"(need {header_len} bytes)"
+            f"{path}: truncated file, ends at offset {len(data)} "
+            f"({payload} data needs {expected} bytes)"
         )
-    return struct.unpack(f">{n_fields}I", data[:header_len])
+    if len(data) > expected:
+        raise IdxFormatError(f"{path}: trailing bytes after offset {expected}")
+    return values, np.frombuffer(data, dtype=np.uint8, offset=start).copy()
 
 
 def load_idx_images(path) -> tuple[np.ndarray, int, int]:
-    """Parse a big-endian IDX image file; returns (n x (rows*cols) uint8, rows, cols)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    _, count, rows, cols = _read_header_fields(data, path, IDX_IMAGE_MAGIC, 4)
-    for offset, name, value in ((4, "count", count), (8, "rows", rows), (12, "cols", cols)):
-        if value > 2**31 - 1:
-            raise IdxFormatError(
-                f"{path}: {name} {value} at offset {offset} overflows a signed int32"
-            )
-    expected = 16 + count * rows * cols
-    if len(data) < expected:
-        raise IdxFormatError(
-            f"{path}: truncated file, ends at offset {len(data)} "
-            f"(pixel data needs {expected} bytes)"
-        )
-    if len(data) > expected:
-        raise IdxFormatError(f"{path}: trailing bytes after offset {expected}")
-    images = np.frombuffer(data, dtype=np.uint8, offset=16).reshape(count, rows * cols)
-    return images.copy(), rows, cols
+    """Parse a big-endian IDX image file; returns (n x (rows*cols) uint8, rows,
+    cols).  IdxFormatError names the offset of what is malformed (_read_idx)."""
+    (count, rows, cols), pixels = _read_idx(
+        path, IDX_IMAGE_MAGIC, ("count", "rows", "cols"), "pixel"
+    )
+    return pixels.reshape(count, rows * cols), rows, cols
 
 
 def load_idx_labels(path) -> np.ndarray:
-    """Parse a big-endian IDX label file; returns an n-vector of uint8 labels."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    _, count = _read_header_fields(data, path, IDX_LABEL_MAGIC, 2)
-    if count > 2**31 - 1:
-        raise IdxFormatError(
-            f"{path}: count {count} at offset 4 overflows a signed int32"
-        )
-    expected = 8 + count
-    if len(data) < expected:
-        raise IdxFormatError(
-            f"{path}: truncated file, ends at offset {len(data)} "
-            f"(label data needs {expected} bytes)"
-        )
-    if len(data) > expected:
-        raise IdxFormatError(f"{path}: trailing bytes after offset {expected}")
-    return np.frombuffer(data, dtype=np.uint8, offset=8).copy()
+    """Parse a big-endian IDX label file; returns an n-vector of uint8 labels.
+    IdxFormatError names the offset of what is malformed (_read_idx)."""
+    return _read_idx(path, IDX_LABEL_MAGIC, ("count",), "label")[1]
 
 
 def load_image_set(images_path, labels_path) -> RawImageSet:
@@ -276,13 +263,21 @@ def export_matrix_csv(path, matrix: np.ndarray, labels=None, prefix: str = "late
 
 
 def import_matrix_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverse of export_matrix_csv; returns (matrix, labels-or-None)."""
+    """Inverse of export_matrix_csv; returns (matrix, labels-or-None).  The
+    first line must be the header: ValueError if every field of it is a
+    number, as in a file written without one."""
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
+        try:
+            numbers = [float(v) for v in header]
+        except ValueError:
+            numbers = None
+        if numbers:
+            raise ValueError(f"{path}: line 1: all fields are numbers, expected a header row")
         has_labels = bool(header) and header[-1] == "label"
         n_cols = len(header) - int(has_labels)
         values, labels = [], []

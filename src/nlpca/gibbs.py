@@ -11,7 +11,9 @@ started from the current V_i, a kernel that leaves its vMF full conditional
 exactly invariant; every x_i from the paper's Gaussian conditional; the
 interaction weights from the new latents (c and w stay fixed); and sigma^2
 from its Gamma full conditional.  sweep returns the new state and its log
-posterior; run is the one loop over sweeps.
+posterior; run is the one loop over sweeps, from the state it is given:
+init_state(fit, hp) for a fresh chain, where fit is the rank-d PCA fit that
+default_hyperparams also reads.
 
 The x-step is the paper's approximation: it ignores that the weights
 lambda_ij depend on x, so the chain does not exactly target
@@ -28,8 +30,8 @@ import numpy as np
 
 from .mrf import BANDWIDTH_FLOOR, InteractionWeights, compute_weights, \
     default_bandwidth, default_strength, mrf_log_density_unnorm
-from .pca import Dataset, avg_variance, pca_fit, pilot_tau2
-from .stiefel import ORTHONORMALITY_TOL, StiefelPoint, frames_orthonormal, polar_project
+from .pca import Dataset, PcaFit, avg_variance, pilot_tau2
+from .stiefel import ORTHONORMALITY_TOL, frames_orthonormal, polar_project
 from .vmf import column_gibbs_pass
 
 __all__ = [
@@ -45,6 +47,7 @@ __all__ = [
     "noise_posterior_params",
     "sweep",
     "sweep_rng",
+    "kept_sweeps",
     "run",
     "reconstruct_nonlinear",
     "log_posterior_unnorm",
@@ -143,11 +146,11 @@ class ModelState:
 class PosteriorSummary:
     """Posterior sample averages and traces from one Gibbs run.
 
-    Per-site mean frames are entrywise averages of the kept draws projected
-    back to the Stiefel manifold; latents are plain averages.
+    Frames and latents are entrywise averages of the kept draws; the mean
+    frames are not projected back to the Stiefel manifold.
     """
 
-    mean_transformations: list[StiefelPoint]
+    mean_transformations: np.ndarray  # (n, p, d)
     mean_latents: np.ndarray
     sigma2_trace: np.ndarray  # one entry per kept sweep
     log_posterior_trace: np.ndarray  # one entry per sweep
@@ -158,7 +161,7 @@ class PosteriorSummary:
 
 def default_hyperparams(
     data: Dataset,
-    d: int,
+    fit: PcaFit,
     *,
     n_sweeps: int = 2000,
     burn_in: int = 1000,
@@ -167,11 +170,10 @@ def default_hyperparams(
     c_strength: float | None = None,
     bandwidth: float | None = None,
 ) -> HyperParams:
-    """Pilot-study defaults: tau^2 from the rank-d PCA residual, a^2 from the
-    average sample variance, c = 100/n, w = mean pairwise distance of the
-    PCA latents, raised to BANDWIDTH_FLOOR for data at a tinier scale."""
-    fit = pca_fit(data, d)
-    tau2 = max(pilot_tau2(data, d), SIGMA2_FLOOR)
+    """Pilot-study defaults from fit, the rank-d PCA fit of data: d, tau^2 from
+    its residual, a^2 from the average sample variance, c = 100/n, w = mean
+    pairwise distance of its latents, raised to BANDWIDTH_FLOOR if tinier."""
+    tau2 = max(pilot_tau2(data, fit), SIGMA2_FLOOR)
     if a2 == "auto":
         a2_value = avg_variance(data)
     elif a2 == "inf":
@@ -185,26 +187,22 @@ def default_hyperparams(
         tau2=tau2,
         c_strength=default_strength(data.n) if c_strength is None else c_strength,
         bandwidth=bandwidth,
-        d=d,
+        d=fit.loadings.d,
         n_sweeps=n_sweeps,
         burn_in=burn_in,
         thin=thin,
     )
 
 
-def init_state(data: Dataset, hp: HyperParams) -> ModelState:
-    """PCA initialization: every frame is the PCA loading, latents are the
-    orthonormal projections V^T y_i, and sigma^2 starts at tau^2."""
-    fit = pca_fit(data, hp.d)
-    v = fit.loadings.matrix
-    transformations = np.repeat(v[None, :, :], data.n, axis=0)
+def init_state(fit: PcaFit, hp: HyperParams) -> ModelState:
+    """Start state at the PCA fit: every frame is the fit's loading, latents
+    are a copy of its projections V^T y_i, and sigma^2 starts at tau^2."""
     latents = fit.latents.copy()
-    weights = compute_weights(latents, hp.c_strength, hp.bandwidth)
     return ModelState(
-        transformations=transformations,
+        transformations=np.repeat(fit.loadings.matrix[None], latents.shape[0], axis=0),
         latents=latents,
         sigma2=hp.tau2,
-        weights=weights,
+        weights=compute_weights(latents, hp.c_strength, hp.bandwidth),
     )
 
 
@@ -343,64 +341,66 @@ def sweep_rng(seed: int, sweep_index: int) -> np.random.Generator:
     return np.random.default_rng([_SWEEP_STREAM_TAG, seed, sweep_index])
 
 
+def kept_sweeps(hp: HyperParams, start_sweep: int) -> range:
+    """The sweeps t in [start_sweep, n_sweeps) that the posterior averages
+    keep: t >= burn_in and (t - burn_in) % thin == 0."""
+    kept = range(hp.burn_in, hp.n_sweeps, hp.thin)
+    return kept[max(0, math.ceil((start_sweep - hp.burn_in) / hp.thin)):]
+
+
 def run(
     data: Dataset,
     hp: HyperParams,
     seed: int,
-    state: ModelState | None = None,
+    state: ModelState,
     start_sweep: int = 0,
     on_sweep=None,
 ) -> PosteriorSummary:
-    """Run the Gibbs sampler, the chain's only sweep loop, and average the kept
-    post-burn-in states.  Sweep t, from start_sweep to n_sweeps - 1, draws
-    from sweep_rng(seed, t).  sweep checks nothing on entry, so a state passed
-    in must have frames orthonormal within ORTHONORMALITY_TOL and finite
-    latents and sigma^2, or ValueError is raised before the first sweep.
-
-    Sweeps t with t >= burn_in and (t - burn_in) % thin == 0 contribute to the
-    running sums.  When resuming (start_sweep > 0) only sweeps from the
-    resumed portion are averaged; the state trajectory itself is bit-identical
-    to the unbroken run.  ``on_sweep(t, state, log_posterior)`` is called
-    after every sweep, e.g. to stream a trace file.
+    """Run the Gibbs sampler, the chain's only sweep loop, from state: a fresh
+    chain's init_state(fit, hp), or a checkpoint's state after sweep
+    start_sweep - 1.  Sweep t, from start_sweep to n_sweeps - 1, draws from
+    sweep_rng(seed, t), so the trajectory is bit-identical to the unbroken
+    run's, and the states of kept_sweeps(hp, start_sweep) are averaged.
+    sweep checks nothing on entry, so ValueError is raised before the first
+    sweep unless state has frames orthonormal within ORTHONORMALITY_TOL and
+    finite latents and sigma^2, and some sweep is kept.
+    ``on_sweep(t, state, log_posterior)`` is called after every sweep, e.g.
+    to stream a trace file.
     """
-    if state is not None:
-        if not frames_orthonormal(state.transformations):
-            raise ValueError(f"frames are not orthonormal within {ORTHONORMALITY_TOL:g}")
-        if not (np.all(np.isfinite(state.latents)) and math.isfinite(state.sigma2)):
-            raise ValueError("latents and sigma2 must be finite")
-    st = init_state(data, hp) if state is None else state
-    n, p, d = data.n, data.p, hp.d
-    sum_v = np.zeros((n, p, d))
-    sum_x = np.zeros((n, d))
+    if not frames_orthonormal(state.transformations):
+        raise ValueError(f"frames are not orthonormal within {ORTHONORMALITY_TOL:g}")
+    if not (np.all(np.isfinite(state.latents)) and math.isfinite(state.sigma2)):
+        raise ValueError("latents and sigma2 must be finite")
+    kept = kept_sweeps(hp, start_sweep)
+    if not kept:
+        raise ValueError("no sweeps were kept; check n_sweeps/burn_in/start_sweep")
+    sum_v = np.zeros_like(state.transformations)
+    sum_x = np.zeros_like(state.latents)
     sigma2_trace: list[float] = []
     log_post_trace: list[float] = []
 
     for t in range(start_sweep, hp.n_sweeps):
-        st, log_post = sweep(st, data, hp, sweep_rng(seed, t))
+        state, log_post = sweep(state, data, hp, sweep_rng(seed, t))
         log_post_trace.append(log_post)
-        if t >= hp.burn_in and (t - hp.burn_in) % hp.thin == 0:
-            sum_v += st.transformations
-            sum_x += st.latents
-            sigma2_trace.append(st.sigma2)
+        if t in kept:
+            sum_v += state.transformations
+            sum_x += state.latents
+            sigma2_trace.append(state.sigma2)
         if on_sweep is not None:
-            on_sweep(t, st, log_post)
-    n_kept = len(sigma2_trace)
-    if n_kept == 0:
-        raise ValueError("no sweeps were kept; check n_sweeps/burn_in/start_sweep")
-
-    mean_frames = [polar_project(sum_v[i] / n_kept) for i in range(n)]
+            on_sweep(t, state, log_post)
     return PosteriorSummary(
-        mean_transformations=mean_frames,
-        mean_latents=sum_x / n_kept,
+        mean_transformations=sum_v / len(kept),
+        mean_latents=sum_x / len(kept),
         sigma2_trace=np.asarray(sigma2_trace),
         log_posterior_trace=np.asarray(log_post_trace),
-        n_kept=n_kept,
-        total_draws=n * len(log_post_trace),
-        final_state=st,
+        n_kept=len(kept),
+        total_draws=data.n * len(log_post_trace),
+        final_state=state,
     )
 
 
 def reconstruct_nonlinear(summary: PosteriorSummary) -> np.ndarray:
-    """Reconstructions from the posterior means: row i is V_i x_i."""
-    v = np.stack([f.matrix for f in summary.mean_transformations])
+    """Reconstructions from the posterior means: row i is V_i x_i, with the
+    mean frame V_i projected back to the Stiefel manifold by polar_project."""
+    v = np.stack([polar_project(m).matrix for m in summary.mean_transformations])
     return np.einsum("npd,nd->np", v, summary.mean_latents)

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mrf import pairwise_sq_distances
+
 __all__ = [
     "HistogramSpec",
     "reconstruction_errors",
@@ -66,15 +68,10 @@ def nn_mismatch_count(latents: np.ndarray, labels: np.ndarray) -> int:
     """
     if labels is None:
         raise ValueError("labels are required")
-    x = np.atleast_2d(np.asarray(latents, dtype=float))
+    sq = pairwise_sq_distances(latents)
     labels = np.asarray(labels)
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("need at least two points")
-    if labels.shape != (n,):
+    if labels.shape != (sq.shape[0],):
         raise ValueError("labels must have one entry per point")
-    diff = x[:, None, :] - x[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
     np.fill_diagonal(sq, np.inf)
     nearest = np.argmin(sq, axis=1)  # argmin takes the first, i.e. smallest index
     return int(np.sum(labels[nearest] != labels))

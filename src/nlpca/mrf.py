@@ -20,6 +20,7 @@ __all__ = [
     "compute_weights",
     "default_bandwidth",
     "default_strength",
+    "pairwise_sq_distances",
     "conditional_param",
     "mrf_log_density_unnorm",
 ]
@@ -74,6 +75,15 @@ def _stack_frames(transformations) -> np.ndarray:
     return v
 
 
+def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
+    """n x n squared Euclidean distances between the rows of points, n >= 2."""
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    if x.shape[0] < 2:
+        raise ValueError("need at least two points")
+    diff = x[:, None, :] - x[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def compute_weights(
     latents: np.ndarray, c_strength: float, bandwidth: float
 ) -> InteractionWeights:
@@ -82,12 +92,7 @@ def compute_weights(
         raise ValueError(f"c_strength must be positive, got {c_strength}")
     if not bandwidth >= BANDWIDTH_FLOOR:
         raise ValueError(f"bandwidth must be >= {BANDWIDTH_FLOOR:g}, got {bandwidth}")
-    x = np.atleast_2d(np.asarray(latents, dtype=float))
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("need at least two latent points")
-    diff = x[:, None, :] - x[None, :, :]
-    sq_dist = np.einsum("ijk,ijk->ij", diff, diff)
+    sq_dist = pairwise_sq_distances(latents)
     lam = c_strength * np.exp(-sq_dist / (2.0 * bandwidth * bandwidth))
     np.fill_diagonal(lam, 0.0)
     return InteractionWeights(lam=lam, c_strength=c_strength, bandwidth=bandwidth)
@@ -95,13 +100,8 @@ def compute_weights(
 
 def default_bandwidth(latents: np.ndarray) -> float:
     """Mean pairwise Euclidean distance between the latent points."""
-    x = np.atleast_2d(np.asarray(latents, dtype=float))
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("need at least two latent points")
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    iu = np.triu_indices(n, k=1)
+    dist = np.sqrt(pairwise_sq_distances(latents))
+    iu = np.triu_indices(dist.shape[0], k=1)
     w = float(dist[iu].mean())
     if w == 0.0:
         raise ValueError("all latent points are identical; bandwidth would be zero")

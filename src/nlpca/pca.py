@@ -108,9 +108,8 @@ def reconstruct_linear(fit: PcaFit) -> np.ndarray:
     return fit.latents @ fit.loadings.matrix.T
 
 
-def pilot_tau2(data: Dataset, d: int) -> float:
-    """Mean squared residual per scalar entry of the rank-d PCA reconstruction."""
-    fit = pca_fit(data, d)
+def pilot_tau2(data: Dataset, fit: PcaFit) -> float:
+    """Mean squared residual per scalar entry of data's reconstruction by fit."""
     resid = data.y - reconstruct_linear(fit)
     n, p = data.y.shape
     return float(np.sum(resid * resid) / (n * p))

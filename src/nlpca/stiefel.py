@@ -16,7 +16,6 @@ __all__ = [
     "ORTHONORMALITY_TOL",
     "DERIVED_TOL",
     "StiefelPoint",
-    "SvdFactors",
     "is_orthonormal",
     "frames_orthonormal",
     "thin_svd",
@@ -74,28 +73,19 @@ class StiefelPoint:
         return self.matrix.shape[1]
 
 
-@dataclass(eq=False)
-class SvdFactors:
-    """Thin SVD m = u @ diag(singular_values) @ v.T with u p x d and v d x d."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-
-def thin_svd(m: np.ndarray) -> SvdFactors:
-    """Thin SVD with the reconstruction checked to 1e-8 relative Frobenius error."""
+def thin_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vt) with m = u @ diag(s) @ vt and s descending; the
+    reconstruction is checked to 1e-8 relative Frobenius error."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    factors = SvdFactors(u=u, singular_values=s, v=vt.T)
     scale = np.linalg.norm(m)
     if scale > 0:
         err = np.linalg.norm(u @ np.diag(s) @ vt - m) / scale
         if err > DERIVED_TOL:
             raise ArithmeticError(f"SVD reconstruction error {err:.3e} exceeds 1e-8")
-    return factors
+    return u, s, vt
 
 
 def _uniform_unit_vector(p: int, rng: np.random.Generator) -> np.ndarray:
@@ -151,8 +141,7 @@ def polar_project(m: np.ndarray) -> StiefelPoint:
     the maximizer non-unique; the degenerate directions are completed from the
     SVD's own bases and a RuntimeWarning is emitted.
     """
-    factors = thin_svd(m)
-    s = factors.singular_values
+    u, s, vt = thin_svd(m)
     if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
         warnings.warn(
             "polar_project: input is numerically rank-deficient; "
@@ -160,4 +149,4 @@ def polar_project(m: np.ndarray) -> StiefelPoint:
             RuntimeWarning,
             stacklevel=2,
         )
-    return StiefelPoint(factors.u @ factors.v.T)
+    return StiefelPoint(u @ vt)

@@ -105,7 +105,7 @@ def vmf_sample_rejection(
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     p, d = c.p, c.d
-    log_envelope = float(thin_svd(c.c_matrix).singular_values.sum())
+    log_envelope = float(thin_svd(c.c_matrix)[1].sum())
     for attempt in range(1, max_attempts + 1):
         x = sample_uniform_stiefel(p, d, rng)
         log_accept = float(np.sum(c.c_matrix * x.matrix)) - log_envelope

@@ -1,13 +1,16 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and inputs for the test suite.
 
-These are kept deliberately independent of the library code paths they are
-used to check: plain 1-D quadrature and brute-force summation only.
+The oracles are kept deliberately independent of the library code paths they
+are used to check: plain 1-D quadrature and brute-force summation only.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
-import numpy as np
 from scipy import integrate
+
+DIGITS = Path(__file__).resolve().parents[1] / "perfbench" / "digits.py"
 
 
 def circle_vmf_moment(kappa, fn):
@@ -63,51 +66,13 @@ def sphere_cosine_moment(kappa, p, moment=1):
     return num / den
 
 
-def _paint_segment(img, r0, c0, r1, c1, thickness, value):
-    """Rasterize a line segment onto a 2-D uint8 canvas."""
-    length = int(round(max(abs(r1 - r0), abs(c1 - c0), 1)))
-    side = np.arange(-thickness, thickness + 1)
-    for t in np.linspace(0.0, 1.0, 3 * length + 1):
-        r = r0 + t * (r1 - r0)
-        c = c0 + t * (c1 - c0)
-        for dr in side:
-            for dc in side:
-                if dr * dr + dc * dc <= thickness * thickness:
-                    rr, cc = int(round(r + dr)), int(round(c + dc))
-                    if 0 <= rr < img.shape[0] and 0 <= cc < img.shape[1]:
-                        img[rr, cc] = value
+def _load_bench_digits():
+    spec = importlib.util.spec_from_file_location("perfbench_digits", DIGITS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def make_digit_corpus(rng, per_class, side=28):
-    """Synthetic handwritten-style digits 1, 2, 3 as stroke drawings with
-    random shift, slant, thickness, and pixel noise.  Returns row-major uint8
-    images of shape (3*per_class, side*side) and the matching labels."""
-    strokes = {
-        1: [(5, 14, 22, 14), (22, 11, 22, 17), (5, 14, 9, 11)],
-        2: [(8, 9, 6, 13), (6, 13, 8, 18), (8, 18, 21, 9), (21, 9, 21, 19)],
-        3: [(6, 9, 6, 17), (6, 17, 13, 17), (13, 10, 13, 17), (13, 17, 21, 17), (21, 9, 21, 17)],
-    }
-    images = []
-    labels = []
-    scale = side / 28.0
-    for cls in (1, 2, 3):
-        for _ in range(per_class):
-            img = np.zeros((side, side), dtype=np.uint8)
-            shift_r = rng.integers(-2, 3)
-            shift_c = rng.integers(-3, 4)
-            slant = rng.uniform(-0.2, 0.2)
-            thickness = int(rng.integers(1, 3))
-            value = int(rng.integers(170, 256))
-            for r0, c0, r1, c1 in strokes[cls]:
-                jitter = rng.uniform(-1.0, 1.0, size=4)
-                rr0 = (r0 + jitter[0]) * scale + shift_r
-                cc0 = (c0 + jitter[1] + slant * (r0 - 14)) * scale + shift_c
-                rr1 = (r1 + jitter[2]) * scale + shift_r
-                cc1 = (c1 + jitter[3] + slant * (r1 - 14)) * scale + shift_c
-                _paint_segment(img, rr0, cc0, rr1, cc1, thickness, value)
-            noise = rng.normal(0.0, 6.0, size=(side, side))
-            img = np.clip(img.astype(float) + noise, 0, 255).astype(np.uint8)
-            images.append(img.reshape(-1))
-            labels.append(cls)
-    order = rng.permutation(len(images))
-    return np.stack(images)[order], np.asarray(labels)[order]
+# The synthetic digit corpus is perfbench's own generator, so the tests and the
+# digits workload draw the same images for the same seed.
+make_digit_corpus = _load_bench_digits().make_digit_corpus

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_digit_corpus
+import nlpca.pca
 import nlpca.vmf
 from nlpca.cli import main
 from nlpca.datasets import (
@@ -267,6 +268,16 @@ class TestFit:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_headerless_csv_is_input_error_before_output(self, tmp_path, capsys):
+        # np.savetxt writes no header: its first row must not be taken for one.
+        path = tmp_path / "plain.csv"
+        np.savetxt(path, np.random.default_rng(9).standard_normal((30, 4)), delimiter=",")
+        out = tmp_path / "out"
+        code = main(["fit", str(path), *TINY_CHAIN, "--out", str(out)])
+        assert code == 2
+        assert "line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_reproduces_unbroken_run(self, tmp_path):
         rng = np.random.default_rng(3)
         path = self.make_input(tmp_path, rng, n=8, p=4, labels=True)
@@ -296,6 +307,20 @@ class TestFit:
         full_rows = (full_out / "trace.csv").read_text().splitlines()[1:]
         resumed_rows = (resumed_out / "trace.csv").read_text().splitlines()[1:]
         assert resumed_rows == full_rows[15:]
+
+    def test_resume_keeping_no_sweep_is_usage_error_before_output(self, tmp_path, capsys):
+        rng = np.random.default_rng(10)
+        path = self.make_input(tmp_path, rng)
+        first = tmp_path / "first"
+        assert main(["fit", str(path), "--sweeps", "10", "--burn-in", "5", "--thin", "100",
+                     "--out", str(first)]) == 0
+        out = tmp_path / "out"
+        code = main(["fit", str(path), "--sweeps", "20", "--burn-in", "5", "--thin", "100",
+                     "--resume", str(first / "checkpoint.json"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in ("--sweeps", "--burn-in", "--thin"))
+        assert not out.exists()
 
     def test_resume_shape_mismatch_is_usage_error(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -441,6 +466,41 @@ def test_chain_commands_share_summary_and_trace(tmp_path, command):
     rows = (out / "trace.csv").read_text().splitlines()
     assert rows[0] == "sweep,sigma2,log_posterior"
     assert [row.split(",")[0] for row in rows[1:]] == [str(t) for t in range(6)]
+
+
+def test_each_chain_command_fits_pca_once(tmp_path, monkeypatch):
+    # The pilot study's hyperparameters, start state and PCA baseline all come
+    # from one fit.  Every nlpca module that binds pca_fit gets the counting
+    # wrapper, as the bench's tracer rebinds it.
+    calls = []
+    original = nlpca.pca.pca_fit
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nlpca.") and getattr(module, "pca_fit", None) is original:
+            monkeypatch.setattr(module, "pca_fit", counting_fit)
+    img, lbl = write_digit_files(tmp_path, np.random.default_rng(11))
+    csv_path = tmp_path / "input.csv"
+    export_matrix_csv(csv_path, np.random.default_rng(12).standard_normal((9, 4)), prefix="x")
+    commands = {
+        "sphere-demo": ["sphere-demo", "--n", "12", "--sweeps", "3"],
+        "digits-demo": ["digits-demo", "--images", str(img), "--labels", str(lbl),
+                        "--sweeps", "3"],
+        "fit": ["fit", str(csv_path), "--sweeps", "3"],
+        "fit --resume": ["fit", str(csv_path), "--sweeps", "6",
+                         "--resume", str(tmp_path / "fit" / "checkpoint.json")],
+    }
+    counts = {}
+    for label, argv in commands.items():
+        calls.clear()
+        out = tmp_path / label.replace(" --", "-")
+        assert main([*argv, "--burn-in", "1", "--thin", "1", "--seed", "1",
+                     "--out", str(out)]) == 0, label
+        counts[label] = len(calls)
+    assert counts == dict.fromkeys(commands, 1)
 
 
 def diag_fields(out):

@@ -131,14 +131,28 @@ class TestIdxRoundTrip:
                 with pytest.raises(IdxFormatError):
                     load_idx_images(bad_path)
 
-    def test_dimension_overflow(self, tmp_path):
+    @pytest.mark.parametrize(
+        "magic, fields, index, name",
+        [
+            (0x00000803, (1, 28, 28), 0, "count"),
+            (0x00000803, (1, 28, 28), 1, "rows"),
+            (0x00000803, (1, 28, 28), 2, "cols"),
+            (0x00000801, (1,), 0, "count"),
+        ],
+        ids=["images-count", "images-rows", "images-cols", "labels-count"],
+    )
+    def test_dimension_overflow(self, tmp_path, magic, fields, index, name):
         import struct
 
+        fields = list(fields)
+        fields[index] = 0xFFFFFFFF
         path = tmp_path / "huge.idx"
-        header = struct.pack(">4I", 0x00000803, 1, 0xFFFFFFFF, 28)
+        header = struct.pack(f">{1 + len(fields)}I", magic, *fields)
         path.write_bytes(header + b"\x00" * 100)
-        with pytest.raises(IdxFormatError, match="overflow"):
-            load_idx_images(path)
+        load = load_idx_images if magic == 0x00000803 else load_idx_labels
+        offset = 4 + 4 * index
+        with pytest.raises(IdxFormatError, match=f"{name} 4294967295 at offset {offset} overflow"):
+            load(path)
 
     def test_load_image_set_count_mismatch(self, tmp_path):
         rng = np.random.default_rng(6)

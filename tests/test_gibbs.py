@@ -15,6 +15,7 @@ from nlpca.gibbs import (
     ModelState,
     default_hyperparams,
     init_state,
+    kept_sweeps,
     log_posterior_unnorm,
     noise_posterior_params,
     noise_prior_params,
@@ -129,34 +130,34 @@ class TestHyperParams:
 
     def test_pilot_bandwidth_floored_on_tiny_scale_data(self):
         data = center(1e-12 * np.random.default_rng(3).standard_normal((10, 3)))
-        assert default_hyperparams(data, 2).bandwidth == BANDWIDTH_FLOOR
+        assert default_hyperparams(data, pca_fit(data, 2)).bandwidth == BANDWIDTH_FLOOR
 
     def test_defaults_from_pilot_study(self):
         rng = np.random.default_rng(0)
         _, ds = generate_sphere(50, 0.05, rng)
-        hp = default_hyperparams(ds, 2, n_sweeps=10, burn_in=5)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=10, burn_in=5)
         assert hp.c_strength == pytest.approx(2.0)  # 100 / n
         fit = pca_fit(ds, 2)
         from nlpca.mrf import default_bandwidth
         from nlpca.pca import avg_variance, pilot_tau2
 
         assert hp.bandwidth == pytest.approx(default_bandwidth(fit.latents))
-        assert hp.tau2 == pytest.approx(pilot_tau2(ds, 2))
+        assert hp.tau2 == pytest.approx(pilot_tau2(ds, pca_fit(ds, 2)))
         assert hp.a2 == pytest.approx(avg_variance(ds))
 
     def test_a2_modes(self):
         rng = np.random.default_rng(1)
         _, ds = generate_sphere(20, 0.05, rng)
-        assert math.isinf(default_hyperparams(ds, 2, a2="inf").a2)
-        assert default_hyperparams(ds, 2, a2=7.5).a2 == 7.5
+        assert math.isinf(default_hyperparams(ds, pca_fit(ds, 2), a2="inf").a2)
+        assert default_hyperparams(ds, pca_fit(ds, 2), a2=7.5).a2 == 7.5
 
 
 class TestInitState:
     def test_conditional_mode_is_pca_loading(self):
         rng = np.random.default_rng(2)
         _, ds = generate_sphere(20, 0.05, rng)
-        hp = default_hyperparams(ds, 2, n_sweeps=10, burn_in=5)
-        state = init_state(ds, hp)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=10, burn_in=5)
+        state = init_state(pca_fit(ds, 2), hp)
         v_pca = pca_fit(ds, 2).loadings.matrix
         for i in (0, 7, 19):
             c = conditional_param(i, state.transformations, state.weights)
@@ -165,15 +166,15 @@ class TestInitState:
     def test_log_posterior_finite(self):
         rng = np.random.default_rng(3)
         _, ds = generate_sphere(15, 0.05, rng)
-        hp = default_hyperparams(ds, 2, n_sweeps=10, burn_in=5)
-        state = init_state(ds, hp)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=10, burn_in=5)
+        state = init_state(pca_fit(ds, 2), hp)
         assert math.isfinite(log_posterior_unnorm(state, ds, hp))
 
     def test_initial_reconstruction_matches_pca(self):
         rng = np.random.default_rng(4)
         _, ds = generate_sphere(15, 0.05, rng)
-        hp = default_hyperparams(ds, 2, n_sweeps=10, burn_in=5)
-        state = init_state(ds, hp)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=10, burn_in=5)
+        state = init_state(pca_fit(ds, 2), hp)
         recon = np.einsum("npd,nd->np", state.transformations, state.latents)
         pca_recon = reconstruct_linear(pca_fit(ds, 2))
         assert np.max(np.abs(recon - pca_recon)) <= 1e-10
@@ -366,8 +367,8 @@ class TestSweep:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(13)
         _, ds = generate_sphere(12, 0.05, rng)
-        hp = default_hyperparams(ds, 2, n_sweeps=5, burn_in=1)
-        state = init_state(ds, hp)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=5, burn_in=1)
+        state = init_state(pca_fit(ds, 2), hp)
         a1, lp1 = sweep(state, ds, hp, sweep_rng(99, 0))
         a2_, lp2 = sweep(state, ds, hp, sweep_rng(99, 0))
         assert np.array_equal(a1.transformations, a2_.transformations)
@@ -378,8 +379,8 @@ class TestSweep:
     def test_orthonormality_preserved(self):
         rng = np.random.default_rng(14)
         _, ds = generate_sphere(10, 0.05, rng)
-        hp = default_hyperparams(ds, 2, n_sweeps=5, burn_in=1)
-        state = init_state(ds, hp)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=5, burn_in=1)
+        state = init_state(pca_fit(ds, 2), hp)
         for t in range(3):
             state, _ = sweep(state, ds, hp, sweep_rng(0, t))
             gram = np.einsum("npk,npl->nkl", state.transformations, state.transformations)
@@ -466,8 +467,8 @@ class TestSweep:
     def test_does_not_mutate_input_state(self):
         rng = np.random.default_rng(15)
         _, ds = generate_sphere(8, 0.05, rng)
-        hp = default_hyperparams(ds, 2, n_sweeps=5, burn_in=1)
-        state = init_state(ds, hp)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=5, burn_in=1)
+        state = init_state(pca_fit(ds, 2), hp)
         frames_before = state.transformations.copy()
         sigma_before = state.sigma2
         sweep(state, ds, hp, sweep_rng(1, 0))
@@ -479,19 +480,18 @@ class TestRunSummary:
     def test_single_kept_sweep_matches_final_state(self):
         rng = np.random.default_rng(16)
         _, ds = generate_sphere(10, 0.05, rng)
-        hp = default_hyperparams(ds, 2, n_sweeps=6, burn_in=5, thin=1)
-        summary = run(ds, hp, seed=3)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=6, burn_in=5, thin=1)
+        summary = run(ds, hp, seed=3, state=init_state(pca_fit(ds, 2), hp))
         assert summary.n_kept == 1
         final = summary.final_state
-        stacked = np.stack([f.matrix for f in summary.mean_transformations])
-        assert np.max(np.abs(stacked - final.transformations)) <= 1e-10
+        assert np.max(np.abs(summary.mean_transformations - final.transformations)) <= 1e-10
         assert np.array_equal(summary.mean_latents, final.latents)
 
     def test_trace_lengths(self):
         rng = np.random.default_rng(17)
         _, ds = generate_sphere(10, 0.05, rng)
-        hp = default_hyperparams(ds, 2, n_sweeps=12, burn_in=4, thin=3)
-        summary = run(ds, hp, seed=4)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=12, burn_in=4, thin=3)
+        summary = run(ds, hp, seed=4, state=init_state(pca_fit(ds, 2), hp))
         assert len(summary.log_posterior_trace) == 12
         # kept sweeps: t = 4, 7, 10
         assert summary.n_kept == 3
@@ -504,8 +504,8 @@ class TestRunSummary:
         basis = np.linalg.qr(rng.standard_normal((4, 2)))[0]
         raw = rng.standard_normal((30, 2)) @ basis.T
         ds = center(raw)
-        hp = default_hyperparams(ds, 2, n_sweeps=60, burn_in=30, thin=2)
-        summary = run(ds, hp, seed=5)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=60, burn_in=30, thin=2)
+        summary = run(ds, hp, seed=5, state=init_state(pca_fit(ds, 2), hp))
         recon = reconstruct_nonlinear(summary)
         model_err = np.sum((ds.y - recon) ** 2)
         pca_err = np.sum((ds.y - reconstruct_linear(pca_fit(ds, 2))) ** 2)
@@ -514,9 +514,9 @@ class TestRunSummary:
     def test_bit_identical_traces_for_same_seed(self):
         rng = np.random.default_rng(19)
         _, ds = generate_sphere(10, 0.05, rng)
-        hp = default_hyperparams(ds, 2, n_sweeps=8, burn_in=4, thin=2)
-        s1 = run(ds, hp, seed=11)
-        s2 = run(ds, hp, seed=11)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=8, burn_in=4, thin=2)
+        s1 = run(ds, hp, seed=11, state=init_state(pca_fit(ds, 2), hp))
+        s2 = run(ds, hp, seed=11, state=init_state(pca_fit(ds, 2), hp))
         assert np.array_equal(s1.log_posterior_trace, s2.log_posterior_trace)
         assert np.array_equal(s1.sigma2_trace, s2.sigma2_trace)
         assert np.array_equal(s1.mean_latents, s2.mean_latents)
@@ -526,10 +526,13 @@ class TestRunSummary:
         # unbroken trajectory bit-exactly.
         rng = np.random.default_rng(20)
         _, ds = generate_sphere(10, 0.05, rng)
-        hp = default_hyperparams(ds, 2, n_sweeps=10, burn_in=2, thin=1)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=10, burn_in=2, thin=1)
         seed = 21
         states = {}
-        full = run(ds, hp, seed, on_sweep=lambda t, st, _: states.__setitem__(t, st))
+        full = run(
+            ds, hp, seed, state=init_state(pca_fit(ds, 2), hp),
+            on_sweep=lambda t, st, _: states.__setitem__(t, st),
+        )
         resumed = run(ds, hp, seed, state=states[4], start_sweep=5)
         assert np.array_equal(
             resumed.log_posterior_trace, full.log_posterior_trace[5:]
@@ -560,6 +563,24 @@ class TestRunSummary:
         state.latents[0, 0] = np.nan
         with pytest.raises(ValueError, match="latents"):
             run(data, hp, 0, state=state)
+
+    def test_resume_keeping_no_sweep_refused_before_first_sweep(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gibbs, "sweep", lambda *args: calls.append(1))
+        rng = np.random.default_rng(36)
+        data = center(rng.standard_normal((6, 3)))
+        hp = tiny_hp(d=2, n_sweeps=20, burn_in=5, thin=100)
+        state = tiny_state(rng, data, hp)
+        with pytest.raises(ValueError, match="no sweeps were kept"):
+            run(data, hp, 0, state=state, start_sweep=10)
+        assert calls == []
+
+    @pytest.mark.parametrize("start_sweep", [0, 4, 5, 6, 7, 9, 10])
+    def test_kept_sweeps_match_schedule(self, start_sweep):
+        hp = tiny_hp(n_sweeps=10, burn_in=4, thin=3)
+        assert list(kept_sweeps(hp, start_sweep)) == [
+            t for t in range(start_sweep, 10) if t >= 4 and (t - 4) % 3 == 0
+        ]
 
 
 class TestLogPosterior:
@@ -643,15 +664,15 @@ class TestReconstructNonlinear:
         rng = np.random.default_rng(26)
         data = center(np.array([[1.0, 0.2], [-1.0, -0.2], [0.4, -0.6], [-0.4, 0.6]]))
         hp = tiny_hp(d=2, a2=math.inf, tau2=1e-8, n_sweeps=40, burn_in=20, thin=1)
-        summary = run(data, hp, seed=6)
+        summary = run(data, hp, seed=6, state=init_state(pca_fit(data, 2), hp))
         recon = reconstruct_nonlinear(summary)
         assert np.max(np.abs(recon - data.y)) <= 0.05
 
     def test_norm_preserved_by_frames(self):
         rng = np.random.default_rng(27)
         _, ds = generate_sphere(10, 0.05, rng)
-        hp = default_hyperparams(ds, 2, n_sweeps=6, burn_in=3)
-        summary = run(ds, hp, seed=7)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=6, burn_in=3)
+        summary = run(ds, hp, seed=7, state=init_state(pca_fit(ds, 2), hp))
         recon = reconstruct_nonlinear(summary)
         norms_rec = np.linalg.norm(recon, axis=1)
         norms_lat = np.linalg.norm(summary.mean_latents, axis=1)

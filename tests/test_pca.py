@@ -133,7 +133,7 @@ class TestPilotTau2:
         rng = np.random.default_rng(11)
         basis = np.linalg.qr(rng.standard_normal((4, 2)))[0]
         ds = center(rng.standard_normal((10, 2)) @ basis.T)
-        assert pilot_tau2(ds, 2) <= 1e-20
+        assert pilot_tau2(ds, pca_fit(ds, 2)) <= 1e-20
 
     def test_matches_trailing_singular_values(self):
         # Total squared rank-d residual equals n * sum of trailing squared
@@ -142,12 +142,14 @@ class TestPilotTau2:
         ds = center(rng.standard_normal((20, 5)))
         s = np.linalg.svd(ds.y / np.sqrt(20), compute_uv=False)
         for d in (1, 2, 4):
-            assert pilot_tau2(ds, d) == pytest.approx(np.sum(s[d:] ** 2) / 5, abs=1e-12)
+            assert pilot_tau2(ds, pca_fit(ds, d)) == pytest.approx(
+                np.sum(s[d:] ** 2) / 5, abs=1e-12
+            )
 
     def test_full_rank_is_zero(self):
         rng = np.random.default_rng(13)
         ds = center(rng.standard_normal((8, 3)))
-        assert pilot_tau2(ds, 3) <= 1e-10
+        assert pilot_tau2(ds, pca_fit(ds, 3)) <= 1e-10
 
 
 class TestAvgVariance:

@@ -64,11 +64,11 @@ class TestThinSvd:
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((5, 3))
-        f = thin_svd(m)
-        rebuilt = f.u @ np.diag(f.singular_values) @ f.v.T
+        u, s, vt = thin_svd(m)
+        rebuilt = u @ np.diag(s) @ vt
         assert np.linalg.norm(rebuilt - m) <= 1e-8 * np.linalg.norm(m)
-        assert np.all(np.diff(f.singular_values) <= 0)
-        assert is_orthonormal(f.u, 1e-8) and is_orthonormal(f.v, 1e-8)
+        assert np.all(np.diff(s) <= 0)
+        assert is_orthonormal(u, 1e-8) and is_orthonormal(vt.T, 1e-8)
 
 
 class TestSampleUniformStiefel:

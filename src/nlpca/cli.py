@@ -56,6 +56,7 @@ from .gibbs import (
     default_hyperparams,
     init_state,
     kept_sweeps,
+    log_posterior_unnorm,
     reconstruct_nonlinear,
     run,
 )
@@ -234,7 +235,7 @@ def _save_summary(out, hp, seed: int, summary, fields: dict) -> None:
     doc = {
         **_chain_settings(hp),
         "seed": seed,
-        "d": hp.d,
+        "d": summary.final_state.d,
         "sweeps": hp.n_sweeps,
         "burn_in": hp.burn_in,
         "thin": hp.thin,
@@ -278,13 +279,13 @@ def cmd_sphere_demo(args) -> int:
     export_matrix_csv(out / "raw_points.csv", raw, prefix="coord")
     export_matrix_csv(out / "reconstructions.csv", model_recon_raw, prefix="coord")
     export_histogram_csv(
-        out / "hist_data_to_sphere.csv", histogram(data_sphere, _HIST_BINS)
+        out / "hist_data_to_sphere.csv", *histogram(data_sphere, _HIST_BINS)
     )
     export_histogram_csv(
-        out / "hist_recon_to_sphere.csv", histogram(model_sphere, _HIST_BINS)
+        out / "hist_recon_to_sphere.csv", *histogram(model_sphere, _HIST_BINS)
     )
     export_histogram_csv(
-        out / "hist_recon_errors.csv", histogram(model_errors, _HIST_BINS)
+        out / "hist_recon_errors.csv", *histogram(model_errors, _HIST_BINS)
     )
 
     _save_summary(out, hp, seed, summary, {
@@ -384,9 +385,10 @@ def cmd_fit(args) -> int:
         missing = fingerprint.keys() - ck.fingerprint.keys()
         if missing:
             raise InputFileError(f"{args.resume}: checkpoint missing fields {sorted(missing)}")
-        if (ck.n, ck.p, ck.d) != (data.n, data.p, args.dim):
+        n, p, d = ck.transformations.shape
+        if (n, p, d) != (data.n, data.p, args.dim):
             raise UsageError(
-                f"checkpoint is for n={ck.n}, p={ck.p}, d={ck.d}; "
+                f"checkpoint is for n={n}, p={p}, d={d}; "
                 f"input gives n={data.n}, p={data.p}, d={args.dim}"
             )
         if ck.counter >= args.sweeps:
@@ -432,7 +434,7 @@ def cmd_fit(args) -> int:
         "p": data.p,
         "start_sweep": start_sweep,
         "final_sigma2": float(final.sigma2),
-        "final_log_posterior": float(summary.log_posterior_trace[-1]),
+        "final_log_posterior": log_posterior_unnorm(final, data, hp),
     })
     print(f"fit: {hp.n_sweeps - start_sweep} sweeps done; artifacts in {out}")
     return EXIT_OK

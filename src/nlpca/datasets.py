@@ -298,17 +298,18 @@ def import_matrix_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     return matrix, (np.asarray(labels, dtype=int) if has_labels else None)
 
 
-def export_histogram_csv(path, hist) -> None:
-    """Write a histogram as bin_left, bin_right, count rows."""
+def export_histogram_csv(path, bin_edges: np.ndarray, counts: np.ndarray) -> None:
+    """Write a histogram, the (bin_edges, counts) pair of metrics.histogram,
+    as one bin_left, bin_right, count row per bin."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_left", "bin_right", "count"])
-        for k in range(len(hist.counts)):
+        for k in range(len(counts)):
             writer.writerow(
                 [
-                    _format_float(hist.bin_edges[k]),
-                    _format_float(hist.bin_edges[k + 1]),
-                    str(int(hist.counts[k])),
+                    _format_float(bin_edges[k]),
+                    _format_float(bin_edges[k + 1]),
+                    str(int(counts[k])),
                 ]
             )
 
@@ -330,11 +331,9 @@ def data_sha256(y: np.ndarray) -> str:
 
 @dataclass(eq=False)
 class CheckpointData:
-    """Deserialized sampler checkpoint: the chain's state and its fingerprint."""
+    """Deserialized sampler checkpoint: the chain's state and its fingerprint.
+    The sizes n, p and d are the shape of transformations, (n, p, d)."""
 
-    n: int
-    p: int
-    d: int
     sigma2: float
     seed: int
     counter: int
@@ -391,12 +390,17 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> CheckpointData:
     """Read a checkpoint written by save_checkpoint; keys other than the state
-    keys form the fingerprint.  ValueError for a missing state key, frames
-    not orthonormal within ORTHONORMALITY_TOL, non-finite latents, a sigma^2
-    that is not positive and finite, a size, seed or sweep counter that is not
-    a JSON integer, or a negative seed or sweep counter."""
+    keys form the fingerprint.  The file's n, p and d reshape the matrices
+    and are not kept.  ValueError, naming the file, for a document that is
+    not a JSON object, a missing state key, a size, seed or sweep counter
+    that is not a JSON integer, a size below 1, a negative seed or sweep
+    counter, a sigma^2 that is not a JSON number or not positive and finite,
+    matrices that are not nested lists of numbers, frames not orthonormal
+    within ORTHONORMALITY_TOL, or non-finite latents."""
     with open(path, "r") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: checkpoint must be a JSON object")
     missing = _STATE_KEYS - doc.keys()
     if missing:
         raise ValueError(f"{path}: checkpoint missing fields {sorted(missing)}")
@@ -405,9 +409,18 @@ def load_checkpoint(path) -> CheckpointData:
     if not_int:
         raise ValueError(f"{path}: checkpoint fields {not_int} must be JSON integers")
     n, p, d = doc["n"], doc["p"], doc["d"]
-    v = np.asarray(doc["transformations"], dtype=float).reshape(n, p, d)
-    x = np.asarray(doc["latents"], dtype=float).reshape(n, d)
-    sigma2 = float(doc["sigma2"])
+    if min(n, p, d) < 1:
+        raise ValueError(f"{path}: checkpoint sizes n, p and d must be >= 1")
+    sigma2 = doc["sigma2"]
+    if type(sigma2) not in (int, float):
+        raise ValueError(f"{path}: checkpoint sigma2 must be a JSON number")
+    # Only integer or float arrays are numeric: strings, booleans, nulls and
+    # objects give another dtype kind.
+    v, x = np.array(doc["transformations"]), np.array(doc["latents"])
+    if v.dtype.kind not in "if" or x.dtype.kind not in "if":
+        raise ValueError(f"{path}: checkpoint matrices must be lists of numbers")
+    v = v.astype(float).reshape(n, p, d)
+    x = x.astype(float).reshape(n, d)
     if not frames_orthonormal(v):
         raise ValueError(
             f"{path}: checkpoint frames are not orthonormal within {ORTHONORMALITY_TOL:g}"
@@ -420,10 +433,7 @@ def load_checkpoint(path) -> CheckpointData:
     if seed < 0 or counter < 0:
         raise ValueError(f"{path}: checkpoint seed and counter must be nonnegative")
     return CheckpointData(
-        n=n,
-        p=p,
-        d=d,
-        sigma2=sigma2,
+        sigma2=float(sigma2),
         seed=seed,
         counter=counter,
         transformations=v,

@@ -13,7 +13,8 @@ interaction weights from the new latents (c and w stay fixed); and sigma^2
 from its Gamma full conditional.  sweep returns the new state and its log
 posterior; run is the one loop over sweeps, from the state it is given:
 init_state(fit, hp) for a fresh chain, where fit is the rank-d PCA fit that
-default_hyperparams also reads.
+default_hyperparams also reads.  Per-sweep values reach the caller only
+through run's on_sweep hook.
 
 The x-step is the paper's approximation: it ignores that the weights
 lambda_ij depend on x, so the chain does not exactly target
@@ -77,7 +78,6 @@ class HyperParams:
     tau2: float
     c_strength: float
     bandwidth: float
-    d: int
     n_sweeps: int
     burn_in: int
     thin: int
@@ -91,8 +91,6 @@ class HyperParams:
             raise ValueError("c_strength must be positive and finite")
         if not BANDWIDTH_FLOOR <= self.bandwidth < math.inf:
             raise ValueError(f"bandwidth must be finite and >= {BANDWIDTH_FLOOR:g}")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
         if self.n_sweeps < 1:
             raise ValueError("n_sweeps must be >= 1")
         if not 0 <= self.burn_in < self.n_sweeps:
@@ -144,16 +142,15 @@ class ModelState:
 
 @dataclass(eq=False)
 class PosteriorSummary:
-    """Posterior sample averages and traces from one Gibbs run.
+    """Posterior sample averages and the final state of one Gibbs run.
 
     Frames and latents are entrywise averages of the kept draws; the mean
-    frames are not projected back to the Stiefel manifold.
+    frames are not projected back to the Stiefel manifold.  Per-sweep
+    values come only through run's on_sweep hook.
     """
 
     mean_transformations: np.ndarray  # (n, p, d)
     mean_latents: np.ndarray
-    sigma2_trace: np.ndarray  # one entry per kept sweep
-    log_posterior_trace: np.ndarray  # one entry per sweep
     n_kept: int
     total_draws: int  # frame draws made by this run: n per sweep
     final_state: ModelState
@@ -170,7 +167,7 @@ def default_hyperparams(
     c_strength: float | None = None,
     bandwidth: float | None = None,
 ) -> HyperParams:
-    """Pilot-study defaults from fit, the rank-d PCA fit of data: d, tau^2 from
+    """Pilot-study defaults from fit, the rank-d PCA fit of data: tau^2 from
     its residual, a^2 from the average sample variance, c = 100/n, w = mean
     pairwise distance of its latents, raised to BANDWIDTH_FLOOR if tinier."""
     tau2 = max(pilot_tau2(data, fit), SIGMA2_FLOOR)
@@ -187,7 +184,6 @@ def default_hyperparams(
         tau2=tau2,
         c_strength=default_strength(data.n) if c_strength is None else c_strength,
         bandwidth=bandwidth,
-        d=fit.loadings.d,
         n_sweeps=n_sweeps,
         burn_in=burn_in,
         thin=thin,
@@ -365,7 +361,7 @@ def run(
     sweep unless state has frames orthonormal within ORTHONORMALITY_TOL and
     finite latents and sigma^2, and some sweep is kept.
     ``on_sweep(t, state, log_posterior)`` is called after every sweep, e.g.
-    to stream a trace file.
+    to stream a trace file; it is the only way out for per-sweep values.
     """
     if not frames_orthonormal(state.transformations):
         raise ValueError(f"frames are not orthonormal within {ORTHONORMALITY_TOL:g}")
@@ -376,25 +372,19 @@ def run(
         raise ValueError("no sweeps were kept; check n_sweeps/burn_in/start_sweep")
     sum_v = np.zeros_like(state.transformations)
     sum_x = np.zeros_like(state.latents)
-    sigma2_trace: list[float] = []
-    log_post_trace: list[float] = []
 
     for t in range(start_sweep, hp.n_sweeps):
         state, log_post = sweep(state, data, hp, sweep_rng(seed, t))
-        log_post_trace.append(log_post)
         if t in kept:
             sum_v += state.transformations
             sum_x += state.latents
-            sigma2_trace.append(state.sigma2)
         if on_sweep is not None:
             on_sweep(t, state, log_post)
     return PosteriorSummary(
         mean_transformations=sum_v / len(kept),
         mean_latents=sum_x / len(kept),
-        sigma2_trace=np.asarray(sigma2_trace),
-        log_posterior_trace=np.asarray(log_post_trace),
         n_kept=len(kept),
-        total_draws=data.n * len(log_post_trace),
+        total_draws=data.n * (hp.n_sweeps - start_sweep),
         final_state=state,
     )
 

@@ -3,37 +3,16 @@ unit sphere, nearest-neighbor label mismatches, and histogram binning."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mrf import pairwise_sq_distances
 
 __all__ = [
-    "HistogramSpec",
     "reconstruction_errors",
     "distance_to_unit_sphere",
     "nn_mismatch_count",
     "histogram",
 ]
-
-
-@dataclass(eq=False)
-class HistogramSpec:
-    """Bin edges (ascending, len = bins + 1) and per-bin counts."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.bin_edges = np.asarray(self.bin_edges, dtype=float)
-        self.counts = np.asarray(self.counts, dtype=int)
-        if self.counts.shape[0] != self.bin_edges.shape[0] - 1:
-            raise ValueError("counts length must be edges length - 1")
-        if np.any(np.diff(self.bin_edges) <= 0):
-            raise ValueError("bin edges must be strictly ascending")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be nonnegative")
 
 
 def reconstruction_errors(y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
@@ -45,20 +24,13 @@ def reconstruction_errors(y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
     return np.linalg.norm(y - y_hat, axis=1)
 
 
-def distance_to_unit_sphere(points: np.ndarray, center=None) -> np.ndarray:
-    """Per-row |  ||point - center|| - 1 |, for points in R^3.
-
-    ``center`` is the sphere center expressed in the points' coordinate frame
-    (the origin by default); pass minus the stored column means for points
-    living in centered coordinates.
-    """
+def distance_to_unit_sphere(points: np.ndarray) -> np.ndarray:
+    """Per-row |  ||point|| - 1 |, for points in R^3: the distance to the unit
+    sphere centred at the origin, so centred data must be de-centred first."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError("expected an n x 3 matrix")
-    c = np.zeros(3) if center is None else np.asarray(center, dtype=float)
-    if c.shape != (3,):
-        raise ValueError("center must be a 3-vector")
-    return np.abs(np.linalg.norm(points - c, axis=1) - 1.0)
+    return np.abs(np.linalg.norm(points, axis=1) - 1.0)
 
 
 def nn_mismatch_count(latents: np.ndarray, labels: np.ndarray) -> int:
@@ -77,12 +49,13 @@ def nn_mismatch_count(latents: np.ndarray, labels: np.ndarray) -> int:
     return int(np.sum(labels[nearest] != labels))
 
 
-def histogram(values: np.ndarray, n_bins: int) -> HistogramSpec:
-    """Equal-width bins over [min, max].
+def histogram(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-width bins over [min, max], returned as (bin_edges, counts).
 
     The first bin is closed on both sides and every later bin is
     (left, right], so a value equal to an interior edge counts to the bin on
-    its left.  Constant input gets a half-unit margin on both sides.
+    its left.  Constant input gets a half-unit margin on both sides.  Values
+    spread by less than rounding give ValueError: edges not ascending.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
@@ -93,6 +66,7 @@ def histogram(values: np.ndarray, n_bins: int) -> HistogramSpec:
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, n_bins + 1)
+    if np.any(np.diff(edges) <= 0):
+        raise ValueError("bin edges must be strictly ascending")
     idx = np.clip(np.searchsorted(edges, values, side="left") - 1, 0, n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
-    return HistogramSpec(bin_edges=edges, counts=counts)
+    return edges, np.bincount(idx, minlength=n_bins)

@@ -63,11 +63,10 @@ class Dataset:
 
 @dataclass(eq=False)
 class PcaFit:
-    """Rank-d PCA factors: orthonormal loadings, singular values of Y/sqrt(n),
-    and the latent projections X = Y V."""
+    """Rank-d PCA factors: the orthonormal p x d loadings V and the latent
+    projections X = Y V; d is loadings.d."""
 
     loadings: StiefelPoint
-    singular_values: np.ndarray
     latents: np.ndarray
 
 
@@ -90,17 +89,13 @@ def pca_fit(data: Dataset, d: int) -> PcaFit:
     n, p = data.y.shape
     if not 1 <= d <= min(n, p):
         raise ValueError(f"need 1 <= d <= min(n, p) = {min(n, p)}, got d={d}")
-    _, s, vt = np.linalg.svd(data.y / np.sqrt(n), full_matrices=False)
+    vt = np.linalg.svd(data.y / np.sqrt(n), full_matrices=False)[2]
     v = vt[:d].T.copy()
     for k in range(d):
         j = int(np.argmax(np.abs(v[:, k])))
         if v[j, k] < 0:
             v[:, k] = -v[:, k]
-    return PcaFit(
-        loadings=StiefelPoint(v),
-        singular_values=s[:d].copy(),
-        latents=data.y @ v,
-    )
+    return PcaFit(loadings=StiefelPoint(v), latents=data.y @ v)
 
 
 def reconstruct_linear(fit: PcaFit) -> np.ndarray:

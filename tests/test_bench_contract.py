@@ -1,8 +1,9 @@
 """The hooks perfbench relies on to time the program.
 
 perfbench/launch.py rebinds every function named in its LAYERS table inside
-the nlpca modules, and times one sweep per call of nlpca.gibbs.sweep, which
-run must therefore look up by its global name once per sweep.
+the nlpca modules, times each class it names through its __post_init__, and
+times one sweep per call of nlpca.gibbs.sweep, which run must therefore look
+up by its global name once per sweep.
 Likewise sweep must look up nlpca.gibbs.update_transformation once per site.
 """
 
@@ -36,6 +37,9 @@ def test_every_timed_layer_resolves(module_name):
     module = importlib.import_module(f"nlpca.{module_name}")
     missing = [n for n in LAYERS[module_name] if not callable(getattr(module, n, None))]
     assert missing == []
+    classes = [getattr(module, n) for n in LAYERS[module_name]]
+    untimed = [c for c in classes if isinstance(c, type) and not hasattr(c, "__post_init__")]
+    assert untimed == []
 
 
 def test_run_calls_module_level_sweep_once_per_sweep(monkeypatch):

@@ -307,6 +307,12 @@ class TestFit:
         full_rows = (full_out / "trace.csv").read_text().splitlines()[1:]
         resumed_rows = (resumed_out / "trace.csv").read_text().splitlines()[1:]
         assert resumed_rows == full_rows[15:]
+        # The resumed run counts only its own 15 sweeps, and keeps the same
+        # sweeps as the unbroken run: t = 20 and 25 at the default --thin 5.
+        resumed, full = read_summary(resumed_out), read_summary(full_out)
+        assert resumed["total_draws"] == 8 * 15
+        assert resumed["kept_sweeps"] == full["kept_sweeps"] == 2
+        assert resumed["final_log_posterior"] == full["final_log_posterior"]
 
     def test_resume_keeping_no_sweep_is_usage_error_before_output(self, tmp_path, capsys):
         rng = np.random.default_rng(10)
@@ -371,7 +377,9 @@ class TestFit:
     @pytest.mark.parametrize(
         "corruption",
         ["frame_scaled", "nan_latent", "negative_sigma2", "negative_seed", "negative_counter",
-         "fractional_seed", "boolean_counter", "missing_eta"],
+         "fractional_seed", "boolean_counter", "missing_eta", "sigma2_list", "null_sigma2",
+         "string_sigma2", "string_latent", "transformations_object", "top_level_list",
+         "negative_n"],
     )
     def test_corrupt_checkpoint_is_input_error_before_output(
         self, tmp_path, capsys, corruption
@@ -392,6 +400,18 @@ class TestFit:
             doc["counter"] = True
         elif corruption == "missing_eta":
             del doc["eta"]
+        elif corruption == "sigma2_list":
+            doc["sigma2"] = [doc["sigma2"]]
+        elif corruption == "null_sigma2":
+            doc["sigma2"] = None
+        elif corruption == "string_sigma2":
+            doc["sigma2"] = str(doc["sigma2"])
+        elif corruption == "string_latent":
+            doc["latents"][0][0] = str(doc["latents"][0][0])
+        elif corruption == "transformations_object":
+            doc["transformations"] = {"a": 1}
+        elif corruption == "top_level_list":
+            doc = [doc]
         else:
             doc[corruption.removeprefix("negative_")] = -1
         checkpoint.write_text(json.dumps(doc))
@@ -401,7 +421,7 @@ class TestFit:
              "--resume", str(checkpoint), "--out", str(out)]
         )
         assert code == 2
-        assert "checkpoint" in capsys.readouterr().err
+        assert str(checkpoint) in capsys.readouterr().err
         assert not out.exists()
 
     def test_resume_with_different_c_is_refused(self, tmp_path, capsys):
@@ -466,6 +486,10 @@ def test_chain_commands_share_summary_and_trace(tmp_path, command):
     rows = (out / "trace.csv").read_text().splitlines()
     assert rows[0] == "sweep,sigma2,log_posterior"
     assert [row.split(",")[0] for row in rows[1:]] == [str(t) for t in range(6)]
+    if command == "fit":
+        # The final values in summary.json are the last trace row's, bit for bit.
+        _, sigma2, log_posterior = map(float, rows[-1].split(","))
+        assert (doc["final_sigma2"], doc["final_log_posterior"]) == (sigma2, log_posterior)
 
 
 def test_each_chain_command_fits_pca_once(tmp_path, monkeypatch):

@@ -313,9 +313,9 @@ class TestCsvRoundTrip:
             import_matrix_csv(path)
 
     def test_histogram_export(self, tmp_path):
-        hist = histogram(np.array([0.0, 0.5, 1.0]), 2)
+        edges, counts = histogram(np.array([0.0, 0.5, 1.0]), 2)
         path = tmp_path / "h.csv"
-        export_histogram_csv(path, hist)
+        export_histogram_csv(path, edges, counts)
         lines = path.read_text().splitlines()
         assert lines[0] == "bin_left,bin_right,count"
         assert len(lines) == 3
@@ -340,7 +340,7 @@ class TestCheckpoint:
         )
         ck = load_checkpoint(path)
         assert isinstance(ck, CheckpointData)
-        assert (ck.n, ck.p, ck.d) == (n, p, d)
+        assert ck.transformations.shape == (n, p, d)
         assert ck.sigma2 == 0.125
         assert (ck.seed, ck.counter) == (42, 17)
         assert np.array_equal(ck.transformations, v)

@@ -49,7 +49,6 @@ def tiny_hp(**kw):
         tau2=1.0,
         c_strength=1.0,
         bandwidth=1.0,
-        d=1,
         n_sweeps=10,
         burn_in=5,
         thin=1,
@@ -99,12 +98,12 @@ def batch_mean_se(values, batches=50):
     return means.std(ddof=1) / math.sqrt(batches)
 
 
-def tiny_state(rng, data, hp, sigma2=0.5):
+def tiny_state(rng, data, hp, d=1, sigma2=0.5):
     n = data.n
     frames = np.stack(
-        [sample_uniform_stiefel(data.p, hp.d, rng).matrix for _ in range(n)]
+        [sample_uniform_stiefel(data.p, d, rng).matrix for _ in range(n)]
     )
-    latents = rng.standard_normal((n, hp.d))
+    latents = rng.standard_normal((n, d))
     weights = compute_weights(latents, hp.c_strength, hp.bandwidth)
     return ModelState(frames, latents, sigma2, weights)
 
@@ -187,8 +186,8 @@ class TestUpdateTransformation:
         # with mean 0 and second moment I/3, wherever the chain starts.
         rng = np.random.default_rng(5)
         data = center(np.vstack([np.eye(3), -np.eye(3)]))
-        hp = tiny_hp(d=1, c_strength=1e-300)
-        state = tiny_state(rng, data, hp)
+        hp = tiny_hp(c_strength=1e-300)
+        state = tiny_state(rng, data, hp, d=1)
         state.latents[:] = 0.0
         state.weights.lam[:] = 0.0
         n = 10_000
@@ -205,8 +204,8 @@ class TestUpdateTransformation:
         # map x_i/|x_i| to y_i/|y_i| (the remaining mode column is arbitrary).
         rng = np.random.default_rng(6)
         data = center(rng.standard_normal((6, 3)))
-        hp = tiny_hp(d=2)
-        state = tiny_state(rng, data, hp, sigma2=1e-6)
+        hp = tiny_hp()
+        state = tiny_state(rng, data, hp, d=2, sigma2=1e-6)
         i = 2
         mode = vmf_mode(VmfParam(frame_conditional(i, state, data))).matrix
         u = data.y[i] / np.linalg.norm(data.y[i])
@@ -218,8 +217,8 @@ class TestUpdateTransformation:
         # can evaluate explicitly.
         rng = np.random.default_rng(7)
         data = center(np.array([[1.0, 0.4], [-1.0, -0.4], [0.5, -0.7], [-0.5, 0.7]]))
-        hp = tiny_hp(d=1, a2=2.0)
-        state = tiny_state(rng, data, hp, sigma2=0.8)
+        hp = tiny_hp(a2=2.0)
+        state = tiny_state(rng, data, hp, d=1, sigma2=0.8)
         i = 1
         c_vec = frame_conditional(i, state, data)[:, 0]
         kappa = np.linalg.norm(c_vec)
@@ -237,8 +236,8 @@ class TestUpdateTransformation:
         # exact rejection draws from the same conditional.
         rng = np.random.default_rng(28)
         data = center(rng.standard_normal((6, 3)))
-        hp = tiny_hp(d=2)
-        state = tiny_state(rng, data, hp, sigma2=0.5)
+        hp = tiny_hp()
+        state = tiny_state(rng, data, hp, d=2, sigma2=0.5)
         i = 0
         c = frame_conditional(i, state, data)
         chain = np.array(
@@ -258,8 +257,8 @@ class TestUpdateTransformation:
         # match the two-component quadrature of tr(C^T V_i).
         rng = np.random.default_rng(29)
         data = center(rng.standard_normal((5, 2)))
-        hp = tiny_hp(d=2)
-        state = tiny_state(rng, data, hp, sigma2=0.5)
+        hp = tiny_hp()
+        state = tiny_state(rng, data, hp, d=2, sigma2=0.5)
         i = 3
         c = frame_conditional(i, state, data)
         start = state.transformations[i].copy()
@@ -277,8 +276,8 @@ class TestUpdateLatent:
         # a^2 = inf gives x | . ~ N(V^T y, sigma^2 I).
         rng = np.random.default_rng(8)
         data = center(np.array([[2.0, 1.0], [-2.0, -1.0]]))
-        hp = tiny_hp(d=1, a2=math.inf)
-        state = tiny_state(rng, data, hp, sigma2=0.49)
+        hp = tiny_hp(a2=math.inf)
+        state = tiny_state(rng, data, hp, d=1, sigma2=0.49)
         i = 0
         target_mean = state.transformations[i][:, 0] @ data.y[i]
         n = 10_000
@@ -292,7 +291,7 @@ class TestUpdateLatent:
         # a^2 = sigma^2 = 1 with V = I gives N(y/2, I/2).
         rng = np.random.default_rng(9)
         data = center(np.array([[3.0, -1.0], [-3.0, 1.0]]))
-        hp = tiny_hp(d=2, a2=1.0)
+        hp = tiny_hp(a2=1.0)
         n = data.n
         frames = np.stack([np.eye(2)] * n)
         weights = compute_weights(rng.standard_normal((n, 2)), 1.0, 1.0)
@@ -308,8 +307,8 @@ class TestUpdateLatent:
     def test_small_sigma2_concentrates_on_projection(self):
         rng = np.random.default_rng(10)
         data = center(np.array([[2.0, 0.0], [-2.0, 0.0]]))
-        hp = tiny_hp(d=1, a2=5.0)
-        state = tiny_state(rng, data, hp, sigma2=1e-10)
+        hp = tiny_hp(a2=5.0)
+        state = tiny_state(rng, data, hp, d=1, sigma2=1e-10)
         proj = state.transformations[0][:, 0] @ data.y[0]
         draws = np.array([update_latent(state, data, hp, rng)[0, 0] for _ in range(100)])
         assert np.max(np.abs(draws - proj)) <= 1e-4
@@ -321,7 +320,7 @@ class TestUpdateNoise:
         # Gamma(shape 1.5, rate 1) with mean 1.5.
         rng = np.random.default_rng(11)
         data = Dataset(y=np.array([[0.0]]), column_means=np.zeros(1))
-        hp = tiny_hp(d=1, tau2=1.0)
+        hp = tiny_hp(tau2=1.0)
         frames = np.array([[[1.0]]])
         latents = np.array([[0.0]])  # exact reconstruction of the zero row
         from nlpca.mrf import InteractionWeights
@@ -341,8 +340,8 @@ class TestUpdateNoise:
         # Inverse-gamma mean rate/(shape-1) with matching Monte Carlo error.
         rng = np.random.default_rng(12)
         data = center(np.vstack([np.full((5, 4), 3.0), np.full((5, 4), -3.0)]))
-        hp = tiny_hp(d=1, tau2=0.01)
-        state = tiny_state(rng, data, hp)
+        hp = tiny_hp(tau2=0.01)
+        state = tiny_state(rng, data, hp, d=1)
         state.latents[:] = 0.0  # residual is the full data norm
         shape, rate = noise_posterior_params(state, data, hp)
         resid = float(np.sum(data.y**2))
@@ -356,7 +355,7 @@ class TestUpdateNoise:
 
     def test_prior_parameterization(self):
         # Prior shape eta/2 and rate eta tau^2/2 give prior mean 1/tau^2.
-        hp = tiny_hp(tau2=0.25, d=1)
+        hp = tiny_hp(tau2=0.25)
         shape, rate = noise_prior_params(hp)
         assert shape == pytest.approx(1.0)
         assert rate == pytest.approx(0.25)
@@ -400,8 +399,8 @@ class TestSweep:
         # those sum in the same order depends on the BLAS build.
         rng = np.random.default_rng(30)
         data = center(rng.standard_normal((7, p)))
-        hp = tiny_hp(d=d, a2=a2, c_strength=2.0)
-        state = tiny_state(rng, data, hp)
+        hp = tiny_hp(a2=a2, c_strength=2.0)
+        state = tiny_state(rng, data, hp, d=d)
         for t in range(3):
             reference = reference_sweep(state, data, hp, sweep_rng(4, t))
             state, _ = sweep(state, data, hp, sweep_rng(4, t))
@@ -423,8 +422,8 @@ class TestSweep:
 
         rng = np.random.default_rng(30)
         data = center(rng.standard_normal((7, p)))
-        hp = tiny_hp(d=d, a2=a2, c_strength=2.0)
-        state = tiny_state(rng, data, hp)
+        hp = tiny_hp(a2=a2, c_strength=2.0)
+        state = tiny_state(rng, data, hp, d=d)
         monkeypatch.setattr(nlpca.vmf, "vmf_sample_vector", refuse)
         monkeypatch.setattr(nlpca.vmf, "null_space_basis", refuse, raising=False)
         monkeypatch.setattr(nlpca.stiefel, "null_space_basis", refuse)
@@ -439,8 +438,8 @@ class TestSweep:
         # must raise rather than spin in a rejection loop that NaN never exits.
         rng = np.random.default_rng(32)
         data = center(rng.standard_normal((6, p)))
-        hp = tiny_hp(d=d)
-        state = tiny_state(rng, data, hp)
+        hp = tiny_hp()
+        state = tiny_state(rng, data, hp, d=d)
         state.transformations[0] = np.nan
         with pytest.raises(ValueError):
             sweep(state, data, hp, sweep_rng(0, 0))
@@ -450,8 +449,8 @@ class TestSweep:
         # the once-per-sweep orthonormality check must still stop it.
         rng = np.random.default_rng(33)
         data = center(rng.standard_normal((6, 3)))
-        hp = tiny_hp(d=2)
-        state = tiny_state(rng, data, hp)
+        hp = tiny_hp()
+        state = tiny_state(rng, data, hp, d=2)
         frame_step = gibbs.update_transformation
 
         def nan_last_frame(i, st, data, rng):
@@ -491,11 +490,15 @@ class TestRunSummary:
         rng = np.random.default_rng(17)
         _, ds = generate_sphere(10, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=12, burn_in=4, thin=3)
-        summary = run(ds, hp, seed=4, state=init_state(pca_fit(ds, 2), hp))
-        assert len(summary.log_posterior_trace) == 12
+        swept = []
+        summary = run(
+            ds, hp, seed=4, state=init_state(pca_fit(ds, 2), hp),
+            on_sweep=lambda t, st, lp: swept.append(t),
+        )
+        assert swept == list(range(12))
         # kept sweeps: t = 4, 7, 10
         assert summary.n_kept == 3
-        assert len(summary.sigma2_trace) == 3
+        assert summary.total_draws == 10 * 12
 
     def test_noiseless_planar_data_not_worse_than_pca(self):
         # Points exactly in a 2-plane: the final fit must not lose to the
@@ -515,10 +518,16 @@ class TestRunSummary:
         rng = np.random.default_rng(19)
         _, ds = generate_sphere(10, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=8, burn_in=4, thin=2)
-        s1 = run(ds, hp, seed=11, state=init_state(pca_fit(ds, 2), hp))
-        s2 = run(ds, hp, seed=11, state=init_state(pca_fit(ds, 2), hp))
-        assert np.array_equal(s1.log_posterior_trace, s2.log_posterior_trace)
-        assert np.array_equal(s1.sigma2_trace, s2.sigma2_trace)
+        def traced_run():
+            trace = []
+            summary = run(
+                ds, hp, seed=11, state=init_state(pca_fit(ds, 2), hp),
+                on_sweep=lambda t, st, lp: trace.append((st.sigma2, lp)),
+            )
+            return summary, trace
+
+        (s1, trace1), (s2, trace2) = traced_run(), traced_run()
+        assert trace1 == trace2
         assert np.array_equal(s1.mean_latents, s2.mean_latents)
 
     def test_resume_reproduces_unbroken_run(self):
@@ -528,15 +537,16 @@ class TestRunSummary:
         _, ds = generate_sphere(10, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=10, burn_in=2, thin=1)
         seed = 21
-        states = {}
+        states, full_lp, resumed_lp = {}, {}, {}
         full = run(
             ds, hp, seed, state=init_state(pca_fit(ds, 2), hp),
-            on_sweep=lambda t, st, _: states.__setitem__(t, st),
+            on_sweep=lambda t, st, lp: (states.__setitem__(t, st), full_lp.__setitem__(t, lp)),
         )
-        resumed = run(ds, hp, seed, state=states[4], start_sweep=5)
-        assert np.array_equal(
-            resumed.log_posterior_trace, full.log_posterior_trace[5:]
+        resumed = run(
+            ds, hp, seed, state=states[4], start_sweep=5,
+            on_sweep=lambda t, st, lp: resumed_lp.__setitem__(t, lp),
         )
+        assert resumed_lp == {t: full_lp[t] for t in range(5, 10)}
         assert np.array_equal(
             resumed.final_state.transformations, full.final_state.transformations
         )
@@ -549,8 +559,8 @@ class TestRunSummary:
         # caller's state is checked before the first sweep.
         rng = np.random.default_rng(34)
         data = center(rng.standard_normal((6, p)))
-        hp = tiny_hp(d=d)
-        state = tiny_state(rng, data, hp)
+        hp = tiny_hp()
+        state = tiny_state(rng, data, hp, d=d)
         state.transformations[0] *= 2.0
         with pytest.raises(ValueError, match="not orthonormal"):
             run(data, hp, 0, state=state)
@@ -558,8 +568,8 @@ class TestRunSummary:
     def test_nan_start_latent_rejected(self):
         rng = np.random.default_rng(35)
         data = center(rng.standard_normal((6, 3)))
-        hp = tiny_hp(d=2)
-        state = tiny_state(rng, data, hp)
+        hp = tiny_hp()
+        state = tiny_state(rng, data, hp, d=2)
         state.latents[0, 0] = np.nan
         with pytest.raises(ValueError, match="latents"):
             run(data, hp, 0, state=state)
@@ -569,8 +579,8 @@ class TestRunSummary:
         monkeypatch.setattr(gibbs, "sweep", lambda *args: calls.append(1))
         rng = np.random.default_rng(36)
         data = center(rng.standard_normal((6, 3)))
-        hp = tiny_hp(d=2, n_sweeps=20, burn_in=5, thin=100)
-        state = tiny_state(rng, data, hp)
+        hp = tiny_hp(n_sweeps=20, burn_in=5, thin=100)
+        state = tiny_state(rng, data, hp, d=2)
         with pytest.raises(ValueError, match="no sweeps were kept"):
             run(data, hp, 0, state=state, start_sweep=10)
         assert calls == []
@@ -587,8 +597,8 @@ class TestLogPosterior:
     def test_increasing_residual_decreases_value(self):
         rng = np.random.default_rng(22)
         data = center(rng.standard_normal((6, 3)))
-        hp = tiny_hp(d=1, a2=2.0)
-        state = tiny_state(rng, data, hp)
+        hp = tiny_hp(a2=2.0)
+        state = tiny_state(rng, data, hp, d=1)
         # Point each reconstruction at the data, then flip the latent signs:
         # the residual strictly grows while |x| (the latent prior term) and
         # sigma^2 stay fixed, so only the likelihood changes.
@@ -609,8 +619,8 @@ class TestLogPosterior:
     def test_right_rotation_invariance(self):
         rng = np.random.default_rng(23)
         data = center(rng.standard_normal((8, 4)))
-        hp = tiny_hp(d=2, a2=1.5)
-        state = tiny_state(rng, data, hp)
+        hp = tiny_hp(a2=1.5)
+        state = tiny_state(rng, data, hp, d=2)
         r = np.linalg.qr(rng.standard_normal((2, 2)))[0]
         rotated = ModelState(
             transformations=np.einsum("npd,de->npe", state.transformations, r),
@@ -626,8 +636,8 @@ class TestLogPosterior:
     def test_matches_slow_reimplementation(self):
         rng = np.random.default_rng(24)
         data = center(rng.standard_normal((3, 3)))
-        hp = tiny_hp(d=1, a2=2.0, tau2=0.7)
-        state = tiny_state(rng, data, hp, sigma2=0.6)
+        hp = tiny_hp(a2=2.0, tau2=0.7)
+        state = tiny_state(rng, data, hp, d=1, sigma2=0.6)
 
         resid = 0.0
         for i in range(3):
@@ -649,9 +659,9 @@ class TestLogPosterior:
     def test_latent_prior_omitted_when_infinite(self):
         rng = np.random.default_rng(25)
         data = center(rng.standard_normal((4, 3)))
-        hp_fin = tiny_hp(d=1, a2=2.0)
-        hp_inf = tiny_hp(d=1, a2=math.inf)
-        state = tiny_state(rng, data, hp_fin)
+        hp_fin = tiny_hp(a2=2.0)
+        hp_inf = tiny_hp(a2=math.inf)
+        state = tiny_state(rng, data, hp_fin, d=1)
         gap = log_posterior_unnorm(state, data, hp_inf) - log_posterior_unnorm(
             state, data, hp_fin
         )
@@ -663,7 +673,7 @@ class TestReconstructNonlinear:
         # d = p with concentrated posterior: reconstruction equals V x.
         rng = np.random.default_rng(26)
         data = center(np.array([[1.0, 0.2], [-1.0, -0.2], [0.4, -0.6], [-0.4, 0.6]]))
-        hp = tiny_hp(d=2, a2=math.inf, tau2=1e-8, n_sweeps=40, burn_in=20, thin=1)
+        hp = tiny_hp(a2=math.inf, tau2=1e-8, n_sweeps=40, burn_in=20, thin=1)
         summary = run(data, hp, seed=6, state=init_state(pca_fit(data, 2), hp))
         recon = reconstruct_nonlinear(summary)
         assert np.max(np.abs(recon - data.y)) <= 0.05

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import __version__
 from .datasets import (
-    IdxFormatError,
     data_sha256,
     generate_sphere,
     import_matrix_csv,
@@ -42,7 +41,7 @@ from .datasets import (
     save_checkpoint,
     save_json,
     select_digit_subset,
-    subsample_images,
+    shrink_images,
     to_dataset,
     export_histogram_csv,
     export_matrix_csv,
@@ -311,31 +310,21 @@ def cmd_digits_demo(args) -> int:
     _validate_chain(args)
     seed = _resolve_seed(args)
 
-    image_set = _read_input("IDX input", load_image_set, args.images, args.labels)
-
-    side = _DIGIT_TARGET_SIDE
-    if (
-        image_set.rows % side
-        or image_set.cols % side
-        or image_set.rows // side != image_set.cols // side
-        or image_set.rows // side < 1
-    ):
-        raise UsageError(
-            f"images are {image_set.rows}x{image_set.cols}, "
-            f"not reducible to {side}x{side}"
-        )
-    factor = image_set.rows // side
-    small = subsample_images(image_set, factor, mode=args.pool)
+    images, labels = _read_input("IDX input", load_image_set, args.images, args.labels)
     try:
-        subset = select_digit_subset(
-            small,
+        small = shrink_images(images, _DIGIT_TARGET_SIDE, mode=args.pool)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
+    try:
+        idx = select_digit_subset(
+            labels,
             _DIGIT_CLASSES,
             _DIGIT_PER_CLASS,
             np.random.default_rng([_SUBSET_STREAM_TAG, seed]),
         )
     except ValueError as err:
         raise InputFileError(f"{args.labels}: {err}") from err
-    data = to_dataset(subset)
+    data = to_dataset(small[idx], labels[idx])
     fit, hp = _pilot(args, data)
     pca_mismatch = nn_mismatch_count(fit.latents, data.labels)
 
@@ -558,7 +547,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"nlpca: error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (IdxFormatError, InputFileError) as err:
+    except InputFileError as err:
         print(f"nlpca: input error: {err}", file=sys.stderr)
         return EXIT_IO
     except OSError as err:

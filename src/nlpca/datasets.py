@@ -1,5 +1,6 @@
-"""Experiment data: the noisy-sphere generator, IDX-format digit files, and
-CSV/JSON import/export for latents, histograms, and sampler checkpoints."""
+"""Experiment data: the noisy-sphere generator, IDX-format digit files (images
+as one uint8 (n, rows, cols) array, labels as one uint8 n-vector), and CSV/JSON
+import/export for latents, histograms, and sampler checkpoints."""
 
 from __future__ import annotations
 
@@ -18,15 +19,10 @@ from .pca import Dataset, center
 from .stiefel import ORTHONORMALITY_TOL, frames_orthonormal
 
 __all__ = [
-    "IdxFormatError",
-    "RawImageSet",
     "generate_sphere",
-    "load_idx_images",
-    "load_idx_labels",
     "load_image_set",
-    "write_idx_images",
-    "write_idx_labels",
-    "subsample_images",
+    "write_idx",
+    "shrink_images",
     "select_digit_subset",
     "to_dataset",
     "export_matrix_csv",
@@ -38,37 +34,6 @@ __all__ = [
     "CheckpointData",
     "data_sha256",
 ]
-
-IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
-
-
-class IdxFormatError(ValueError):
-    """Malformed IDX file; the message names the offending byte offset."""
-
-
-@dataclass(eq=False)
-class RawImageSet:
-    """n images stored row-major as an n x (rows*cols) uint8 matrix."""
-
-    images: np.ndarray
-    rows: int
-    cols: int
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.uint8)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.images.ndim != 2 or self.images.shape[1] != self.rows * self.cols:
-            raise ValueError("images must be n x (rows*cols)")
-        if self.labels.shape != (self.images.shape[0],):
-            raise ValueError("label count must equal image count")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 9):
-            raise ValueError("labels must be digits 0-9")
-
-    @property
-    def n(self) -> int:
-        return self.images.shape[0]
 
 
 def generate_sphere(
@@ -94,145 +59,109 @@ def generate_sphere(
     return raw, center(raw)
 
 
-def _read_idx(path, magic: int, fields: tuple[str, ...], payload: str):
-    """Read an IDX file: the big-endian uint32 magic, one uint32 per name in
-    fields, then as many uint8 bytes as their product.  Returns the header
-    values and the payload; IdxFormatError names the offending offset."""
+def _read_idx(path, fields: tuple[str, ...], payload: str) -> np.ndarray:
+    """Read an IDX file of unsigned bytes: the big-endian uint32 magic
+    0x0800 | len(fields), one uint32 per name in fields, then as many uint8
+    bytes as their product.  Returns the payload, writable and shaped by the
+    header; ValueError names the file and the offending offset."""
+    magic = 0x0800 | len(fields)
     data = Path(path).read_bytes()
     # The magic is checked before the header length so that a too-short file
     # of the wrong kind is still reported as a magic mismatch.
     if len(data) < 4:
-        raise IdxFormatError(f"{path}: truncated header, file ends at offset {len(data)}")
+        raise ValueError(f"{path}: truncated header, file ends at offset {len(data)}")
     found = struct.unpack(">I", data[:4])[0]
     if found != magic:
-        raise IdxFormatError(
+        raise ValueError(
             f"{path}: wrong magic 0x{found:08x} at offset 0 (expected 0x{magic:08x})"
         )
     start = 4 + 4 * len(fields)
     if len(data) < start:
-        raise IdxFormatError(
+        raise ValueError(
             f"{path}: truncated header, file ends at offset {len(data)} (need {start} bytes)"
         )
     values = struct.unpack(f">{len(fields)}I", data[4:start])
     for k, (name, value) in enumerate(zip(fields, values)):
         if value > 2**31 - 1:
-            raise IdxFormatError(
+            raise ValueError(
                 f"{path}: {name} {value} at offset {4 + 4 * k} overflows a signed int32"
             )
     expected = start + math.prod(values)
     if len(data) < expected:
-        raise IdxFormatError(
+        raise ValueError(
             f"{path}: truncated file, ends at offset {len(data)} "
             f"({payload} data needs {expected} bytes)"
         )
     if len(data) > expected:
-        raise IdxFormatError(f"{path}: trailing bytes after offset {expected}")
-    return values, np.frombuffer(data, dtype=np.uint8, offset=start).copy()
+        raise ValueError(f"{path}: trailing bytes after offset {expected}")
+    return np.frombuffer(data, dtype=np.uint8, offset=start).reshape(values).copy()
 
 
-def load_idx_images(path) -> tuple[np.ndarray, int, int]:
-    """Parse a big-endian IDX image file; returns (n x (rows*cols) uint8, rows,
-    cols).  IdxFormatError names the offset of what is malformed (_read_idx)."""
-    (count, rows, cols), pixels = _read_idx(
-        path, IDX_IMAGE_MAGIC, ("count", "rows", "cols"), "pixel"
-    )
-    return pixels.reshape(count, rows * cols), rows, cols
-
-
-def load_idx_labels(path) -> np.ndarray:
-    """Parse a big-endian IDX label file; returns an n-vector of uint8 labels.
-    IdxFormatError names the offset of what is malformed (_read_idx)."""
-    return _read_idx(path, IDX_LABEL_MAGIC, ("count",), "label")[1]
-
-
-def load_image_set(images_path, labels_path) -> RawImageSet:
-    images, rows, cols = load_idx_images(images_path)
-    labels = load_idx_labels(labels_path)
+def load_image_set(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """Read an IDX image file (rank 3) and its IDX label file (rank 1), as
+    MNIST ships them; returns the (n, rows, cols) uint8 images and the n uint8
+    labels.  ValueError names the file for a malformed file (_read_idx), a
+    label count that differs from the image count, or a label outside 0-9."""
+    images = _read_idx(images_path, ("count", "rows", "cols"), "pixel")
+    labels = _read_idx(labels_path, ("count",), "label")
     if labels.shape[0] != images.shape[0]:
-        raise IdxFormatError(
-            f"{labels_path}: {labels.shape[0]} labels for {images.shape[0]} images"
-        )
-    return RawImageSet(images=images, rows=rows, cols=cols, labels=labels)
+        raise ValueError(f"{labels_path}: {labels.shape[0]} labels for {images.shape[0]} images")
+    if labels.size and labels.max() > 9:
+        raise ValueError(f"{labels_path}: labels must be digits 0-9")
+    return images, labels
 
 
-def write_idx_images(path, images: np.ndarray, rows: int, cols: int) -> None:
-    images = np.asarray(images, dtype=np.uint8)
-    if images.ndim != 2 or images.shape[1] != rows * cols:
-        raise ValueError("images must be n x (rows*cols)")
+def write_idx(path, array: np.ndarray) -> None:
+    """Write a uint8 array as an IDX file: the big-endian uint32 magic
+    0x0800 | ndim, one uint32 per dimension, then the bytes in C order."""
+    array = np.asarray(array, dtype=np.uint8)
     with open(path, "wb") as fh:
-        fh.write(struct.pack(">4I", IDX_IMAGE_MAGIC, images.shape[0], rows, cols))
-        fh.write(images.tobytes())
+        fh.write(struct.pack(f">{1 + array.ndim}I", 0x0800 | array.ndim, *array.shape))
+        fh.write(array.tobytes())
 
 
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">2I", IDX_LABEL_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())
-
-
-def subsample_images(image_set: RawImageSet, factor: int, mode: str = "stride") -> RawImageSet:
-    """Shrink every image by ``factor``.
-
-    "stride" keeps pixel (factor*r, factor*c); "mean" averages factor x factor
-    blocks and rounds back to uint8.
-    """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    if image_set.rows % factor or image_set.cols % factor:
-        raise ValueError(
-            f"factor {factor} does not divide {image_set.rows}x{image_set.cols}"
-        )
+def shrink_images(images: np.ndarray, side: int, mode: str = "stride") -> np.ndarray:
+    """Shrink (n, rows, cols) images to (n, side, side); ValueError unless
+    rows = cols = f * side for a whole f >= 1.  "stride" keeps pixel
+    (f*r, f*c); "mean" averages f x f blocks and rounds back to uint8."""
+    n, rows, cols = images.shape
+    factor = rows // side
+    if rows != cols or rows % side or factor < 1:
+        raise ValueError(f"images are {rows}x{cols}, not reducible to {side}x{side}")
     if mode not in ("stride", "mean"):
         raise ValueError(f"unknown mode {mode!r}")
-    n = image_set.n
-    rows, cols = image_set.rows, image_set.cols
-    imgs = image_set.images.reshape(n, rows, cols)
-    r2, c2 = rows // factor, cols // factor
     if mode == "stride":
-        small = imgs[:, ::factor, ::factor]
-    else:
-        blocks = imgs.reshape(n, r2, factor, c2, factor).astype(float)
-        small = np.rint(blocks.mean(axis=(2, 4))).astype(np.uint8)
-    return RawImageSet(
-        images=small.reshape(n, r2 * c2).copy(),
-        rows=r2,
-        cols=c2,
-        labels=image_set.labels.copy(),
-    )
+        return images[:, ::factor, ::factor].copy()
+    blocks = images.reshape(n, side, factor, side, factor).astype(float)
+    return np.rint(blocks.mean(axis=(2, 4))).astype(np.uint8)
 
 
 def select_digit_subset(
-    image_set: RawImageSet, classes, per_class: int, rng: np.random.Generator
-) -> RawImageSet:
-    """Uniform without-replacement pick of per_class images from each class,
-    concatenated class by class and then shuffled."""
+    labels: np.ndarray, classes, per_class: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Indices of a uniform without-replacement pick of per_class entries of
+    labels from each class, concatenated class by class and then shuffled."""
     if per_class < 0:
         raise ValueError("per_class must be >= 0")
     chosen = []
     for cls in classes:
-        pool = np.flatnonzero(image_set.labels == cls)
+        pool = np.flatnonzero(labels == cls)
         if pool.size < per_class:
             raise ValueError(
                 f"class {cls} has only {pool.size} instances, need {per_class}"
             )
         chosen.append(rng.choice(pool, size=per_class, replace=False))
     idx = np.concatenate(chosen) if chosen else np.empty(0, dtype=int)
-    idx = idx[rng.permutation(idx.size)]
-    return RawImageSet(
-        images=image_set.images[idx],
-        rows=image_set.rows,
-        cols=image_set.cols,
-        labels=image_set.labels[idx],
-    )
+    return idx[rng.permutation(idx.size)]
 
 
-def to_dataset(image_set: RawImageSet) -> Dataset:
-    """Flatten to p = rows*cols reals in [0, 1] and center."""
-    if image_set.n < 1:
+def to_dataset(images: np.ndarray, labels: np.ndarray) -> Dataset:
+    """Flatten (n, rows, cols) images to n x (rows*cols) reals in [0, 1] and
+    center them; labels[i] stays the label of row i."""
+    if len(images) < 1:
         raise ValueError("need at least one image")
-    x = image_set.images.astype(float) / 255.0
-    return center(x, labels=image_set.labels)
+    x = images.reshape(len(images), -1).astype(float) / 255.0
+    return center(x, labels=labels)
 
 
 def _format_float(v: float) -> str:
@@ -395,8 +324,9 @@ def load_checkpoint(path) -> CheckpointData:
     not a JSON object, a missing state key, a size, seed or sweep counter
     that is not a JSON integer, a size below 1, a negative seed or sweep
     counter, a sigma^2 that is not a JSON number or not positive and finite,
-    matrices that are not nested lists of numbers, frames not orthonormal
-    within ORTHONORMALITY_TOL, or non-finite latents."""
+    matrices that are not n lists of p*d (transformations) or d (latents) JSON
+    numbers, frames not orthonormal within ORTHONORMALITY_TOL, or non-finite
+    latents."""
     with open(path, "r") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -414,13 +344,21 @@ def load_checkpoint(path) -> CheckpointData:
     sigma2 = doc["sigma2"]
     if type(sigma2) not in (int, float):
         raise ValueError(f"{path}: checkpoint sigma2 must be a JSON number")
-    # Only integer or float arrays are numeric: strings, booleans, nulls and
-    # objects give another dtype kind.
-    v, x = np.array(doc["transformations"]), np.array(doc["latents"])
-    if v.dtype.kind not in "if" or x.dtype.kind not in "if":
-        raise ValueError(f"{path}: checkpoint matrices must be lists of numbers")
-    v = v.astype(float).reshape(n, p, d)
-    x = x.astype(float).reshape(n, d)
+
+    def matrix(key: str, width: int) -> np.ndarray:
+        rows = doc[key]
+        # type() refuses bool, an int subclass.
+        if type(rows) is list and len(rows) == n and all(
+            type(r) is list and len(r) == width and all(type(e) in (int, float) for e in r)
+            for r in rows
+        ):
+            try:
+                return np.array(rows, dtype=float)
+            except OverflowError:  # an int beyond the float range
+                pass
+        raise ValueError(f"{path}: checkpoint {key} must be {n} lists of {width} JSON numbers")
+
+    v, x = matrix("transformations", p * d).reshape(n, p, d), matrix("latents", d)
     if not frames_orthonormal(v):
         raise ValueError(
             f"{path}: checkpoint frames are not orthonormal within {ORTHONORMALITY_TOL:g}"

@@ -16,8 +16,7 @@ from nlpca.datasets import (
     export_matrix_csv,
     import_matrix_csv,
     load_checkpoint,
-    write_idx_images,
-    write_idx_labels,
+    write_idx,
 )
 from nlpca.gibbs import FRAME_KERNEL, LATENT_UPDATE
 
@@ -34,8 +33,8 @@ def write_digit_files(tmp_path, rng, per_class=60):
     images, labels = make_digit_corpus(rng, per_class)
     img_path = tmp_path / "train-images.idx3-ubyte"
     lbl_path = tmp_path / "train-labels.idx1-ubyte"
-    write_idx_images(img_path, images, 28, 28)
-    write_idx_labels(lbl_path, labels)
+    write_idx(img_path, images.reshape(-1, 28, 28))
+    write_idx(lbl_path, labels)
     return img_path, lbl_path
 
 
@@ -202,14 +201,38 @@ class TestDigitsDemo:
         labels[0] = 11
         img = tmp_path / "images.idx3-ubyte"
         lbl = tmp_path / "labels.idx1-ubyte"
-        write_idx_images(img, images, 28, 28)
-        write_idx_labels(lbl, labels)
+        write_idx(img, images.reshape(-1, 28, 28))
+        write_idx(lbl, labels)
         out = tmp_path / "out"
         code = main(["digits-demo", "--images", str(img), "--labels", str(lbl),
                      "--out", str(out)])
         assert code == 2
-        assert "digits 0-9" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "digits 0-9" in err
+        assert str(lbl) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows, cols", [(20, 20), (28, 14)])
+    def test_irreducible_image_size_is_usage_error_before_output(
+        self, tmp_path, capsys, rows, cols
+    ):
+        img, lbl = tmp_path / "images.idx3-ubyte", tmp_path / "labels.idx1-ubyte"
+        write_idx(img, np.zeros((150, rows, cols), dtype=np.uint8))
+        write_idx(lbl, np.repeat(np.array([1, 2, 3], dtype=np.uint8), 50))
+        out = tmp_path / "out"
+        code = main(["digits-demo", "--images", str(img), "--labels", str(lbl),
+                     "--out", str(out)])
+        assert code == 1
+        assert "not reducible to 14x14" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mean_pooling_run(self, tmp_path, digit_files):
+        img, lbl = digit_files
+        out = tmp_path / "out"
+        code = main(["digits-demo", "--images", str(img), "--labels", str(lbl),
+                     "--pool", "mean", *TINY_CHAIN, "--out", str(out)])
+        assert code == 0
+        assert read_summary(out)["pool"] == "mean"
 
 
 class TestFit:
@@ -379,7 +402,7 @@ class TestFit:
         ["frame_scaled", "nan_latent", "negative_sigma2", "negative_seed", "negative_counter",
          "fractional_seed", "boolean_counter", "missing_eta", "sigma2_list", "null_sigma2",
          "string_sigma2", "string_latent", "transformations_object", "top_level_list",
-         "negative_n"],
+         "negative_n", "boolean_latent", "wrong_n", "ragged_latent", "huge_int_latent"],
     )
     def test_corrupt_checkpoint_is_input_error_before_output(
         self, tmp_path, capsys, corruption
@@ -412,6 +435,14 @@ class TestFit:
             doc["transformations"] = {"a": 1}
         elif corruption == "top_level_list":
             doc = [doc]
+        elif corruption == "boolean_latent":
+            doc["latents"][0][0] = True
+        elif corruption == "wrong_n":
+            doc["n"] -= 1
+        elif corruption == "ragged_latent":
+            doc["latents"][0].append(0.5)
+        elif corruption == "huge_int_latent":
+            doc["latents"][0][0] = 10**400
         else:
             doc[corruption.removeprefix("negative_")] = -1
         checkpoint.write_text(json.dumps(doc))

@@ -6,30 +6,33 @@ import pytest
 
 from nlpca.datasets import (
     CheckpointData,
-    IdxFormatError,
-    RawImageSet,
     export_histogram_csv,
     export_matrix_csv,
     generate_sphere,
     import_matrix_csv,
     load_checkpoint,
-    load_idx_images,
-    load_idx_labels,
     load_image_set,
     save_checkpoint,
     select_digit_subset,
-    subsample_images,
+    shrink_images,
     to_dataset,
-    write_idx_images,
-    write_idx_labels,
+    write_idx,
 )
 from nlpca.metrics import histogram
 
 
 def make_image_set(rng, n=30, rows=28, cols=28, classes=(1, 2, 3)):
-    images = rng.integers(0, 256, size=(n, rows * cols), dtype=np.uint8)
+    images = rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8)
     labels = rng.choice(classes, size=n)
-    return RawImageSet(images=images, rows=rows, cols=cols, labels=labels)
+    return images, labels
+
+
+def write_partners(tmp_path, n):
+    """A valid n-image file and a valid n-label file, partners for a file under test."""
+    img, lbl = tmp_path / "partner-images.idx", tmp_path / "partner-labels.idx"
+    write_idx(img, np.zeros((n, 2, 2), dtype=np.uint8))
+    write_idx(lbl, np.ones(n, dtype=np.uint8))
+    return img, lbl
 
 
 class TestGenerateSphere:
@@ -72,52 +75,54 @@ class TestGenerateSphere:
 class TestIdxRoundTrip:
     def test_images_round_trip_bytes(self, tmp_path):
         rng = np.random.default_rng(4)
-        images = rng.integers(0, 256, size=(2, 28 * 28), dtype=np.uint8)
+        images = rng.integers(0, 256, size=(2, 28, 28), dtype=np.uint8)
         path = tmp_path / "imgs.idx3-ubyte"
-        write_idx_images(path, images, 28, 28)
-        loaded, rows, cols = load_idx_images(path)
-        assert (rows, cols) == (28, 28)
+        write_idx(path, images)
+        loaded, _ = load_image_set(path, write_partners(tmp_path, 2)[1])
+        assert loaded.shape == (2, 28, 28)
         assert np.array_equal(loaded, images)
 
     def test_labels_round_trip(self, tmp_path):
         labels = np.array([1, 2, 3, 9, 0], dtype=np.uint8)
         path = tmp_path / "labels.idx1-ubyte"
-        write_idx_labels(path, labels)
-        assert np.array_equal(load_idx_labels(path), labels)
+        write_idx(path, labels)
+        _, loaded = load_image_set(write_partners(tmp_path, 5)[0], path)
+        assert np.array_equal(loaded, labels)
 
     def test_label_magic_on_image_load(self, tmp_path):
         path = tmp_path / "mixed.idx"
-        write_idx_labels(path, np.array([1, 2], dtype=np.uint8))
-        with pytest.raises(IdxFormatError, match="wrong magic"):
-            load_idx_images(path)
+        write_idx(path, np.array([1, 2], dtype=np.uint8))
+        with pytest.raises(ValueError, match="wrong magic"):
+            load_image_set(path, write_partners(tmp_path, 2)[1])
 
     def test_image_magic_on_label_load(self, tmp_path):
         path = tmp_path / "mixed.idx"
-        write_idx_images(path, np.zeros((1, 4), dtype=np.uint8), 2, 2)
-        with pytest.raises(IdxFormatError, match="wrong magic"):
-            load_idx_labels(path)
+        write_idx(path, np.zeros((1, 2, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match="wrong magic"):
+            load_image_set(write_partners(tmp_path, 1)[0], path)
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "trunc.idx"
-        write_idx_images(path, np.zeros((2, 9), dtype=np.uint8), 3, 3)
+        write_idx(path, np.zeros((2, 3, 3), dtype=np.uint8))
         data = path.read_bytes()
         path.write_bytes(data[:-5])
-        with pytest.raises(IdxFormatError, match="truncated"):
-            load_idx_images(path)
+        with pytest.raises(ValueError, match="truncated"):
+            load_image_set(path, write_partners(tmp_path, 2)[1])
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "trail.idx"
-        write_idx_images(path, np.zeros((2, 9), dtype=np.uint8), 3, 3)
+        write_idx(path, np.zeros((2, 3, 3), dtype=np.uint8))
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(IdxFormatError, match="trailing"):
-            load_idx_images(path)
+        with pytest.raises(ValueError, match="trailing"):
+            load_image_set(path, write_partners(tmp_path, 2)[1])
 
     def test_header_fuzzing_rejected(self, tmp_path):
         # Any single-byte corruption of the 16-byte header must be rejected:
         # it changes the magic or makes the declared payload size wrong.
         rng = np.random.default_rng(5)
         path = tmp_path / "good.idx"
-        write_idx_images(path, rng.integers(0, 256, (3, 25), dtype=np.uint8), 5, 5)
+        write_idx(path, rng.integers(0, 256, (3, 5, 5), dtype=np.uint8))
+        labels_path = write_partners(tmp_path, 3)[1]
         good = bytearray(path.read_bytes())
         bad_path = tmp_path / "bad.idx"
         for offset in range(16):
@@ -128,8 +133,8 @@ class TestIdxRoundTrip:
                     new_byte = (new_byte + 1) % 256
                 corrupted[offset] = new_byte
                 bad_path.write_bytes(bytes(corrupted))
-                with pytest.raises(IdxFormatError):
-                    load_idx_images(bad_path)
+                with pytest.raises(ValueError):
+                    load_image_set(bad_path, labels_path)
 
     @pytest.mark.parametrize(
         "magic, fields, index, name",
@@ -149,124 +154,117 @@ class TestIdxRoundTrip:
         path = tmp_path / "huge.idx"
         header = struct.pack(f">{1 + len(fields)}I", magic, *fields)
         path.write_bytes(header + b"\x00" * 100)
-        load = load_idx_images if magic == 0x00000803 else load_idx_labels
+        img, lbl = write_partners(tmp_path, 1)
+        paths = (path, lbl) if magic == 0x00000803 else (img, path)
         offset = 4 + 4 * index
-        with pytest.raises(IdxFormatError, match=f"{name} 4294967295 at offset {offset} overflow"):
-            load(path)
+        with pytest.raises(ValueError, match=f"{name} 4294967295 at offset {offset} overflow"):
+            load_image_set(*paths)
 
     def test_load_image_set_count_mismatch(self, tmp_path):
         rng = np.random.default_rng(6)
-        write_idx_images(tmp_path / "i.idx", rng.integers(0, 256, (3, 4), dtype=np.uint8), 2, 2)
-        write_idx_labels(tmp_path / "l.idx", np.array([1, 2], dtype=np.uint8))
-        with pytest.raises(IdxFormatError, match="labels"):
+        write_idx(tmp_path / "i.idx", rng.integers(0, 256, (3, 2, 2), dtype=np.uint8))
+        write_idx(tmp_path / "l.idx", np.array([1, 2], dtype=np.uint8))
+        with pytest.raises(ValueError, match="labels"):
             load_image_set(tmp_path / "i.idx", tmp_path / "l.idx")
 
 
 class TestSubsample:
     def test_factor_one_identity(self):
         rng = np.random.default_rng(7)
-        s = make_image_set(rng, n=4, rows=6, cols=6)
-        out = subsample_images(s, 1)
-        assert np.array_equal(out.images, s.images)
+        images, _ = make_image_set(rng, n=4, rows=6, cols=6)
+        out = shrink_images(images, 6)
+        assert np.array_equal(out, images)
 
     def test_constant_image_stays_constant(self):
-        s = RawImageSet(np.full((1, 16), 77, dtype=np.uint8), 4, 4, np.array([1]))
-        out = subsample_images(s, 2)
-        assert out.rows == out.cols == 2
-        assert np.all(out.images == 77)
+        out = shrink_images(np.full((1, 4, 4), 77, dtype=np.uint8), 2)
+        assert out.shape[1:] == (2, 2)
+        assert np.all(out == 77)
 
     def test_checkerboard_keeps_phase(self):
         grid = np.indices((4, 4)).sum(axis=0) % 2  # 0 at (0, 0)
-        img = (grid * 255).astype(np.uint8).reshape(1, 16)
-        s = RawImageSet(img, 4, 4, np.array([2]))
-        out = subsample_images(s, 2)
-        assert np.all(out.images == 0)  # kept phase is the (even, even) pixels
+        img = (grid * 255).astype(np.uint8).reshape(1, 4, 4)
+        out = shrink_images(img, 2)
+        assert np.all(out == 0)  # kept phase is the (even, even) pixels
 
     def test_mnist_shape(self):
         rng = np.random.default_rng(8)
-        s = make_image_set(rng, n=5, rows=28, cols=28)
-        out = subsample_images(s, 2)
-        assert (out.rows, out.cols) == (14, 14)
-        assert out.images.shape == (5, 196)
-        imgs = s.images.reshape(5, 28, 28)
-        assert np.array_equal(out.images.reshape(5, 14, 14), imgs[:, ::2, ::2])
+        images, _ = make_image_set(rng, n=5, rows=28, cols=28)
+        out = shrink_images(images, 14)
+        assert out.shape == (5, 14, 14)
+        assert np.array_equal(out, images[:, ::2, ::2])
 
     def test_mean_pooling(self):
-        img = np.arange(16, dtype=np.uint8).reshape(1, 16)
-        s = RawImageSet(img, 4, 4, np.array([3]))
-        out = subsample_images(s, 2, mode="mean")
+        img = np.arange(16, dtype=np.uint8).reshape(1, 4, 4)
+        out = shrink_images(img, 2, mode="mean")
         blocks = img.reshape(1, 2, 2, 2, 2).astype(float).mean(axis=(2, 4))
-        assert np.array_equal(out.images.reshape(1, 2, 2), np.rint(blocks).astype(np.uint8))
+        assert np.array_equal(out, np.rint(blocks).astype(np.uint8))
 
     def test_non_divisible_factor(self):
         rng = np.random.default_rng(9)
-        s = make_image_set(rng, n=2, rows=6, cols=6)
+        images, _ = make_image_set(rng, n=2, rows=6, cols=6)
         with pytest.raises(ValueError):
-            subsample_images(s, 4)
+            shrink_images(images, 4)
 
 
 class TestSelectSubset:
     def test_counts_per_class(self):
         rng = np.random.default_rng(10)
-        s = make_image_set(rng, n=400, rows=4, cols=4, classes=(1, 2, 3, 7))
-        out = select_digit_subset(s, [1, 2, 3], 50, np.random.default_rng(0))
-        assert out.n == 150
+        _, labels = make_image_set(rng, n=400, rows=4, cols=4, classes=(1, 2, 3, 7))
+        idx = select_digit_subset(labels, [1, 2, 3], 50, np.random.default_rng(0))
+        assert idx.size == 150
         for cls in (1, 2, 3):
-            assert int(np.sum(out.labels == cls)) == 50
+            assert int(np.sum(labels[idx] == cls)) == 50
 
     def test_zero_per_class(self):
         rng = np.random.default_rng(11)
-        s = make_image_set(rng, n=20, rows=4, cols=4)
-        out = select_digit_subset(s, [1, 2], 0, np.random.default_rng(0))
-        assert out.n == 0
+        _, labels = make_image_set(rng, n=20, rows=4, cols=4)
+        idx = select_digit_subset(labels, [1, 2], 0, np.random.default_rng(0))
+        assert idx.size == 0
 
     def test_seed_reproducible(self):
         rng = np.random.default_rng(12)
-        s = make_image_set(rng, n=200, rows=4, cols=4)
-        a = select_digit_subset(s, [1, 2, 3], 20, np.random.default_rng(5))
-        b = select_digit_subset(s, [1, 2, 3], 20, np.random.default_rng(5))
-        assert np.array_equal(a.images, b.images)
-        assert np.array_equal(a.labels, b.labels)
+        images, labels = make_image_set(rng, n=200, rows=4, cols=4)
+        a = select_digit_subset(labels, [1, 2, 3], 20, np.random.default_rng(5))
+        b = select_digit_subset(labels, [1, 2, 3], 20, np.random.default_rng(5))
+        assert np.array_equal(images[a], images[b])
+        assert np.array_equal(labels[a], labels[b])
 
     def test_insufficient_instances(self):
         rng = np.random.default_rng(13)
-        s = make_image_set(rng, n=10, rows=4, cols=4, classes=(1,))
+        _, labels = make_image_set(rng, n=10, rows=4, cols=4, classes=(1,))
         with pytest.raises(ValueError, match="class 2"):
-            select_digit_subset(s, [1, 2], 3, np.random.default_rng(0))
+            select_digit_subset(labels, [1, 2], 3, np.random.default_rng(0))
 
     def test_selected_images_keep_their_labels(self):
         rng = np.random.default_rng(14)
         n = 90
-        images = np.zeros((n, 4), dtype=np.uint8)
+        images = np.zeros((n, 2, 2), dtype=np.uint8)
         labels = rng.choice([1, 2, 3], size=n)
-        images[:, 0] = labels * 10  # image content encodes the label
-        s = RawImageSet(images, 2, 2, labels)
-        out = select_digit_subset(s, [1, 2, 3], 10, np.random.default_rng(1))
-        assert np.array_equal(out.images[:, 0], out.labels * 10)
+        images[:, 0, 0] = labels * 10  # image content encodes the label
+        idx = select_digit_subset(labels, [1, 2, 3], 10, np.random.default_rng(1))
+        assert np.array_equal(images[idx][:, 0, 0], labels[idx] * 10)
 
 
 class TestToDataset:
     def test_dimension(self):
         rng = np.random.default_rng(15)
-        s = make_image_set(rng, n=6, rows=14, cols=14)
-        ds = to_dataset(s)
+        images, labels = make_image_set(rng, n=6, rows=14, cols=14)
+        ds = to_dataset(images, labels)
         assert ds.p == 196
         assert ds.n == 6
-        assert np.array_equal(ds.labels, s.labels)
+        assert np.array_equal(ds.labels, labels)
 
     def test_all_black_becomes_zero(self):
-        s = RawImageSet(np.zeros((3, 9), dtype=np.uint8), 3, 3, np.array([1, 2, 3]))
-        ds = to_dataset(s)
+        ds = to_dataset(np.zeros((3, 3, 3), dtype=np.uint8), np.array([1, 2, 3]))
         assert np.all(ds.y == 0.0)
 
     def test_column_means_vanish(self):
         rng = np.random.default_rng(16)
-        ds = to_dataset(make_image_set(rng, n=10, rows=8, cols=8))
+        ds = to_dataset(*make_image_set(rng, n=10, rows=8, cols=8))
         assert np.max(np.abs(ds.y.mean(axis=0))) <= 1e-10
 
     def test_values_scaled_to_unit_range(self):
-        s = RawImageSet(np.full((2, 4), 255, dtype=np.uint8), 2, 2, np.array([1, 1]))
-        ds = to_dataset(s)
+        ds = to_dataset(np.full((2, 2, 2), 255, dtype=np.uint8), np.array([1, 1]))
         assert np.allclose(ds.column_means, 1.0)
 
 

@@ -76,12 +76,19 @@ def _stack_frames(transformations) -> np.ndarray:
 
 
 def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
-    """n x n squared Euclidean distances between the rows of points, n >= 2."""
+    """n x n squared Euclidean distances between the rows of points, n >= 2.
+
+    Summed one coordinate at a time, without an n x n x d temporary.
+    """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     if x.shape[0] < 2:
         raise ValueError("need at least two points")
-    diff = x[:, None, :] - x[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    sq = np.zeros((x.shape[0], x.shape[0]))
+    for k in range(x.shape[1]):
+        dk = x[:, k, None] - x[None, :, k]
+        dk *= dk
+        sq += dk
+    return sq
 
 
 def compute_weights(

@@ -15,7 +15,10 @@ vmf_sample_column_gibbs is its validated wrapper, as vmf_sample_vector is
 for the vector draw.  That draw is Wood's (1994) scheme, in forms that keep
 full precision at any finite concentration; on the circle (the complement
 of every d = p - 1 frame, and every pair draw of a square frame) its
-uniform tangent is a sign.
+uniform tangent is a sign, and _circle_draw draws it in Python floats.  The
+3 x 2 frame of the paper's sphere runs its whole column step in Python
+floats, _column_pass_3x2: one reflector, the circle draw and the lift, with
+no NumPy call but the variate draws and the store of each column.
 vmf_sample_rejection, uniform-proposal rejection with the tight envelope
 exp{sum(D)}, is the exact reference the tests check the kernel against.
 """
@@ -164,7 +167,12 @@ def _wood_cosine(
     the last from 1 - t = 2 b z / w and 1 + t = 2 u / w.  These forms take
     the same variates as the textbook ones and agree with them to rounding,
     except where the textbook forms lose digits.
+
+    Raises ValueError unless 0 < kappa < inf, before drawing anything: a NaN
+    kappa would never leave the rejection loop.
     """
+    if not 0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
     half = 0.5 * dim
     b = dim / (math.hypot(2.0 * kappa, dim) + 2.0 * kappa)
     scale = 2.0 * (kappa * b) / (1.0 + b)
@@ -180,41 +188,53 @@ def _wood_cosine(
             return (u - bz) / w, 2.0 * math.sqrt(bz * u) / w
 
 
+def _circle_draw(
+    mu0: float, mu1: float, kappa: float, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Vector vMF draw on the unit circle around the unit vector (mu0, mu1),
+    in Python floats.
+
+    The draw is t mu + sine u, with (t, sine) from _wood_cosine and u the
+    uniform unit tangent at mu, renormalised.  On the circle the tangent
+    g - (g . mu) mu of a standard normal pair g is (g . mu_perp) mu_perp with
+    mu_perp = (-mu1, mu0), so u is sign(g . mu_perp) mu_perp, with g redrawn
+    while |g . mu_perp| is at most 1e-12: the variates and retry condition of
+    the general tangent step.
+    """
+    t, sine = _wood_cosine(kappa, 1, rng)
+    while True:
+        g0, g1 = rng.standard_normal(2).tolist()
+        along = mu0 * g1 - mu1 * g0
+        if abs(along) > 1e-12:
+            break
+    sine = math.copysign(sine, along)
+    v0, v1 = t * mu0 - sine * mu1, t * mu1 + sine * mu0
+    norm = math.sqrt(v0 * v0 + v1 * v1)
+    return v0 / norm, v1 / norm
+
+
 def _vmf_vector_draw(
     mu: np.ndarray, kappa: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Vector vMF draw around the unit vector mu (p >= 2), unchecked apart
-    from 0 < kappa < inf, without which a NaN kappa would never leave the
-    rejection loop.
+    from _wood_cosine's guard 0 < kappa < inf.
 
     The draw is t mu + sqrt(1 - t^2) u, with (t, sqrt(1 - t^2)) from
     _wood_cosine and u a uniform unit tangent at mu, renormalised.  u is
     g - (g . mu) mu normalised, for a standard normal g redrawn while that
     norm is at most 1e-12; norms are sqrt(v @ v), the same bits as
-    np.linalg.norm on a contiguous 1-D array.  On the circle (p = 2), where
-    g - (g . mu) mu = (g . mu_perp) mu_perp with mu_perp = (-mu_1, mu_0), u is
-    sign(g . mu_perp) mu_perp: the same normal pair, retried under the same
-    condition, and the draw is built from Python scalars.
+    np.linalg.norm on a contiguous 1-D array.  On the circle (p = 2) the
+    draw is _circle_draw's.
 
     The draw keeps its precision up to kappa ~ 1e300 at least, but
-    column_gibbs_pass takes kappa = sqrt(m @ m), which overflows above
-    kappa ~ 1.3e154, so there the guard raises instead.
+    column_gibbs_pass takes kappa as the norm of its complement coordinates,
+    sqrt(m @ m) or its scalar form, whose square overflows above
+    kappa ~ 1.3e154; there the kappa is inf and the guard raises instead.
     """
-    if not 0 < kappa < math.inf:
-        raise ValueError("kappa must be positive and finite")
     p = mu.size
-    t, sine = _wood_cosine(kappa, p - 1, rng)
     if p == 2:
-        m0, m1 = mu.tolist()
-        while True:
-            g0, g1 = rng.standard_normal(2).tolist()
-            along = m0 * g1 - m1 * g0
-            if abs(along) > 1e-12:
-                break
-        sine = math.copysign(sine, along)
-        v0, v1 = t * m0 - sine * m1, t * m1 + sine * m0
-        norm = math.sqrt(v0 * v0 + v1 * v1)
-        return np.array([v0 / norm, v1 / norm])
+        return np.array(_circle_draw(*mu.tolist(), kappa, rng))
+    t, sine = _wood_cosine(kappa, p - 1, rng)
     while True:
         g = rng.standard_normal(p)
         tangent = g - (g @ mu) * mu
@@ -297,6 +317,32 @@ def _sample_orthogonal2(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.array([[c, s], [s, -c]])
 
 
+def _column_pass_3x2(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -> None:
+    """column_gibbs_pass on a 3 x 2 frame, in Python floats.
+
+    The general path written out for one reflector: the other column o gives
+    u = o + sign(o_0) e_1, m = (H c_k)[1:] and the lift H [0; z], with the
+    same variates, retry conditions and kappa = 0 branch, so the frame agrees
+    with it to rounding.  The sphere's frames have this shape, where NumPy's
+    per-call cost on 3-vectors, not arithmetic, would set the pace.
+    """
+    cols = x.T.tolist()
+    for k, (c0, c1, c2) in enumerate(cm.T.tolist()):
+        o0, o1, o2 = cols[1 - k]
+        u0 = o0 + (1.0 if o0 >= 0 else -1.0)
+        uu = u0 * u0 + o1 * o1 + o2 * o2
+        f = 2.0 * (u0 * c0 + o1 * c1 + o2 * c2) / uu
+        m0, m1 = c1 - f * o1, c2 - f * o2
+        kappa = math.sqrt(m0 * m0 + m1 * m1)
+        if kappa == 0.0:
+            z0, z1 = _uniform_unit_vector(2, rng).tolist()
+        else:
+            z0, z1 = _circle_draw(m0 / kappa, m1 / kappa, kappa, rng)
+        f = 2.0 * (o1 * z0 + o2 * z1) / uu
+        cols[k] = [-f * u0, z0 - f * o1, z1 - f * o2]
+        x[:, k] = cols[k]
+
+
 def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -> None:
     """One column-wise Gibbs pass targeting vMF(cm), updating the p x d frame
     x in place.
@@ -304,7 +350,7 @@ def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -
     Unchecked: x must be orthonormal with the shape of cm.  The Gibbs sweep
     calls this for every site and guards orthonormality once per sweep;
     vmf_sample_column_gibbs is the validated entry point.  Every vector draw
-    goes through _vmf_vector_draw, whose one guard, 0 < kappa < inf, makes a
+    starts with _wood_cosine, whose one guard, 0 < kappa < inf, makes a
     non-finite cm or x raise ValueError instead of looping forever; p = d = 1,
     which draws no vector, checks its one entry itself.
 
@@ -323,7 +369,11 @@ def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -
 
     N is never formed: it is the trailing columns of the Q of the other
     columns' reflectors (none for d = 1 or p = d = 2, where N = I), so
-    _to_complement gives N^T c and _lift gives N z.
+    _to_complement gives N^T c and _lift gives N z.  A 3 x 2 frame (the
+    sphere's) has one reflector per column and a circle as complement, and
+    _column_pass_3x2 runs that case in Python floats, with the same
+    variates and the same frame to rounding; every other shape takes the
+    reflector helpers and _vmf_vector_draw.
     """
     p, d = x.shape
     if d == p == 1:
@@ -342,6 +392,8 @@ def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -
             q = _sample_orthogonal2(m, rng)
             x[:, k] = _lift(reflectors, q[:, 0])
             x[:, j] = _lift(reflectors, q[:, 1])
+    elif p == 3 and d == 2:
+        _column_pass_3x2(cm, x, rng)
     else:
         for k in range(d):
             reflectors = _complement_reflectors(x, (k,))

@@ -11,6 +11,7 @@ from nlpca.mrf import (
     default_bandwidth,
     default_strength,
     mrf_log_density_unnorm,
+    pairwise_sq_distances,
 )
 from nlpca.stiefel import sample_uniform_stiefel
 from nlpca.vmf import VmfParam, vmf_log_density_unnorm, vmf_mode
@@ -79,6 +80,35 @@ class TestComputeWeights:
             InteractionWeights(np.array([[1.0, 0.5], [0.5, 0.0]]), 3.0, 1.0)
         with pytest.raises(ValueError):
             InteractionWeights(np.array([[0.0, 5.0], [5.0, 0.0]]), 3.0, 1.0)
+
+
+def einsum_sq_distances(x):
+    """The n x n x d difference tensor reduced by einsum: the form the
+    per-coordinate sum replaced."""
+    diff = x[:, None, :] - x[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+class TestPairwiseSqDistances:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_same_bits_as_einsum_form_up_to_two_dims(self, d):
+        # Every bench chain has d <= 2, so their weights keep their bits.
+        rng = np.random.default_rng(30 + d)
+        for scale in 10.0 ** rng.uniform(-3, 3, 90):
+            x = scale * rng.standard_normal((int(rng.integers(2, 60)), d))
+            assert np.array_equal(pairwise_sq_distances(x), einsum_sq_distances(x))
+
+    def test_three_dims_agree_to_rounding(self):
+        rng = np.random.default_rng(33)
+        for scale in 10.0 ** rng.uniform(-3, 3, 90):
+            x = scale * rng.standard_normal((int(rng.integers(2, 60)), 3))
+            np.testing.assert_allclose(
+                pairwise_sq_distances(x), einsum_sq_distances(x), rtol=1e-15, atol=0
+            )
+
+    def test_needs_two_points(self):
+        with pytest.raises(ValueError):
+            pairwise_sq_distances(np.zeros((1, 2)))
 
 
 class TestDefaultBandwidth:

@@ -5,7 +5,12 @@ import pytest
 from scipy import stats
 
 from conftest import circle_mean_resultant, circle_vmf_moment, sphere_cosine_moment
-from nlpca.stiefel import frames_orthonormal, null_space_basis, sample_uniform_stiefel
+from nlpca.stiefel import (
+    _uniform_unit_vector,
+    frames_orthonormal,
+    null_space_basis,
+    sample_uniform_stiefel,
+)
 from nlpca.vmf import (
     VmfParam,
     _complement_reflectors,
@@ -375,6 +380,71 @@ class TestColumnGibbs:
     def test_square_frame_o4_pairs_invariant_and_not_sign_flips(self):
         # O(4): each pair's complement takes two reflectors.
         self.square_pairs_move_exactly(4, 0.5)
+
+    def test_3x2_float_step_matches_general_helpers(self):
+        # The 3 x 2 pass in Python floats against the general path composed
+        # from its helpers, on twin generators: same variates, same frame.
+        # Each column's m = N^T c_k cancels when c_k is nearly in the span of
+        # the other column, losing digits in proportion to |c_k| / kappa_k,
+        # and column 1 reads column 0's draw, so the tolerance carries the
+        # product of both columns' factors.
+        uniform_draws = []
+
+        def general_pass(cm, x, rng):
+            cancellation = 1.0
+            for k in range(2):
+                reflectors = _complement_reflectors(x, (k,))
+                m = _to_complement(reflectors, cm[:, k])
+                kappa = math.sqrt(m @ m)
+                if kappa == 0.0:
+                    uniform_draws.append(k)
+                    z = _uniform_unit_vector(2, rng)
+                else:
+                    z = _vmf_vector_draw(m / kappa, kappa, rng)
+                    cancellation *= np.linalg.norm(cm[:, k]) / kappa
+                x[:, k] = _lift(reflectors, z)
+            return cancellation
+
+        rng = np.random.default_rng(27)
+        scales = np.concatenate(
+            [10.0 ** rng.uniform(-8, 8, 1800), 10.0 ** rng.uniform(16, 20, 100)]
+        )
+        cases = [(scale * rng.standard_normal((3, 2)),
+                  sample_uniform_stiefel(3, 2, rng).matrix) for scale in scales]
+        # Column 0 of C along column 1 of a signed-permutation frame: m is
+        # exactly 0 on both paths, so both take the uniform branch.
+        for _ in range(100):
+            x = np.eye(3)[rng.permutation(3)[:2]].T * rng.choice([-1.0, 1.0], 2)
+            cm = np.column_stack((rng.uniform(-4, 4) * x[:, 1], rng.standard_normal(3)))
+            cases.append((cm, x))
+        for k, (cm, x) in enumerate(cases):
+            fast, general = x.copy(), x.copy()
+            rng_a, rng_b = np.random.default_rng(k), np.random.default_rng(k)
+            column_gibbs_pass(cm, fast, rng_a)
+            cancellation = general_pass(cm, general, rng_b)
+            np.testing.assert_allclose(fast, general, rtol=0, atol=1e-14 * cancellation)
+            assert rng_a.random() == rng_b.random()
+        assert uniform_draws.count(0) == 100
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("bad", ["cm_nan", "cm_inf", "cm_minus_inf", "x_nan", "cm_1e200"])
+    def test_non_finite_input_raises(self, p, bad):
+        # The guard on kappa refuses each of these before anything non-finite
+        # is stored.  kappa's square overflows for entries of 1e200.
+        rng = np.random.default_rng(28)
+        cm = rng.standard_normal((p, 2))
+        x = sample_uniform_stiefel(p, 2, rng).matrix.copy()
+        if bad == "x_nan":
+            x[0, 1] = math.nan  # column 0's step reads column 1
+        elif bad == "cm_1e200":
+            cm[:] = 1e200
+        else:
+            cm[1, 0] = {"cm_nan": math.nan, "cm_inf": math.inf, "cm_minus_inf": -math.inf}[bad]
+        before = x.copy()
+        with pytest.raises(ValueError):
+            column_gibbs_pass(cm, x, rng)
+        assert np.array_equal(x, before, equal_nan=True)
 
     @pytest.mark.parametrize("p, r", [(5, 1), (196, 1), (5, 2), (6, 4)])
     def test_implicit_complement_matches_null_space_basis(self, p, r):

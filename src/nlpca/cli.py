@@ -16,8 +16,7 @@ and writes only inside --out.  Exit codes: 0 success, 1 usage, 2 I/O,
 3 numerical failure.
 
 The chain commands load numpy alone.  scipy.special is imported on first
-use, by square frames (d = p) and by vmf-diag's oracle, so commands that
-never reach either start without scipy.
+use by vmf-diag's oracle, so every other command starts without scipy.
 """
 
 from __future__ import annotations
@@ -166,7 +165,7 @@ def _validate_chain(args) -> None:
 
 
 def _add_chain_options(sub) -> None:
-    sub.add_argument("--dim", type=int, default=2, help="latent dimension d")
+    sub.add_argument("--dim", type=int, default=2, help="latent dimension d, 1 <= d < p")
     sub.add_argument("--sweeps", type=int, default=2000, help="total Gibbs sweeps")
     sub.add_argument("--burn-in", type=int, default=1000, dest="burn_in")
     sub.add_argument("--thin", type=int, default=5, help="keep every thin-th sweep")
@@ -183,10 +182,13 @@ def _add_common_options(sub) -> None:
 
 
 def _pilot(args, data) -> tuple[PcaFit, HyperParams]:
-    """The command's one rank-d PCA fit, once --dim is known to fit the data,
-    and the pilot-study hyperparameters it gives under the chain flags."""
-    if args.dim > min(data.n, data.p):
-        raise UsageError(f"--dim must be <= min(n, p) = {min(data.n, data.p)}")
+    """The command's one rank-d PCA fit, once --dim is known to fit the data
+    (d < p, so the frames reduce dimension, and d <= n), and the pilot-study
+    hyperparameters it gives under the chain flags."""
+    if args.dim >= data.p:
+        raise UsageError(f"--dim must be < p = {data.p}, the data's dimension")
+    if args.dim > data.n:
+        raise UsageError(f"--dim must be <= n = {data.n}")
     fit = pca_fit(data, args.dim)
     return fit, default_hyperparams(
         data,
@@ -448,8 +450,8 @@ def _circle_mean_gap(kappa: float) -> float:
 def cmd_vmf_diag(args) -> int:
     if args.p < 2:
         raise UsageError("--p must be >= 2")
-    if not 1 <= args.d_frame <= args.p:
-        raise UsageError("--d-frame must satisfy 1 <= d <= p")
+    if not 1 <= args.d_frame < args.p:
+        raise UsageError(f"--d-frame must satisfy 1 <= d < p = {args.p}")
     if not 0 <= args.kappa < math.inf:
         raise UsageError(f"--kappa must be nonnegative and finite, got {args.kappa}")
     if args.samples < 2:
@@ -524,7 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     diag = sub.add_parser("vmf-diag", help="frame-kernel check")
     diag.add_argument("--p", type=int, required=True, help="ambient dimension")
-    diag.add_argument("--d-frame", type=int, default=1, dest="d_frame", help="frame dimension")
+    diag.add_argument(
+        "--d-frame", type=int, default=1, dest="d_frame", help="frame dimension d, 1 <= d < p"
+    )
     diag.add_argument("--kappa", type=float, required=True, help="concentration")
     diag.add_argument("--samples", type=int, default=10_000, help="kernel passes")
     diag.add_argument("--seed", type=int, default=None)

@@ -113,8 +113,13 @@ def load_image_set(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_idx(path, array: np.ndarray) -> None:
     """Write a uint8 array as an IDX file: the big-endian uint32 magic
-    0x0800 | ndim, one uint32 per dimension, then the bytes in C order."""
-    array = np.asarray(array, dtype=np.uint8)
+    0x0800 | ndim, one uint32 per dimension, then the bytes in C order.
+    ValueError, before the file is opened, unless every value is an integer
+    in 0..255."""
+    array = np.asarray(array)
+    if not np.all((array >= 0) & (array <= 255) & (np.floor(array) == array)):
+        raise ValueError("IDX values must be integers in 0..255")
+    array = array.astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(struct.pack(f">{1 + array.ndim}I", 0x0800 | array.ndim, *array.shape))
         fh.write(array.tobytes())

@@ -212,9 +212,9 @@ def update_transformation(
     started from the current V_i.
 
     The target is V_i's full conditional vMF(y_i x_i^T / sigma^2 +
-    sum_{j != i} lambda_ij V_j).  Each column (each overlapping column pair
-    when d = p) is redrawn exactly given the rest, so the pass leaves that
-    conditional invariant without an SVD, a rejection loop or a fallback.
+    sum_{j != i} lambda_ij V_j).  Each column is redrawn exactly given the
+    rest, so the pass leaves that conditional invariant without an SVD, a
+    rejection loop or a fallback.
     Nothing is validated here: sweep checks every frame once per sweep.
     data_term is sweep's (n, p, d) stack of the y_i x_i^T / sigma^2: row i
     holds the same products and division as np.outer(y_i, x_i) / sigma^2.
@@ -309,12 +309,12 @@ def log_posterior_unnorm(state: ModelState, data: Dataset, hp: HyperParams) -> f
 def sweep(
     state: ModelState, data: Dataset, hp: HyperParams, rng: np.random.Generator
 ) -> tuple[ModelState, float]:
-    """One full Gibbs pass; returns the new state and its log posterior.
-    Frames are updated sequentially so each draw conditions on the freshest
-    neighbors; weights are rebuilt from the new latents before the noise
-    update.  The data part y_i x_i^T / sigma^2 of every frame conditional is
-    built once, before the frame loop, because the latents and sigma^2
-    change only after it."""
+    """One full Gibbs pass over a state with d < p, which only run checks;
+    returns the new state and its log posterior.  Frames are updated
+    sequentially so each draw conditions on the freshest neighbors; weights
+    are rebuilt from the new latents before the noise update.  The data part
+    y_i x_i^T / sigma^2 of every frame conditional is built once, before the
+    frame loop, because the latents and sigma^2 change only after it."""
     st = state.copy()
     data_term = (data.y[:, :, None] * st.latents[:, None, :]) / st.sigma2
     for i in range(st.n):
@@ -358,11 +358,13 @@ def run(
     sweep_rng(seed, t), so the trajectory is bit-identical to the unbroken
     run's, and the states of kept_sweeps(hp, start_sweep) are averaged.
     sweep checks nothing on entry, so ValueError is raised before the first
-    sweep unless state has frames orthonormal within ORTHONORMALITY_TOL and
-    finite latents and sigma^2, and some sweep is kept.
+    sweep unless state has d < p, frames orthonormal within
+    ORTHONORMALITY_TOL and finite latents and sigma^2, and some sweep is kept.
     ``on_sweep(t, state, log_posterior)`` is called after every sweep, e.g.
     to stream a trace file; it is the only way out for per-sweep values.
     """
+    if state.d >= state.p:
+        raise ValueError(f"need d < p, got frames of shape {state.p}x{state.d}")
     if not frames_orthonormal(state.transformations):
         raise ValueError(f"frames are not orthonormal within {ORTHONORMALITY_TOL:g}")
     if not (np.all(np.isfinite(state.latents)) and math.isfinite(state.sigma2)):

@@ -9,6 +9,7 @@ vMF(sum_{j != i} lambda_ij V_j).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,10 +96,10 @@ def compute_weights(
     latents: np.ndarray, c_strength: float, bandwidth: float
 ) -> InteractionWeights:
     """Gaussian-kernel couplings lambda_ij = c * exp(-||x_i - x_j||^2 / (2 w^2))."""
-    if c_strength <= 0:
-        raise ValueError(f"c_strength must be positive, got {c_strength}")
-    if not bandwidth >= BANDWIDTH_FLOOR:
-        raise ValueError(f"bandwidth must be >= {BANDWIDTH_FLOOR:g}, got {bandwidth}")
+    if not 0 < c_strength < math.inf:
+        raise ValueError(f"c_strength must be positive and finite, got {c_strength}")
+    if not BANDWIDTH_FLOOR <= bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be finite and >= {BANDWIDTH_FLOOR:g}, got {bandwidth}")
     sq_dist = pairwise_sq_distances(latents)
     lam = c_strength * np.exp(-sq_dist / (2.0 * bandwidth * bandwidth))
     np.fill_diagonal(lam, 0.0)

@@ -6,15 +6,14 @@ values D set the concentration.
 
 The Gibbs sampler's frame step is column_gibbs_pass: one pass of
 column-wise Gibbs (Hoff 2009) started from the chain's current frame, which
-leaves vMF(C) exactly invariant.  Each column (each column pair of a
-square frame) is drawn in coordinates of the orthogonal complement of the
-other columns, built one way for every shape: from their Householder
-reflectors, applied implicitly.  The pass updates a raw array in place and
-checks nothing but the concentration of each vector draw;
-vmf_sample_column_gibbs is its validated wrapper, as vmf_sample_vector is
-for the vector draw.  That draw is Wood's (1994) scheme, in forms that keep
-full precision at any finite concentration; on the circle (the complement
-of every d = p - 1 frame, and every pair draw of a square frame) its
+leaves vMF(C) exactly invariant for a p x d frame with d < p.  Each column
+is drawn in coordinates of the orthogonal complement of the other columns,
+built one way for every shape: from their Householder reflectors, applied
+implicitly.  The pass updates a raw array in place and checks nothing but
+the concentration of each vector draw; vmf_sample_column_gibbs is its
+validated wrapper, as vmf_sample_vector is for the vector draw.  That draw
+is Wood's (1994) scheme, in forms that keep full precision at any finite
+concentration; on the circle (the complement of every d = p - 1 frame) its
 uniform tangent is a sign, and _circle_draw draws it in Python floats.  The
 3 x 2 frame of the paper's sphere runs its whole column step in Python
 floats, _column_pass_3x2: one reflector, the circle draw and the lift, with
@@ -246,13 +245,6 @@ def _vmf_vector_draw(
     return x / math.sqrt(x @ x)
 
 
-def _sigmoid(t: float) -> float:
-    if t >= 0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
-
-
 def _complement_reflectors(x: np.ndarray, skip: tuple) -> list:
     """Householder reflectors (u, u^T u), H = I - 2 u u^T / (u^T u), of the QR
     factorisation of the columns of x not in skip; Q = H_1 H_2 ... has their
@@ -287,36 +279,6 @@ def _lift(reflectors: list, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _sample_orthogonal2(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exact draw Q from the density prop. to exp{tr(M^T Q)} on O(2).
-
-    Rotations [[c, -s], [s, c]] give tr(M^T Q) = (m11 + m22) c + (m21 - m12) s
-    and reflections [[c, s], [s, -c]] give (m11 - m22) c + (m12 + m21) s.
-    Each component has Haar mass 1/2, so its weight is I_0 of the norm of its
-    coefficient vector, and the angle within it is a circular vMF draw.
-    """
-    # Imported here, not at module level: scipy.special adds ~0.3 s and ~25 MB
-    # to start-up (2-vCPU x86 VM), and only square frames need it.
-    from scipy import special
-
-    rot = np.array([m[0, 0] + m[1, 1], m[1, 0] - m[0, 1]])
-    ref = np.array([m[0, 0] - m[1, 1], m[0, 1] + m[1, 0]])
-    r_rot, r_ref = math.sqrt(rot @ rot), math.sqrt(ref @ ref)
-    # log I_0(r) = log i0e(r) + r keeps the weights finite at any concentration.
-    log_odds = (math.log(special.i0e(r_rot)) + r_rot) - (
-        math.log(special.i0e(r_ref)) + r_ref
-    )
-    is_rotation = 1.0 - rng.random() <= _sigmoid(log_odds)
-    coef, kappa = (rot, r_rot) if is_rotation else (ref, r_ref)
-    if kappa == 0.0:
-        c, s = _uniform_unit_vector(2, rng)
-    else:
-        c, s = _vmf_vector_draw(coef / kappa, kappa, rng)
-    if is_rotation:
-        return np.array([[c, -s], [s, c]])
-    return np.array([[c, s], [s, -c]])
-
-
 def _column_pass_3x2(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -> None:
     """column_gibbs_pass on a 3 x 2 frame, in Python floats.
 
@@ -347,12 +309,11 @@ def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -
     """One column-wise Gibbs pass targeting vMF(cm), updating the p x d frame
     x in place.
 
-    Unchecked: x must be orthonormal with the shape of cm.  The Gibbs sweep
-    calls this for every site and guards orthonormality once per sweep;
-    vmf_sample_column_gibbs is the validated entry point.  Every vector draw
-    starts with _wood_cosine, whose one guard, 0 < kappa < inf, makes a
-    non-finite cm or x raise ValueError instead of looping forever; p = d = 1,
-    which draws no vector, checks its one entry itself.
+    Unchecked: x must be orthonormal with the shape of cm, and d < p.  The
+    Gibbs sweep calls this for every site and guards orthonormality once per
+    sweep; vmf_sample_column_gibbs is the validated entry point.  Every
+    vector draw starts with _wood_cosine, whose one guard, 0 < kappa < inf,
+    makes a non-finite cm or x raise ValueError instead of looping forever.
 
     Each pass redraws every column from its exact full conditional.  With the
     other columns fixed, column k lives on the unit sphere of their orthogonal
@@ -360,39 +321,16 @@ def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -
     (uniform when that vector vanishes).  Started from a draw of vMF(C), one
     pass ends at a draw of vMF(C).
 
-    Square frames (d = p >= 2) are updated two columns at a time instead: a
-    single column's complement is one direction, so column moves could only
-    flip signs.  Given the other p - 2 columns, a pair is N Q with Q in O(2)
-    drawn exactly from its conditional exp{tr(M^T Q)}, M = N^T C_pair.  The
-    pairs (k, k+1 mod p) overlap, so their planar moves reach all of O(p).
-    For p = d = 1 the conditional is the two-point law on {+1, -1}.
-
     N is never formed: it is the trailing columns of the Q of the other
-    columns' reflectors (none for d = 1 or p = d = 2, where N = I), so
-    _to_complement gives N^T c and _lift gives N z.  A 3 x 2 frame (the
+    columns' reflectors (none for d = 1, where N = I), so _to_complement
+    gives N^T c and _lift gives N z.  A 3 x 2 frame (the
     sphere's) has one reflector per column and a circle as complement, and
     _column_pass_3x2 runs that case in Python floats, with the same
     variates and the same frame to rounding; every other shape takes the
     reflector helpers and _vmf_vector_draw.
     """
     p, d = x.shape
-    if d == p == 1:
-        # No vector draw here, and _sigmoid(nan) would pick -1: refuse it.
-        if not math.isfinite(cm[0, 0]):
-            raise ValueError("C has non-finite entries")
-        plus = 1.0 - rng.random() <= _sigmoid(2.0 * cm[0, 0])
-        x[0, 0] = 1.0 if plus else -1.0
-    elif d == p:
-        for k in range(1 if p == 2 else p):
-            j = (k + 1) % p
-            reflectors = _complement_reflectors(x, (k, j))
-            m = np.column_stack(
-                (_to_complement(reflectors, cm[:, k]), _to_complement(reflectors, cm[:, j]))
-            )
-            q = _sample_orthogonal2(m, rng)
-            x[:, k] = _lift(reflectors, q[:, 0])
-            x[:, j] = _lift(reflectors, q[:, 1])
-    elif p == 3 and d == 2:
+    if p == 3 and d == 2:
         _column_pass_3x2(cm, x, rng)
     else:
         for k in range(d):
@@ -410,9 +348,12 @@ def vmf_sample_column_gibbs(
     c: VmfParam, x_init: StiefelPoint, sweeps: int, rng: np.random.Generator
 ) -> StiefelPoint:
     """``sweeps`` passes of column_gibbs_pass targeting vMF(C), started from
-    x_init, with the shapes checked on entry and the result validated."""
+    x_init, with the shapes checked on entry (d < p) and the result
+    validated."""
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
+    if c.d >= c.p:
+        raise ValueError(f"need d < p for a frame draw, got C of shape {c.p}x{c.d}")
     if (x_init.p, x_init.d) != (c.p, c.d):
         raise ValueError(
             f"shape mismatch: init is {x_init.p}x{x_init.d}, C is {c.p}x{c.d}"

@@ -29,31 +29,6 @@ def circle_mean_resultant(kappa):
     return circle_vmf_moment(kappa, math.cos)
 
 
-def orthogonal2_trace_moment(c):
-    """E[tr(C^T X)] for X on O(2) with density prop. to exp{tr(C^T X)}.
-
-    Rotations by t give tr(C^T X) = (c11 + c22) cos t + (c21 - c12) sin t and
-    reflections give (c11 - c22) cos t + (c12 + c21) sin t; both components
-    carry equal Haar mass, so the moment is a ratio of 1-D quadratures.
-    """
-    comps = [
-        (c[0, 0] + c[1, 1], c[1, 0] - c[0, 1]),
-        (c[0, 0] - c[1, 1], c[0, 1] + c[1, 0]),
-    ]
-    shift = max(math.hypot(a, b) for a, b in comps)
-    num = den = 0.0
-    for a, b in comps:
-
-        def dens(t, a=a, b=b):
-            return math.exp(a * math.cos(t) + b * math.sin(t) - shift)
-
-        num += integrate.quad(
-            lambda t: (a * math.cos(t) + b * math.sin(t)) * dens(t), -math.pi, math.pi
-        )[0]
-        den += integrate.quad(dens, -math.pi, math.pi)[0]
-    return num / den
-
-
 def sphere_cosine_moment(kappa, p, moment=1):
     """E[t^moment] for the cosine t of a p-dimensional vector vMF draw to its
     mean direction: marginal density prop. to exp(kappa t) (1 - t^2)^((p-3)/2)."""

@@ -89,6 +89,24 @@ class TestIdxRoundTrip:
         _, loaded = load_image_set(write_partners(tmp_path, 5)[0], path)
         assert np.array_equal(loaded, labels)
 
+    def test_whole_values_of_any_dtype_write_the_uint8_bytes(self, tmp_path):
+        values = np.array([[0, 1], [254, 255]])
+        write_idx(tmp_path / "int.idx", values)
+        write_idx(tmp_path / "float.idx", values.astype(float))
+        write_idx(tmp_path / "uint8.idx", values.astype(np.uint8))
+        expected = (tmp_path / "uint8.idx").read_bytes()
+        assert (tmp_path / "int.idx").read_bytes() == expected
+        assert (tmp_path / "float.idx").read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "bad", [[300], [-1], [-1.5], [0.5], [255.5], [np.nan], [np.inf], [-np.inf]]
+    )
+    def test_out_of_range_values_refused_before_the_file_opens(self, tmp_path, bad):
+        path = tmp_path / "bad.idx"
+        with pytest.raises(ValueError, match="0..255"):
+            write_idx(path, np.array([7, *bad]))
+        assert not path.exists()
+
     def test_label_magic_on_image_load(self, tmp_path):
         path = tmp_path / "mixed.idx"
         write_idx(path, np.array([1, 2], dtype=np.uint8))

@@ -66,6 +66,14 @@ class TestComputeWeights:
         with pytest.raises(ValueError):
             compute_weights(np.zeros((1, 2)), 1.0, 1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_strength_and_bandwidth_refused(self, value):
+        x = np.array([[0.0], [1.0], [2.5]])
+        with pytest.raises(ValueError, match="c_strength"):
+            compute_weights(x, c_strength=value, bandwidth=1.0)
+        with pytest.raises(ValueError, match="bandwidth"):
+            compute_weights(x, c_strength=1.0, bandwidth=value)
+
     def test_bandwidth_below_floor_refused(self):
         x = np.array([[0.0], [1.0]])
         with pytest.raises(ValueError, match="bandwidth"):

@@ -55,7 +55,6 @@ from .gibbs import (
     init_state,
     kept_sweeps,
     log_posterior_unnorm,
-    reconstruct_nonlinear,
     run,
 )
 from .metrics import (
@@ -268,7 +267,7 @@ def cmd_sphere_demo(args) -> int:
     pca_total_analytic = float(data.n * np.sum(all_sv[args.dim:] ** 2))
 
     out, summary = _run_chain(args, data, hp, seed, init_state(fit, hp), 0)
-    model_recon = reconstruct_nonlinear(summary)
+    model_recon = summary.mean_reconstruction
     model_errors = reconstruction_errors(data.y, model_recon)
     model_recon_raw = model_recon + data.column_means
     pca_recon_raw = pca_recon + data.column_means

@@ -223,8 +223,8 @@ def import_matrix_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
             try:
                 values.append([float(v) for v in row[:n_cols]])
                 if has_labels:
-                    labels.append(int(row[-1]))
-            except ValueError as err:
+                    labels.append(np.int64(int(row[-1])))
+            except (ValueError, OverflowError) as err:
                 raise ValueError(f"{path}: line {line_no}: {err}") from None
             if not all(map(math.isfinite, values[-1])):
                 raise ValueError(f"{path}: line {line_no}: non-finite value")
@@ -349,6 +349,10 @@ def load_checkpoint(path) -> CheckpointData:
     sigma2 = doc["sigma2"]
     if type(sigma2) not in (int, float):
         raise ValueError(f"{path}: checkpoint sigma2 must be a JSON number")
+    try:
+        sigma2 = float(sigma2)
+    except OverflowError:  # an int beyond the float range
+        sigma2 = math.inf
 
     def matrix(key: str, width: int) -> np.ndarray:
         rows = doc[key]
@@ -376,7 +380,7 @@ def load_checkpoint(path) -> CheckpointData:
     if seed < 0 or counter < 0:
         raise ValueError(f"{path}: checkpoint seed and counter must be nonnegative")
     return CheckpointData(
-        sigma2=float(sigma2),
+        sigma2=sigma2,
         seed=seed,
         counter=counter,
         transformations=v,

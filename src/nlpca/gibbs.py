@@ -14,7 +14,8 @@ from its Gamma full conditional.  sweep returns the new state and its log
 posterior; run is the one loop over sweeps, from the state it is given:
 init_state(fit, hp) for a fresh chain, where fit is the rank-d PCA fit that
 default_hyperparams also reads.  Per-sweep values reach the caller only
-through run's on_sweep hook.
+through run's on_sweep hook.  Frames stay plain (n, p, d) arrays, checked
+by frames_orthonormal.
 
 The x-step is the paper's approximation: it ignores that the weights
 lambda_ij depend on x, so the chain does not exactly target
@@ -32,7 +33,7 @@ import numpy as np
 from .mrf import BANDWIDTH_FLOOR, InteractionWeights, compute_weights, \
     default_bandwidth, default_strength, mrf_log_density_unnorm
 from .pca import Dataset, PcaFit, avg_variance, pilot_tau2
-from .stiefel import ORTHONORMALITY_TOL, frames_orthonormal, polar_project
+from .stiefel import ORTHONORMALITY_TOL, frames_orthonormal
 from .vmf import column_gibbs_pass
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "sweep_rng",
     "kept_sweeps",
     "run",
-    "reconstruct_nonlinear",
     "log_posterior_unnorm",
 ]
 
@@ -144,12 +144,13 @@ class ModelState:
 class PosteriorSummary:
     """Posterior sample averages and the final state of one Gibbs run.
 
-    Frames and latents are entrywise averages of the kept draws; the mean
-    frames are not projected back to the Stiefel manifold.  Per-sweep
-    values come only through run's on_sweep hook.
+    mean_reconstruction averages the kept draws' V_i x_i, so it is unchanged
+    by (V_i R, R^T x_i) for one common rotation R, which the posterior cannot
+    tell apart; mean_latents averages the x_i entrywise.  Per-sweep values
+    come only through run's on_sweep hook.
     """
 
-    mean_transformations: np.ndarray  # (n, p, d)
+    mean_reconstruction: np.ndarray  # (n, p)
     mean_latents: np.ndarray
     n_kept: int
     total_draws: int  # frame draws made by this run: n per sweep
@@ -195,7 +196,7 @@ def init_state(fit: PcaFit, hp: HyperParams) -> ModelState:
     are a copy of its projections V^T y_i, and sigma^2 starts at tau^2."""
     latents = fit.latents.copy()
     return ModelState(
-        transformations=np.repeat(fit.loadings.matrix[None], latents.shape[0], axis=0),
+        transformations=np.repeat(fit.loadings[None], latents.shape[0], axis=0),
         latents=latents,
         sigma2=hp.tau2,
         weights=compute_weights(latents, hp.c_strength, hp.bandwidth),
@@ -356,7 +357,8 @@ def run(
     chain's init_state(fit, hp), or a checkpoint's state after sweep
     start_sweep - 1.  Sweep t, from start_sweep to n_sweeps - 1, draws from
     sweep_rng(seed, t), so the trajectory is bit-identical to the unbroken
-    run's, and the states of kept_sweeps(hp, start_sweep) are averaged.
+    run's.  The states of kept_sweeps(hp, start_sweep) are averaged: their
+    latents, and their reconstructions V_i x_i.
     sweep checks nothing on entry, so ValueError is raised before the first
     sweep unless state has d < p, frames orthonormal within
     ORTHONORMALITY_TOL and finite latents and sigma^2, and some sweep is kept.
@@ -372,27 +374,21 @@ def run(
     kept = kept_sweeps(hp, start_sweep)
     if not kept:
         raise ValueError("no sweeps were kept; check n_sweeps/burn_in/start_sweep")
-    sum_v = np.zeros_like(state.transformations)
+    sum_recon = np.zeros((state.n, state.p))
     sum_x = np.zeros_like(state.latents)
 
     for t in range(start_sweep, hp.n_sweeps):
         state, log_post = sweep(state, data, hp, sweep_rng(seed, t))
         if t in kept:
-            sum_v += state.transformations
+            sum_recon += np.einsum("npd,nd->np", state.transformations, state.latents)
             sum_x += state.latents
         if on_sweep is not None:
             on_sweep(t, state, log_post)
     return PosteriorSummary(
-        mean_transformations=sum_v / len(kept),
+        mean_reconstruction=sum_recon / len(kept),
         mean_latents=sum_x / len(kept),
         n_kept=len(kept),
         total_draws=data.n * (hp.n_sweeps - start_sweep),
         final_state=state,
     )
 
-
-def reconstruct_nonlinear(summary: PosteriorSummary) -> np.ndarray:
-    """Reconstructions from the posterior means: row i is V_i x_i, with the
-    mean frame V_i projected back to the Stiefel manifold by polar_project."""
-    v = np.stack([polar_project(m).matrix for m in summary.mean_transformations])
-    return np.einsum("npd,nd->np", v, summary.mean_latents)

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stiefel import StiefelPoint
-
 __all__ = [
     "Dataset",
     "PcaFit",
@@ -63,10 +61,11 @@ class Dataset:
 
 @dataclass(eq=False)
 class PcaFit:
-    """Rank-d PCA factors: the orthonormal p x d loadings V and the latent
-    projections X = Y V; d is loadings.d."""
+    """Rank-d PCA factors: the orthonormal p x d loadings V, a plain array,
+    and the latent projections X = Y V.  run checks the start frames that
+    init_state copies from V with frames_orthonormal."""
 
-    loadings: StiefelPoint
+    loadings: np.ndarray
     latents: np.ndarray
 
 
@@ -95,12 +94,12 @@ def pca_fit(data: Dataset, d: int) -> PcaFit:
         j = int(np.argmax(np.abs(v[:, k])))
         if v[j, k] < 0:
             v[:, k] = -v[:, k]
-    return PcaFit(loadings=StiefelPoint(v), latents=data.y @ v)
+    return PcaFit(loadings=v, latents=data.y @ v)
 
 
 def reconstruct_linear(fit: PcaFit) -> np.ndarray:
     """Rank-d linear reconstruction X V^T."""
-    return fit.latents @ fit.loadings.matrix.T
+    return fit.latents @ fit.loadings.T
 
 
 def pilot_tau2(data: Dataset, fit: PcaFit) -> float:

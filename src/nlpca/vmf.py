@@ -39,7 +39,6 @@ from .stiefel import (
 
 __all__ = [
     "VmfParam",
-    "vmf_log_density_unnorm",
     "vmf_mode",
     "vmf_sample_rejection",
     "vmf_sample_vector",
@@ -76,18 +75,6 @@ class VmfParam:
     @property
     def d(self) -> int:
         return self.c_matrix.shape[1]
-
-
-def _as_matrix(x) -> np.ndarray:
-    return x.matrix if isinstance(x, StiefelPoint) else np.asarray(x, dtype=float)
-
-
-def vmf_log_density_unnorm(x, c: VmfParam) -> float:
-    """tr(C^T X).  The normalizing constant is intractable and left to callers."""
-    xm = _as_matrix(x)
-    if xm.shape != c.c_matrix.shape:
-        raise ValueError(f"shape mismatch: X is {xm.shape}, C is {c.c_matrix.shape}")
-    return float(np.sum(c.c_matrix * xm))
 
 
 def vmf_mode(c: VmfParam) -> StiefelPoint:

@@ -8,9 +8,16 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 from scipy import integrate
 
 DIGITS = Path(__file__).resolve().parents[1] / "perfbench" / "digits.py"
+
+
+def vmf_log_density_unnorm(x, c):
+    """tr(C^T X) for a StiefelPoint X and a VmfParam C: the matrix vMF log
+    density up to its intractable normalising constant."""
+    return float(np.sum(c.c_matrix * x.matrix))
 
 
 def circle_vmf_moment(kappa, fn):

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import make_digit_corpus
 import nlpca.pca
+import nlpca.stiefel
 import nlpca.vmf
 from nlpca.cli import main
 from nlpca.datasets import (
@@ -307,6 +308,16 @@ class TestFit:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_label_beyond_int64_is_input_error_before_output(self, tmp_path, capsys):
+        path = tmp_path / "labelled.csv"
+        path.write_text("x_1,x_2,x_3,label\n1.0,2.0,3.0,1\n4.0,5.0,7.0,{}\n".format(10**30))
+        out = tmp_path / "out"
+        code = main(["fit", str(path), "--dim", "1", *TINY_CHAIN, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "line 3" in err
+        assert not out.exists()
+
     def test_headerless_csv_is_input_error_before_output(self, tmp_path, capsys):
         # np.savetxt writes no header: its first row must not be taken for one.
         path = tmp_path / "plain.csv"
@@ -418,7 +429,8 @@ class TestFit:
         ["frame_scaled", "nan_latent", "negative_sigma2", "negative_seed", "negative_counter",
          "fractional_seed", "boolean_counter", "missing_eta", "sigma2_list", "null_sigma2",
          "string_sigma2", "string_latent", "transformations_object", "top_level_list",
-         "negative_n", "boolean_latent", "wrong_n", "ragged_latent", "huge_int_latent"],
+         "negative_n", "boolean_latent", "wrong_n", "ragged_latent", "huge_int_latent",
+         "huge_int_sigma2"],
     )
     def test_corrupt_checkpoint_is_input_error_before_output(
         self, tmp_path, capsys, corruption
@@ -459,6 +471,8 @@ class TestFit:
             doc["latents"][0].append(0.5)
         elif corruption == "huge_int_latent":
             doc["latents"][0][0] = 10**400
+        elif corruption == "huge_int_sigma2":
+            doc["sigma2"] = 10**400
         else:
             doc[corruption.removeprefix("negative_")] = -1
         checkpoint.write_text(json.dumps(doc))
@@ -572,6 +586,39 @@ def test_each_chain_command_fits_pca_once(tmp_path, monkeypatch):
                      "--out", str(out)]) == 0, label
         counts[label] = len(calls)
     assert counts == dict.fromkeys(commands, 1)
+
+
+def test_no_command_builds_a_validated_frame(tmp_path, monkeypatch):
+    # Every command holds its frames as plain arrays.  Each nlpca module that
+    # binds polar_project or thin_svd gets the refusing stand-in, as the
+    # bench's tracer rebinds them, and StiefelPoint refuses construction.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command built or projected a validated frame")
+
+    monkeypatch.setattr(nlpca.stiefel.StiefelPoint, "__post_init__", refuse)
+    for original in (nlpca.stiefel.polar_project, nlpca.stiefel.thin_svd):
+        for name, module in list(sys.modules.items()):
+            if name == "nlpca" or name.startswith("nlpca."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+    img, lbl = write_digit_files(tmp_path, np.random.default_rng(13))
+    csv_path = tmp_path / "input.csv"
+    export_matrix_csv(csv_path, np.random.default_rng(14).standard_normal((9, 4)), prefix="x")
+    commands = {
+        "sphere-demo": ["sphere-demo", "--n", "12", "--sweeps", "4"],
+        "digits-demo": ["digits-demo", "--images", str(img), "--labels", str(lbl),
+                        "--sweeps", "4"],
+        "fit": ["fit", str(csv_path), "--sweeps", "4"],
+        "fit --resume": ["fit", str(csv_path), "--sweeps", "8",
+                         "--resume", str(tmp_path / "fit" / "checkpoint.json")],
+    }
+    for label, argv in commands.items():
+        out = tmp_path / label.replace(" --", "-")
+        assert main([*argv, "--burn-in", "1", "--thin", "2", "--seed", "1",
+                     "--out", str(out)]) == 0, label
+    assert main(["vmf-diag", "--p", "3", "--d-frame", "2", "--kappa", "2",
+                 "--samples", "50", "--seed", "6"]) == 0
 
 
 def diag_fields(out):

@@ -19,7 +19,6 @@ from nlpca.gibbs import (
     log_posterior_unnorm,
     noise_posterior_params,
     noise_prior_params,
-    reconstruct_nonlinear,
     run,
     sweep,
     sweep_rng,
@@ -37,7 +36,6 @@ from nlpca.pca import Dataset, center, pca_fit, reconstruct_linear
 from nlpca.stiefel import (
     StiefelPoint,
     frames_orthonormal,
-    polar_project,
     sample_uniform_stiefel,
 )
 from nlpca.vmf import VmfParam, vmf_mode, vmf_sample_column_gibbs, vmf_sample_rejection
@@ -90,6 +88,11 @@ def reference_sweep(state, data, hp, rng):
     st.weights = compute_weights(st.latents, hp.c_strength, hp.bandwidth)
     st.sigma2 = update_noise(st, data, hp, rng)
     return st
+
+
+def reconstructions(state):
+    """Row i is V_i x_i, one matrix-vector product per site."""
+    return np.stack([v @ x for v, x in zip(state.transformations, state.latents)])
 
 
 def batch_mean_se(values, batches=50):
@@ -157,7 +160,7 @@ class TestInitState:
         _, ds = generate_sphere(20, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=10, burn_in=5)
         state = init_state(pca_fit(ds, 2), hp)
-        v_pca = pca_fit(ds, 2).loadings.matrix
+        v_pca = pca_fit(ds, 2).loadings
         for i in (0, 7, 19):
             c = conditional_param(i, state.transformations, state.weights)
             assert np.max(np.abs(vmf_mode(VmfParam(c)).matrix - v_pca)) <= 1e-8
@@ -463,8 +466,30 @@ class TestRunSummary:
         summary = run(ds, hp, seed=3, state=init_state(pca_fit(ds, 2), hp))
         assert summary.n_kept == 1
         final = summary.final_state
-        assert np.max(np.abs(summary.mean_transformations - final.transformations)) <= 1e-10
+        # One addition to zeros, divided by 1: the same product, bit for bit.
+        vx = np.einsum("npd,nd->np", final.transformations, final.latents)
+        assert np.array_equal(summary.mean_reconstruction, vx)
         assert np.array_equal(summary.mean_latents, final.latents)
+
+    def test_mean_reconstruction_averages_kept_states(self):
+        rng = np.random.default_rng(38)
+        _, ds = generate_sphere(10, 0.05, rng)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=14, burn_in=3, thin=3)
+        seed, states, recon = 9, {}, {}
+
+        def record(t, st, lp):
+            states[t], recon[t] = st, reconstructions(st)
+
+        full = run(ds, hp, seed, state=init_state(pca_fit(ds, 2), hp), on_sweep=record)
+        kept = list(kept_sweeps(hp, 0))
+        assert kept == [3, 6, 9, 12]
+        expected = np.mean([recon[t] for t in kept], axis=0)
+        assert np.max(np.abs(full.mean_reconstruction - expected)) <= 1e-12
+        # Resumed past burn-in: only the kept sweeps it runs are averaged.
+        resumed = run(ds, hp, seed, state=states[6], start_sweep=7)
+        assert resumed.n_kept == 2
+        expected = np.mean([recon[t] for t in (9, 12)], axis=0)
+        assert np.max(np.abs(resumed.mean_reconstruction - expected)) <= 1e-12
 
     def test_trace_lengths(self):
         rng = np.random.default_rng(17)
@@ -489,8 +514,7 @@ class TestRunSummary:
         ds = center(raw)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=60, burn_in=30, thin=2)
         summary = run(ds, hp, seed=5, state=init_state(pca_fit(ds, 2), hp))
-        recon = reconstruct_nonlinear(summary)
-        model_err = np.sum((ds.y - recon) ** 2)
+        model_err = np.sum((ds.y - summary.mean_reconstruction) ** 2)
         pca_err = np.sum((ds.y - reconstruct_linear(pca_fit(ds, 2))) ** 2)
         assert model_err <= pca_err + 1e-6 * max(1.0, pca_err)
 
@@ -659,15 +683,3 @@ class TestLogPosterior:
             state, data, hp_fin
         )
         assert gap == pytest.approx(float(np.sum(state.latents**2)) / 4.0, abs=1e-10)
-
-
-class TestReconstructNonlinear:
-    def test_norm_preserved_by_frames(self):
-        rng = np.random.default_rng(27)
-        _, ds = generate_sphere(10, 0.05, rng)
-        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=6, burn_in=3)
-        summary = run(ds, hp, seed=7, state=init_state(pca_fit(ds, 2), hp))
-        recon = reconstruct_nonlinear(summary)
-        norms_rec = np.linalg.norm(recon, axis=1)
-        norms_lat = np.linalg.norm(summary.mean_latents, axis=1)
-        assert np.max(np.abs(norms_rec - norms_lat)) <= 1e-10

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import vmf_log_density_unnorm
 from nlpca.mrf import (
     BANDWIDTH_FLOOR,
     InteractionWeights,
@@ -14,7 +15,7 @@ from nlpca.mrf import (
     pairwise_sq_distances,
 )
 from nlpca.stiefel import sample_uniform_stiefel
-from nlpca.vmf import VmfParam, vmf_log_density_unnorm, vmf_mode
+from nlpca.vmf import VmfParam, vmf_mode
 
 
 def naive_weights(latents, c, w):

@@ -59,7 +59,7 @@ class TestPcaFit:
         raw[:, 0] = rng.standard_normal(20)
         ds = center(raw)
         fit = pca_fit(ds, 1)
-        assert abs(abs(fit.loadings.matrix[0, 0]) - 1.0) <= 1e-10
+        assert abs(abs(fit.loadings[0, 0]) - 1.0) <= 1e-10
 
     def test_full_rank_zero_error(self):
         rng = np.random.default_rng(2)
@@ -81,16 +81,16 @@ class TestPcaFit:
         rng = np.random.default_rng(4)
         ds = center(rng.standard_normal((12, 4)))
         fit = pca_fit(ds, 3)
-        assert np.array_equal(fit.latents, ds.y @ fit.loadings.matrix)
-        assert is_orthonormal(fit.loadings.matrix, 1e-10)
+        assert np.array_equal(fit.latents, ds.y @ fit.loadings)
+        assert is_orthonormal(fit.loadings, 1e-10)
 
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(5)
         ds = center(rng.standard_normal((15, 4)))
         fit = pca_fit(ds, 2)
         for k in range(2):
-            j = np.argmax(np.abs(fit.loadings.matrix[:, k]))
-            assert fit.loadings.matrix[j, k] > 0
+            j = np.argmax(np.abs(fit.loadings[:, k]))
+            assert fit.loadings[j, k] > 0
 
     def test_d_out_of_range(self):
         rng = np.random.default_rng(6)
@@ -124,7 +124,7 @@ class TestReconstructLinear:
         ds = center(rng.standard_normal((20, 5)))
         fit = pca_fit(ds, 2)
         resid = ds.y - reconstruct_linear(fit)
-        assert np.max(np.abs(resid @ fit.loadings.matrix)) <= 1e-8
+        assert np.max(np.abs(resid @ fit.loadings)) <= 1e-8
 
 
 class TestPilotTau2:

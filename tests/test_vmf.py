@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import circle_mean_resultant, circle_vmf_moment, sphere_cosine_moment
+from conftest import (
+    circle_mean_resultant,
+    circle_vmf_moment,
+    sphere_cosine_moment,
+    vmf_log_density_unnorm,
+)
 from nlpca.stiefel import (
     _uniform_unit_vector,
     frames_orthonormal,
@@ -19,7 +24,6 @@ from nlpca.vmf import (
     _vmf_vector_draw,
     _wood_cosine,
     column_gibbs_pass,
-    vmf_log_density_unnorm,
     vmf_mode,
     vmf_sample_column_gibbs,
     vmf_sample_rejection,
@@ -55,12 +59,6 @@ class TestLogDensity:
         rng = np.random.default_rng(2)
         x = sample_uniform_stiefel(6, 3, rng)
         assert abs(vmf_log_density_unnorm(x, VmfParam(x.matrix)) - 3.0) <= 1e-10
-
-    def test_dimension_mismatch(self):
-        rng = np.random.default_rng(3)
-        x = sample_uniform_stiefel(4, 2, rng)
-        with pytest.raises(ValueError):
-            vmf_log_density_unnorm(x, VmfParam(np.zeros((3, 2))))
 
 
 class TestMode:

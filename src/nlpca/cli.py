@@ -181,9 +181,11 @@ def _add_common_options(sub) -> None:
 
 
 def _pilot(args, data) -> tuple[PcaFit, HyperParams]:
-    """The command's one rank-d PCA fit, once --dim is known to fit the data
-    (d < p, so the frames reduce dimension, and d <= n), and the pilot-study
-    hyperparameters it gives under the chain flags."""
+    """The command's one rank-d PCA fit, once the data are known to vary and
+    --dim to fit them (d < p, so the frames reduce dimension, and d <= n), and
+    the pilot-study hyperparameters it gives under the chain flags."""
+    if np.all(data.y == data.y[0]):
+        raise InputFileError("the data do not vary: every row is the same")
     if args.dim >= data.p:
         raise UsageError(f"--dim must be < p = {data.p}, the data's dimension")
     if args.dim > data.n:
@@ -400,8 +402,8 @@ def cmd_fit(args) -> int:
                 f"checkpoint belongs to a different chain: {', '.join(changed)} "
                 "differ from the run that wrote it"
             )
-        weights = compute_weights(ck.latents, hp.c_strength, hp.bandwidth)
-        state = ModelState(ck.transformations, ck.latents, ck.sigma2, weights)
+        state = ModelState(ck.transformations, ck.latents, ck.sigma2,
+                           compute_weights(ck.latents, hp.c_strength, hp.bandwidth))
         start_sweep = ck.counter
         seed = ck.seed  # the original stream must continue
 
@@ -435,9 +437,9 @@ def _circle_mean_gap(kappa: float) -> float:
     that is 1 - I_1(kappa) / I_0(kappa).  Up to kappa = 1e6 it comes from the
     exponentially scaled Bessel functions; above, from the asymptotic series
     1/(2 kappa) + 1/(8 kappa^2) + 1/(8 kappa^3), whose next term is below the
-    rounding of the sum there."""
+    rounding of the sum there; in Horner form, no power overflows."""
     if kappa > 1e6:
-        return 1.0 / (2.0 * kappa) + 1.0 / (8.0 * kappa**2) + 1.0 / (8.0 * kappa**3)
+        return (0.5 + (0.125 + 0.125 / kappa) / kappa) / kappa
     # Imported here, not at module level: scipy.special adds ~0.3 s and ~25 MB
     # to start-up (2-vCPU x86 VM), and only this oracle needs it.
     from scipy import special
@@ -451,8 +453,9 @@ def cmd_vmf_diag(args) -> int:
         raise UsageError("--p must be >= 2")
     if not 1 <= args.d_frame < args.p:
         raise UsageError(f"--d-frame must satisfy 1 <= d < p = {args.p}")
-    if not 0 <= args.kappa < math.inf:
-        raise UsageError(f"--kappa must be nonnegative and finite, got {args.kappa}")
+    if not 0 <= args.kappa <= 1e154:  # column_gibbs_pass squares kappa
+        raise UsageError(f"--kappa must be in [0, 1e154]; above, the frame step's "
+                         f"squared column norm overflows; got {args.kappa}")
     if args.samples < 2:
         raise UsageError("--samples must be >= 2")
     seed = _resolve_seed(args)

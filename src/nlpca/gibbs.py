@@ -15,7 +15,8 @@ posterior; run is the one loop over sweeps, from the state it is given:
 init_state(fit, hp) for a fresh chain, where fit is the rank-d PCA fit that
 default_hyperparams also reads.  Per-sweep values reach the caller only
 through run's on_sweep hook.  Frames stay plain (n, p, d) arrays, checked
-by frames_orthonormal.
+by frames_orthonormal; the weights stay the plain (n, n) array that
+compute_weights returns, valid by construction and never re-checked.
 
 The x-step is the paper's approximation: it ignores that the weights
 lambda_ij depend on x, so the chain does not exactly target
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mrf import BANDWIDTH_FLOOR, InteractionWeights, compute_weights, \
-    default_bandwidth, default_strength, mrf_log_density_unnorm
+from .mrf import BANDWIDTH_FLOOR, compute_weights, default_bandwidth, \
+    default_strength, mrf_log_density_unnorm
 from .pca import Dataset, PcaFit, avg_variance, pilot_tau2
 from .stiefel import ORTHONORMALITY_TOL, frames_orthonormal
 from .vmf import column_gibbs_pass
@@ -101,12 +102,13 @@ class HyperParams:
 
 @dataclass(eq=False)
 class ModelState:
-    """Full Gibbs state: n stacked frames, n latents, noise variance, weights."""
+    """Full Gibbs state: n stacked frames, n latents, noise variance, and the
+    (n, n) weights lambda that compute_weights built from the latents."""
 
     transformations: np.ndarray  # (n, p, d)
     latents: np.ndarray  # (n, d)
     sigma2: float
-    weights: InteractionWeights
+    lam: np.ndarray  # (n, n)
 
     def __post_init__(self):
         self.transformations = np.asarray(self.transformations, dtype=float)
@@ -114,8 +116,8 @@ class ModelState:
         n, p, d = self.transformations.shape
         if self.latents.shape != (n, d):
             raise ValueError("latents do not match the transformations")
-        if self.weights.n_sites != n:
-            raise ValueError("weights do not match the number of sites")
+        if self.lam.shape != (n, n):
+            raise ValueError("lambda does not match the number of sites")
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
 
@@ -136,7 +138,7 @@ class ModelState:
             transformations=self.transformations.copy(),
             latents=self.latents.copy(),
             sigma2=self.sigma2,
-            weights=self.weights,
+            lam=self.lam,
         )
 
 
@@ -199,7 +201,7 @@ def init_state(fit: PcaFit, hp: HyperParams) -> ModelState:
         transformations=np.repeat(fit.loadings[None], latents.shape[0], axis=0),
         latents=latents,
         sigma2=hp.tau2,
-        weights=compute_weights(latents, hp.c_strength, hp.bandwidth),
+        lam=compute_weights(latents, hp.c_strength, hp.bandwidth),
     )
 
 
@@ -224,7 +226,7 @@ def update_transformation(
     """
     v = state.transformations
     n, p, d = v.shape
-    c = np.dot(state.weights.lam[i:i + 1], v.reshape(n, p * d)).reshape(p, d)
+    c = np.dot(state.lam[i:i + 1], v.reshape(n, p * d)).reshape(p, d)
     c += data_term[i]
     column_gibbs_pass(c, v[i], rng)
 
@@ -298,7 +300,7 @@ def log_posterior_unnorm(state: ModelState, data: Dataset, hp: HyperParams) -> f
     sigma2 = state.sigma2
     value = -_total_sq_residual(state, data) / (2.0 * sigma2)
     value -= 0.5 * n * p * math.log(sigma2)
-    value += mrf_log_density_unnorm(state.transformations, state.weights)
+    value += mrf_log_density_unnorm(state.transformations, state.lam)
     if not math.isinf(hp.a2):
         value -= float(np.sum(state.latents * state.latents)) / (2.0 * hp.a2)
     shape0, rate0 = noise_prior_params(hp)
@@ -321,7 +323,7 @@ def sweep(
     for i in range(st.n):
         update_transformation(i, st, data_term, rng)
     st.latents = update_latent(st, data, hp, rng)
-    st.weights = compute_weights(st.latents, hp.c_strength, hp.bandwidth)
+    st.lam = compute_weights(st.latents, hp.c_strength, hp.bandwidth)
     st.sigma2 = update_noise(st, data, hp, rng)
 
     if not frames_orthonormal(st.transformations):

@@ -4,7 +4,8 @@ The joint density over the n frames, relative to the product uniform measure,
 is proportional to exp{sum over pairs i<j of lambda_ij tr(V_i^T V_j)}, with
 Gaussian-kernel interaction weights lambda_ij driven by the latent positions.
 Under this pair convention the full conditional at site i is exactly
-vMF(sum_{j != i} lambda_ij V_j).
+vMF(sum_{j != i} lambda_ij V_j).  The chain holds lambda as the plain
+(n, n) array compute_weights returns and the frames as an (n, p, d) stack.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .stiefel import StiefelPoint
 
 __all__ = [
     "InteractionWeights",
@@ -38,6 +37,9 @@ class InteractionWeights:
     Off-diagonal entries are c * exp(-||x_i - x_j||^2 / (2 w^2)) for the
     generating latents, hence bounded by c (entries can round to zero only by
     underflow at extreme distances).
+
+    The validated record of compute_weights' invariants, kept for the tests
+    and the bench's layer table: no command constructs one.
     """
 
     lam: np.ndarray
@@ -57,24 +59,6 @@ class InteractionWeights:
         if np.any(self.lam > self.c_strength * (1.0 + 1e-12)):
             raise ValueError("lambda entries must not exceed the strength c")
 
-    @property
-    def n_sites(self) -> int:
-        return self.lam.shape[0]
-
-
-def _stack_frames(transformations) -> np.ndarray:
-    """Coerce a list of StiefelPoints or an (n, p, d) array to an ndarray."""
-    if isinstance(transformations, np.ndarray):
-        v = transformations
-    else:
-        v = np.stack(
-            [t.matrix if isinstance(t, StiefelPoint) else np.asarray(t, dtype=float)
-             for t in transformations]
-        )
-    if v.ndim != 3:
-        raise ValueError("expected n stacked p x d frames")
-    return v
-
 
 def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
     """n x n squared Euclidean distances between the rows of points, n >= 2.
@@ -92,10 +76,10 @@ def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
     return sq
 
 
-def compute_weights(
-    latents: np.ndarray, c_strength: float, bandwidth: float
-) -> InteractionWeights:
-    """Gaussian-kernel couplings lambda_ij = c * exp(-||x_i - x_j||^2 / (2 w^2))."""
+def compute_weights(latents: np.ndarray, c_strength: float, bandwidth: float) -> np.ndarray:
+    """The (n, n) couplings lambda_ij = c * exp(-||x_i - x_j||^2 / (2 w^2)),
+    zero on the diagonal.  c and w are checked here; the array meets
+    InteractionWeights' invariants by construction and is not re-checked."""
     if not 0 < c_strength < math.inf:
         raise ValueError(f"c_strength must be positive and finite, got {c_strength}")
     if not BANDWIDTH_FLOOR <= bandwidth < math.inf:
@@ -103,7 +87,7 @@ def compute_weights(
     sq_dist = pairwise_sq_distances(latents)
     lam = c_strength * np.exp(-sq_dist / (2.0 * bandwidth * bandwidth))
     np.fill_diagonal(lam, 0.0)
-    return InteractionWeights(lam=lam, c_strength=c_strength, bandwidth=bandwidth)
+    return lam
 
 
 def default_bandwidth(latents: np.ndarray) -> float:
@@ -123,34 +107,31 @@ def default_strength(n: int) -> float:
     return 100.0 / n
 
 
-def conditional_param(
-    i: int, transformations, weights: InteractionWeights
-) -> np.ndarray:
+def conditional_param(i: int, v: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The p x d parameter sum_{j != i} lambda_ij V_j of the vMF full
-    conditional at site i.
+    conditional at site i, for the (n, p, d) frame stack v.
 
-    The validated public form: gibbs.update_transformation computes the
-    same row product on the sweep's raw arrays.
+    The checked public form: gibbs.update_transformation computes the
+    same row product unchecked.
     """
-    v = _stack_frames(transformations)
     n = v.shape[0]
-    if n != weights.n_sites:
-        raise ValueError(f"{n} frames but weights for {weights.n_sites} sites")
+    if lam.shape != (n, n):
+        raise ValueError(f"{n} frames but lambda of shape {lam.shape}")
     if not 0 <= i < n:
         raise IndexError(f"site {i} out of range for {n} sites")
     # The zero diagonal makes the j = i term vanish.
-    return np.tensordot(weights.lam[i], v, axes=(0, 0))
+    return np.tensordot(lam[i], v, axes=(0, 0))
 
 
-def mrf_log_density_unnorm(transformations, weights: InteractionWeights) -> float:
-    """sum over unordered pairs i<j of lambda_ij tr(V_i^T V_j).
+def mrf_log_density_unnorm(v: np.ndarray, lam: np.ndarray) -> float:
+    """sum over unordered pairs i<j of lambda_ij tr(V_i^T V_j) for the
+    (n, p, d) frame stack v.
 
     With the n frames viewed as an n x pd matrix W, that is half the inner
     product of Lambda W with W: one BLAS product, O(n^2 pd).
     """
-    v = _stack_frames(transformations)
     n = v.shape[0]
-    if n != weights.n_sites:
-        raise ValueError(f"{n} frames but weights for {weights.n_sites} sites")
+    if lam.shape != (n, n):
+        raise ValueError(f"{n} frames but lambda of shape {lam.shape}")
     w = v.reshape(n, -1)
-    return 0.5 * float(np.vdot(weights.lam @ w, w))
+    return 0.5 * float(np.vdot(lam @ w, w))

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import make_digit_corpus
+import nlpca.cli
+import nlpca.mrf
 import nlpca.pca
 import nlpca.stiefel
 import nlpca.vmf
@@ -328,6 +330,21 @@ class TestFit:
         assert "line 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [0.0, 0.1, 3.0])
+    @pytest.mark.parametrize("extra", [[], ["--w", "1"], ["--w", "1", "--a2", "inf"]],
+                             ids=["defaults", "w1", "w1-a2inf"])
+    def test_data_without_variation_is_input_error_before_output(
+        self, tmp_path, capsys, value, extra
+    ):
+        # Identical rows centre to identical (at 0.1, not exactly zero) rows.
+        path = tmp_path / "flat.csv"
+        export_matrix_csv(path, np.full((30, 5), value), prefix="x")
+        out = tmp_path / "out"
+        code = main(["fit", str(path), *TINY_CHAIN, *extra, "--out", str(out)])
+        assert code == 2
+        assert "do not vary" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_reproduces_unbroken_run(self, tmp_path):
         rng = np.random.default_rng(3)
         path = self.make_input(tmp_path, rng, n=8, p=4, labels=True)
@@ -588,14 +605,16 @@ def test_each_chain_command_fits_pca_once(tmp_path, monkeypatch):
     assert counts == dict.fromkeys(commands, 1)
 
 
-def test_no_command_builds_a_validated_frame(tmp_path, monkeypatch):
-    # Every command holds its frames as plain arrays.  Each nlpca module that
-    # binds polar_project or thin_svd gets the refusing stand-in, as the
-    # bench's tracer rebinds them, and StiefelPoint refuses construction.
+def test_no_command_builds_validated_frames_or_weights(tmp_path, monkeypatch):
+    # Every command holds its frames and its weights as plain arrays.  Each
+    # nlpca module that binds polar_project or thin_svd gets the refusing
+    # stand-in, as the bench's tracer rebinds them, and StiefelPoint and
+    # InteractionWeights refuse construction.
     def refuse(*args, **kwargs):
-        raise AssertionError("a command built or projected a validated frame")
+        raise AssertionError("a command built a validated frame or weights record")
 
     monkeypatch.setattr(nlpca.stiefel.StiefelPoint, "__post_init__", refuse)
+    monkeypatch.setattr(nlpca.mrf.InteractionWeights, "__post_init__", refuse)
     for original in (nlpca.stiefel.polar_project, nlpca.stiefel.thin_svd):
         for name, module in list(sys.modules.items()):
             if name == "nlpca" or name.startswith("nlpca."):
@@ -634,6 +653,7 @@ class TestVmfDiag:
             pytest.param("1e8", 2000, 4, id="kappa1e8"),
             pytest.param("1e15", 4000, 5, id="kappa1e15"),
             pytest.param("1e16", 200, 6, id="kappa1e16"),
+            pytest.param("1e150", 4000, 7, id="kappa1e150"),
         ],
     )
     def test_kernel_matches_exact_mean_resultant(self, capsys, kappa, samples, seed):
@@ -694,6 +714,19 @@ class TestVmfDiag:
         for kappa in ("nan", "inf", "-1"):
             assert main(["vmf-diag", "--p", "2", "--kappa", kappa]) == 1, kappa
         assert main(["vmf-diag", "--p", "2", "--kappa", "1", "--samples", "1"]) == 1
+
+
+    def test_kappa_beyond_overflow_limit_is_usage_error(self, capsys, monkeypatch):
+        # Above 1e154 the frame step's squared column norm is infinite; the
+        # flag is refused before the first pass.
+        def refuse(*args, **kwargs):
+            raise AssertionError("vmf-diag drew before refusing --kappa")
+
+        monkeypatch.setattr(nlpca.cli, "column_gibbs_pass", refuse)
+        for p, d in ((2, 1), (3, 2)):
+            assert main(["vmf-diag", "--p", str(p), "--d-frame", str(d),
+                         "--kappa", "1e200"]) == 1
+            assert "1e154" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -58,7 +58,7 @@ def tiny_hp(**kw):
 def frame_conditional(i, state, data):
     """The vMF parameter y_i x_i^T / sigma^2 + sum_j lambda_ij V_j of site i."""
     c = np.outer(data.y[i], state.latents[i]) / state.sigma2
-    return c + conditional_param(i, state.transformations, state.weights)
+    return c + conditional_param(i, state.transformations, state.lam)
 
 
 def chain_site(i, state, data, rng, n):
@@ -85,7 +85,7 @@ def reference_sweep(state, data, hp, rng):
             shrink = hp.a2 / (hp.a2 + st.sigma2)
             mean, var = shrink * proj, shrink * st.sigma2
         st.latents[i] = mean + math.sqrt(var) * rng.standard_normal(st.d)
-    st.weights = compute_weights(st.latents, hp.c_strength, hp.bandwidth)
+    st.lam = compute_weights(st.latents, hp.c_strength, hp.bandwidth)
     st.sigma2 = update_noise(st, data, hp, rng)
     return st
 
@@ -162,7 +162,7 @@ class TestInitState:
         state = init_state(pca_fit(ds, 2), hp)
         v_pca = pca_fit(ds, 2).loadings
         for i in (0, 7, 19):
-            c = conditional_param(i, state.transformations, state.weights)
+            c = conditional_param(i, state.transformations, state.lam)
             assert np.max(np.abs(vmf_mode(VmfParam(c)).matrix - v_pca)) <= 1e-8
 
     def test_log_posterior_finite(self):
@@ -192,7 +192,7 @@ class TestUpdateTransformation:
         hp = tiny_hp(c_strength=1e-300)
         state = tiny_state(rng, data, hp, d=1)
         state.latents[:] = 0.0
-        state.weights.lam[:] = 0.0
+        state.lam[:] = 0.0
         n = 10_000
         draws = np.array([v[:, 0] for v in chain_site(0, state, data, rng, n)])
         se = math.sqrt((1.0 / 3.0) / n)
@@ -306,11 +306,7 @@ class TestUpdateNoise:
         hp = tiny_hp(tau2=1.0)
         frames = np.array([[[1.0]]])
         latents = np.array([[0.0]])  # exact reconstruction of the zero row
-        from nlpca.mrf import InteractionWeights
-
-        state = ModelState(
-            frames, latents, 1.0, InteractionWeights(np.zeros((1, 1)), 1.0, 1.0)
-        )
+        state = ModelState(frames, latents, 1.0, np.zeros((1, 1)))
         shape, rate = noise_posterior_params(state, data, hp)
         assert shape == pytest.approx(1.5)
         assert rate == pytest.approx(1.0)
@@ -368,7 +364,7 @@ class TestSweep:
             gram = np.einsum("npk,npl->nkl", state.transformations, state.transformations)
             assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
             assert state.sigma2 > 0
-            assert np.array_equal(state.weights.lam, state.weights.lam.T)
+            assert np.array_equal(state.lam, state.lam.T)
 
     @pytest.mark.parametrize(
         "p, d, a2",
@@ -643,7 +639,7 @@ class TestLogPosterior:
             transformations=np.einsum("npd,de->npe", state.transformations, r),
             latents=state.latents @ r,
             sigma2=state.sigma2,
-            weights=state.weights,
+            lam=state.lam,
         )
         base = log_posterior_unnorm(state, data, hp)
         assert abs(log_posterior_unnorm(rotated, data, hp) - base) <= 1e-8 * max(
@@ -665,7 +661,7 @@ class TestLogPosterior:
         for i in range(3):
             for j in range(i + 1, 3):
                 tr = float(state.transformations[i][:, 0] @ state.transformations[j][:, 0])
-                expected += state.weights.lam[i, j] * tr
+                expected += state.lam[i, j] * tr
         expected -= sum(float(x @ x) for x in state.latents) / (2 * hp.a2)
         prec = 1.0 / state.sigma2
         expected += (ETA / 2 - 1) * math.log(prec) - (ETA * hp.tau2 / 2) * prec

@@ -33,30 +33,30 @@ def naive_weights(latents, c, w):
 class TestComputeWeights:
     def test_coincident_latents_hit_strength(self):
         x = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
-        weights = compute_weights(x, c_strength=3.0, bandwidth=1.0)
-        assert weights.lam[0, 1] == pytest.approx(3.0)
+        lam = compute_weights(x, c_strength=3.0, bandwidth=1.0)
+        assert lam[0, 1] == pytest.approx(3.0)
 
     def test_distance_equal_to_bandwidth(self):
         x = np.array([[0.0], [2.0]])
-        weights = compute_weights(x, c_strength=1.0, bandwidth=2.0)
-        assert weights.lam[0, 1] == pytest.approx(math.exp(-0.5))
+        lam = compute_weights(x, c_strength=1.0, bandwidth=2.0)
+        assert lam[0, 1] == pytest.approx(math.exp(-0.5))
 
     def test_three_collinear_points(self):
         x = np.array([[0.0], [1.0], [2.0]])
-        weights = compute_weights(x, c_strength=1.0, bandwidth=1.0)
-        assert weights.lam[0, 1] == pytest.approx(math.exp(-0.5), abs=1e-15)
-        assert weights.lam[1, 2] == pytest.approx(math.exp(-0.5), abs=1e-15)
-        assert weights.lam[0, 2] == pytest.approx(math.exp(-2.0), abs=1e-15)
+        lam = compute_weights(x, c_strength=1.0, bandwidth=1.0)
+        assert lam[0, 1] == pytest.approx(math.exp(-0.5), abs=1e-15)
+        assert lam[1, 2] == pytest.approx(math.exp(-0.5), abs=1e-15)
+        assert lam[0, 2] == pytest.approx(math.exp(-2.0), abs=1e-15)
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((20, 3))
-        weights = compute_weights(x, c_strength=0.7, bandwidth=1.3)
-        assert np.max(np.abs(weights.lam - naive_weights(x, 0.7, 1.3))) <= 1e-12
+        lam = compute_weights(x, c_strength=0.7, bandwidth=1.3)
+        assert np.max(np.abs(lam - naive_weights(x, 0.7, 1.3))) <= 1e-12
 
     def test_monotone_in_distance(self):
-        weights = compute_weights(np.array([[0.0], [1.0], [2.5]]), 1.0, 1.0)
-        assert weights.lam[0, 1] > weights.lam[0, 2]
+        lam = compute_weights(np.array([[0.0], [1.0], [2.5]]), 1.0, 1.0)
+        assert lam[0, 1] > lam[0, 2]
 
     def test_rejects_bad_parameters(self):
         x = np.zeros((3, 2))
@@ -76,11 +76,24 @@ class TestComputeWeights:
             compute_weights(x, c_strength=1.0, bandwidth=value)
 
     def test_bandwidth_below_floor_refused(self):
-        x = np.array([[0.0], [1.0]])
+        x = np.array([[0.0], [BANDWIDTH_FLOOR]])
         with pytest.raises(ValueError, match="bandwidth"):
             compute_weights(x, c_strength=1.0, bandwidth=0.1 * BANDWIDTH_FLOOR)
-        weights = compute_weights(x, c_strength=1.0, bandwidth=BANDWIDTH_FLOOR)
-        assert weights.bandwidth == BANDWIDTH_FLOOR
+        lam = compute_weights(x, c_strength=1.0, bandwidth=BANDWIDTH_FLOOR)
+        assert lam[0, 1] == pytest.approx(math.exp(-0.5))
+
+    @pytest.mark.parametrize("bandwidth", [BANDWIDTH_FLOOR, 0.7, 1e300])
+    def test_invariants_hold_by_construction(self, bandwidth):
+        # No sweep re-checks lambda, so compute_weights must meet every
+        # InteractionWeights invariant on its own, bit-exact symmetry included.
+        rng = np.random.default_rng(40)
+        for n, d in ((2, 1), (17, 2), (60, 3)):
+            x = 10.0 ** rng.uniform(-9, 3) * rng.standard_normal((n, d))
+            x[n // 2] = x[0]  # a coincident pair
+            c = 10.0 ** rng.uniform(-3, 3)
+            lam = compute_weights(x, c, bandwidth)
+            InteractionWeights(lam, c, bandwidth)
+            assert np.array_equal(lam, lam.T)
 
     def test_invariants_validated_on_construction(self):
         with pytest.raises(ValueError):
@@ -158,75 +171,74 @@ class TestDefaultStrength:
 class TestConditionalParam:
     def test_two_sites_single_term(self):
         rng = np.random.default_rng(2)
-        frames = [sample_uniform_stiefel(3, 2, rng) for _ in range(2)]
-        weights = compute_weights(np.array([[0.0], [1.0]]), 2.0, 1.0)
-        c = conditional_param(0, frames, weights)
-        assert np.allclose(c, weights.lam[0, 1] * frames[1].matrix, atol=1e-14)
+        frames = np.stack([sample_uniform_stiefel(3, 2, rng).matrix for _ in range(2)])
+        lam = compute_weights(np.array([[0.0], [1.0]]), 2.0, 1.0)
+        c = conditional_param(0, frames, lam)
+        assert np.allclose(c, lam[0, 1] * frames[1], atol=1e-14)
 
     def test_identical_frames_give_mode_back(self):
         rng = np.random.default_rng(3)
         v = sample_uniform_stiefel(4, 2, rng)
-        frames = [v] * 5
-        weights = compute_weights(rng.standard_normal((5, 2)), 1.0, 1.0)
-        c = conditional_param(2, frames, weights)
-        total = weights.lam[2].sum()
+        frames = np.stack([v.matrix] * 5)
+        lam = compute_weights(rng.standard_normal((5, 2)), 1.0, 1.0)
+        c = conditional_param(2, frames, lam)
+        total = lam[2].sum()
         assert np.allclose(c, total * v.matrix, atol=1e-12)
         assert np.max(np.abs(vmf_mode(VmfParam(c)).matrix - v.matrix)) <= 1e-8
 
     def test_matches_explicit_sum(self):
         rng = np.random.default_rng(4)
-        frames = [sample_uniform_stiefel(3, 2, rng) for _ in range(6)]
-        weights = compute_weights(rng.standard_normal((6, 2)), 0.9, 0.8)
+        frames = np.stack([sample_uniform_stiefel(3, 2, rng).matrix for _ in range(6)])
+        lam = compute_weights(rng.standard_normal((6, 2)), 0.9, 0.8)
         i = 3
         expected = sum(
-            weights.lam[i, j] * frames[j].matrix for j in range(6) if j != i
+            lam[i, j] * frames[j] for j in range(6) if j != i
         )
-        got = conditional_param(i, frames, weights)
+        got = conditional_param(i, frames, lam)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_index_out_of_range(self):
         rng = np.random.default_rng(5)
-        frames = [sample_uniform_stiefel(3, 1, rng) for _ in range(2)]
-        weights = compute_weights(np.array([[0.0], [1.0]]), 1.0, 1.0)
+        frames = np.stack([sample_uniform_stiefel(3, 1, rng).matrix for _ in range(2)])
+        lam = compute_weights(np.array([[0.0], [1.0]]), 1.0, 1.0)
         with pytest.raises(IndexError):
-            conditional_param(2, frames, weights)
+            conditional_param(2, frames, lam)
 
 
 class TestJointDensity:
     def test_zero_weights_give_zero(self):
         rng = np.random.default_rng(6)
-        frames = [sample_uniform_stiefel(3, 2, rng) for _ in range(3)]
-        weights = InteractionWeights(np.zeros((3, 3)), c_strength=1.0, bandwidth=1.0)
-        assert mrf_log_density_unnorm(frames, weights) == 0.0
+        frames = np.stack([sample_uniform_stiefel(3, 2, rng).matrix for _ in range(3)])
+        assert mrf_log_density_unnorm(frames, np.zeros((3, 3))) == 0.0
 
     def test_two_identical_frames(self):
         rng = np.random.default_rng(7)
         v = sample_uniform_stiefel(5, 3, rng)
-        weights = compute_weights(np.array([[0.0], [1.5]]), 2.0, 1.0)
-        got = mrf_log_density_unnorm([v, v], weights)
-        assert got == pytest.approx(weights.lam[0, 1] * 3.0, abs=1e-12)
+        lam = compute_weights(np.array([[0.0], [1.5]]), 2.0, 1.0)
+        got = mrf_log_density_unnorm(np.stack([v.matrix, v.matrix]), lam)
+        assert got == pytest.approx(lam[0, 1] * 3.0, abs=1e-12)
 
     def test_right_rotation_invariance(self):
         rng = np.random.default_rng(8)
-        frames = [sample_uniform_stiefel(4, 2, rng) for _ in range(5)]
-        weights = compute_weights(rng.standard_normal((5, 2)), 1.0, 1.0)
+        frames = np.stack([sample_uniform_stiefel(4, 2, rng).matrix for _ in range(5)])
+        lam = compute_weights(rng.standard_normal((5, 2)), 1.0, 1.0)
         r = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-        rotated = [f.matrix @ r for f in frames]
-        base = mrf_log_density_unnorm(frames, weights)
-        assert abs(mrf_log_density_unnorm(rotated, weights) - base) <= 1e-10
+        rotated = frames @ r
+        base = mrf_log_density_unnorm(frames, lam)
+        assert abs(mrf_log_density_unnorm(rotated, lam) - base) <= 1e-10
 
     @pytest.mark.parametrize("p, d", [(3, 1), (4, 2), (3, 3)])
     def test_matches_pair_double_loop(self, p, d):
         rng = np.random.default_rng(10)
         n = 7
         frames = [sample_uniform_stiefel(p, d, rng).matrix for _ in range(n)]
-        weights = compute_weights(rng.standard_normal((n, d)), 1.3, 0.8)
+        lam = compute_weights(rng.standard_normal((n, d)), 1.3, 0.8)
         pair_sum = sum(
-            weights.lam[i, j] * np.trace(frames[i].T @ frames[j])
+            lam[i, j] * np.trace(frames[i].T @ frames[j])
             for i in range(n)
             for j in range(i + 1, n)
         )
-        got = mrf_log_density_unnorm(np.stack(frames), weights)
+        got = mrf_log_density_unnorm(np.stack(frames), lam)
         assert got == pytest.approx(pair_sum, rel=1e-12, abs=0)
 
     def test_joint_conditional_consistency(self):
@@ -234,16 +246,16 @@ class TestJointDensity:
         # tr(C_i^T V_i) by a constant.
         rng = np.random.default_rng(9)
         n = 5
-        frames = [sample_uniform_stiefel(3, 2, rng) for _ in range(n)]
-        weights = compute_weights(rng.standard_normal((n, 2)), 1.2, 0.9)
+        frames = np.stack([sample_uniform_stiefel(3, 2, rng).matrix for _ in range(n)])
+        lam = compute_weights(rng.standard_normal((n, 2)), 1.2, 0.9)
         i = 2
-        c_i = conditional_param(i, frames, weights)
+        c_i = conditional_param(i, frames, lam)
         offsets = []
         for _ in range(100):
             candidate = sample_uniform_stiefel(3, 2, rng)
-            trial = list(frames)
-            trial[i] = candidate
-            joint = mrf_log_density_unnorm(trial, weights)
+            trial = frames.copy()
+            trial[i] = candidate.matrix
+            joint = mrf_log_density_unnorm(trial, lam)
             cond = vmf_log_density_unnorm(candidate, VmfParam(c_i))
             offsets.append(joint - cond)
         assert max(offsets) - min(offsets) <= 1e-8

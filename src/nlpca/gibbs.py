@@ -27,6 +27,7 @@ in the run output through FRAME_KERNEL and LATENT_UPDATE.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,10 +173,12 @@ def default_hyperparams(
 ) -> HyperParams:
     """Pilot-study defaults from fit, the rank-d PCA fit of data: tau^2 from
     its residual, a^2 from the average sample variance, c = 100/n, w = mean
-    pairwise distance of its latents, raised to BANDWIDTH_FLOOR if tinier."""
+    pairwise distance of its latents, raised to BANDWIDTH_FLOOR if tinier.
+    a^2 is at least the smallest normal double: data below ~1e-154 scale have
+    a variance that underflows to a subnormal or to 0."""
     tau2 = max(pilot_tau2(data, fit), SIGMA2_FLOOR)
     if a2 == "auto":
-        a2_value = avg_variance(data)
+        a2_value = max(avg_variance(data), sys.float_info.min)
     elif a2 == "inf":
         a2_value = math.inf
     else:
@@ -274,31 +277,45 @@ def _total_sq_residual(state: ModelState, data: Dataset) -> float:
 
 
 def noise_posterior_params(
-    state: ModelState, data: Dataset, hp: HyperParams
+    state: ModelState, data: Dataset, hp: HyperParams, *, sq_residual: float | None = None
 ) -> tuple[float, float]:
     """Gamma (shape, rate) of the precision full conditional:
-    ((ETA + np)/2, (ETA tau^2 + total squared residual)/2)."""
+    ((ETA + np)/2, (ETA tau^2 + total squared residual)/2).  sq_residual is
+    that residual if the caller has it already."""
     shape0, rate0 = noise_prior_params(hp)
     n, p = data.y.shape
-    return shape0 + 0.5 * n * p, rate0 + 0.5 * _total_sq_residual(state, data)
+    if sq_residual is None:
+        sq_residual = _total_sq_residual(state, data)
+    return shape0 + 0.5 * n * p, rate0 + 0.5 * sq_residual
 
 
 def update_noise(
-    state: ModelState, data: Dataset, hp: HyperParams, rng: np.random.Generator
+    state: ModelState,
+    data: Dataset,
+    hp: HyperParams,
+    rng: np.random.Generator,
+    *,
+    sq_residual: float | None = None,
 ) -> float:
-    """Draw the precision from its Gamma full conditional; return sigma^2."""
-    shape, rate = noise_posterior_params(state, data, hp)
+    """Draw the precision from its Gamma full conditional; return sigma^2.
+    sq_residual is the total squared residual if the caller has it already."""
+    shape, rate = noise_posterior_params(state, data, hp, sq_residual=sq_residual)
     precision = rng.gamma(shape, 1.0 / rate)
     return max(1.0 / precision, SIGMA2_FLOOR)
 
 
-def log_posterior_unnorm(state: ModelState, data: Dataset, hp: HyperParams) -> float:
+def log_posterior_unnorm(
+    state: ModelState, data: Dataset, hp: HyperParams, *, sq_residual: float | None = None
+) -> float:
     """Unnormalized log posterior: Gaussian likelihood, MRF coupling term,
     latent prior (omitted when a^2 is infinite), and the Gamma prior on the
-    precision."""
+    precision.  sq_residual is the total squared residual of the frames and
+    latents if the caller has it already."""
     n, p = data.y.shape
     sigma2 = state.sigma2
-    value = -_total_sq_residual(state, data) / (2.0 * sigma2)
+    if sq_residual is None:
+        sq_residual = _total_sq_residual(state, data)
+    value = -sq_residual / (2.0 * sigma2)
     value -= 0.5 * n * p * math.log(sigma2)
     value += mrf_log_density_unnorm(state.transformations, state.lam)
     if not math.isinf(hp.a2):
@@ -317,18 +334,21 @@ def sweep(
     sequentially so each draw conditions on the freshest neighbors; weights
     are rebuilt from the new latents before the noise update.  The data part
     y_i x_i^T / sigma^2 of every frame conditional is built once, before the
-    frame loop, because the latents and sigma^2 change only after it."""
+    frame loop, because the latents and sigma^2 change only after it; and
+    the total squared residual once, for both the noise draw and the log
+    posterior, because sigma^2 does not enter it."""
     st = state.copy()
     data_term = (data.y[:, :, None] * st.latents[:, None, :]) / st.sigma2
     for i in range(st.n):
         update_transformation(i, st, data_term, rng)
     st.latents = update_latent(st, data, hp, rng)
     st.lam = compute_weights(st.latents, hp.c_strength, hp.bandwidth)
-    st.sigma2 = update_noise(st, data, hp, rng)
+    sq_residual = _total_sq_residual(st, data)
+    st.sigma2 = update_noise(st, data, hp, rng, sq_residual=sq_residual)
 
     if not frames_orthonormal(st.transformations):
         raise ArithmeticError("orthonormality lost during sweep")
-    return st, log_posterior_unnorm(st, data, hp)
+    return st, log_posterior_unnorm(st, data, hp, sq_residual=sq_residual)
 
 
 def sweep_rng(seed: int, sweep_index: int) -> np.random.Generator:

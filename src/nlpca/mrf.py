@@ -91,10 +91,20 @@ def compute_weights(latents: np.ndarray, c_strength: float, bandwidth: float) ->
 
 
 def default_bandwidth(latents: np.ndarray) -> float:
-    """Mean pairwise Euclidean distance between the latent points."""
-    dist = np.sqrt(pairwise_sq_distances(latents))
+    """Mean pairwise Euclidean distance between the latent points.
+
+    The distances are taken between the latents scaled by the power of two
+    that brings their largest magnitude into [1/2, 1), and the mean is scaled
+    back.  Both scalings are exact, so the value is bit for bit the unscaled
+    formula's wherever that formula neither underflows nor overflows; and
+    the squared distances of points at ~1e-165 scale no longer round to
+    zero, nor do those of points at ~1e160 scale overflow.
+    """
+    x = np.asarray(latents, dtype=float)
+    exponent = math.frexp(float(np.max(np.abs(x))))[1]
+    dist = np.sqrt(pairwise_sq_distances(np.ldexp(x, -exponent)))
     iu = np.triu_indices(dist.shape[0], k=1)
-    w = float(dist[iu].mean())
+    w = math.ldexp(float(dist[iu].mean()), exponent)
     if w == 0.0:
         raise ValueError("all latent points are identical; bandwidth would be zero")
     return w

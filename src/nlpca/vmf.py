@@ -14,10 +14,15 @@ the concentration of each vector draw; vmf_sample_column_gibbs is its
 validated wrapper, as vmf_sample_vector is for the vector draw.  That draw
 is Wood's (1994) scheme, in forms that keep full precision at any finite
 concentration; on the circle (the complement of every d = p - 1 frame) its
-uniform tangent is a sign, and _circle_draw draws it in Python floats.  The
-3 x 2 frame of the paper's sphere runs its whole column step in Python
-floats, _column_pass_3x2: one reflector, the circle draw and the lift, with
-no NumPy call but the variate draws and the store of each column.
+uniform tangent is a sign, and _circle_draw draws it in Python floats.
+With d = 2, the chain commands' default, each column has one reflector,
+and that step is written out.  The 3 x 2 frame of the paper's sphere runs it
+in Python floats, _column_pass_3x2: the circle draw and the lift, with no
+NumPy call but the variate draws and the store of each column.  A p x 2
+frame with p > 3 (the digits, any CSV fit at d = 2) runs it on a few
+products of (p-1)-vectors, _column_pass_px2, with the complement parameter
+m and the tangent formed as vectors, because their norms taken from Gram
+entries cancel.  The reflector helpers remain for d = 1 and d >= 3.
 vmf_sample_rejection, uniform-proposal rejection with the tight envelope
 exp{sum(D)}, is the exact reference the tests check the kernel against.
 """
@@ -292,6 +297,63 @@ def _column_pass_3x2(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) ->
         x[:, k] = cols[k]
 
 
+def _column_pass_px2(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -> None:
+    """column_gibbs_pass on a p x 2 frame with p > 3, on a few products.
+
+    _column_pass_3x2's algebra with (p-1)-vectors, ' dropping the leading
+    entry: the other column o gives u = o + sign(o_0) e_1, the complement
+    parameter m = c_k' - f o' with f = 2 (u . c_k) / (u . u), and the lift
+    H [0; z] = [-h u_0; z - h o'] with h = 2 (o' . z) / (u . u).  The vector
+    draw is _vmf_vector_draw's: the tangent g - (g . m / m . m) m of the
+    normal g, and z = a m + b tangent with a = t / (kappa r) and
+    b = sine / (norm r), r^2 being its squared norm from the Gram entries.
+    So the new column's tail is one product (a, -h, b) @ [m; o'; tangent].
+    Same variates, retry test and kappa = 0 branch as the reflector helpers,
+    and the same frame to rounding.
+
+    m and the tangent are formed as vectors because their norms from Gram
+    entries cancel.  The expansion m . m = c'.c' - 2f c'.o' + f^2 o'.o'
+    leaves rounding noise of ~1e-16 |c|^2 when c_k lies along o: for
+    c_k = 1e12 o it gives kappa ~ 1e4, a concentrated draw, where m itself
+    gives kappa < 1e-3, a near-uniform one.  And g . g - (g . m)^2 / m . m
+    loses twice the digits of the formed tangent when g lies near m: at
+    p = 4 it left 7e-5 of passes more than 1e-12 from orthonormal.
+    """
+    p = x.shape[0]
+    s = np.empty((3, p - 1))
+    m, o, g = s
+    mo = s[:2]
+    heads = x[0].tolist()
+    for k, c0 in enumerate(cm[0].tolist()):
+        o0 = heads[1 - k]
+        o[:] = x[1:, 1 - k]
+        m[:] = cm[1:, k]
+        oc, oo = mo.dot(o).tolist()
+        u0 = o0 + (1.0 if o0 >= 0 else -1.0)
+        uu = u0 * u0 + oo
+        m -= (2.0 * (u0 * c0 + oc) / uu) * o
+        mm, om = mo.dot(m).tolist()
+        kappa = math.sqrt(mm)
+        if kappa == 0.0:
+            g[:] = _uniform_unit_vector(p - 1, rng)
+            a, b, ot = 0.0, 1.0, float(o.dot(g))
+        else:
+            t, sine = _wood_cosine(kappa, p - 2, rng)
+            while True:
+                rng.standard_normal(out=g)
+                g -= (m.dot(g) / mm) * m
+                mt, ot, tt = s.dot(g).tolist()
+                norm = math.sqrt(tt)
+                if norm > 1e-12:
+                    break
+            a, b = t / kappa, sine / norm
+            r = math.sqrt(a * a * mm + 2.0 * a * b * mt + b * b * tt)
+            a, b = a / r, b / r
+        h = 2.0 * (a * om + b * ot) / uu
+        x[1:, k] = np.dot((a, -h, b), s)
+        x[0, k] = heads[k] = -h * u0
+
+
 def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -> None:
     """One column-wise Gibbs pass targeting vMF(cm), updating the p x d frame
     x in place.
@@ -310,15 +372,22 @@ def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -
 
     N is never formed: it is the trailing columns of the Q of the other
     columns' reflectors (none for d = 1, where N = I), so _to_complement
-    gives N^T c and _lift gives N z.  A 3 x 2 frame (the
-    sphere's) has one reflector per column and a circle as complement, and
-    _column_pass_3x2 runs that case in Python floats, with the same
-    variates and the same frame to rounding; every other shape takes the
-    reflector helpers and _vmf_vector_draw.
+    gives N^T c and _lift gives N z.  With d = 2 each column has one
+    reflector, and the step is written out for it: in Python floats at
+    p = 3 (_column_pass_3x2, the sphere's frames, whose complement is a
+    circle) and on a few products of (p-1)-vectors above
+    (_column_pass_px2), with the same variates and the same frame to
+    rounding.  The latter forms N^T c_k and the Wood tangent as vectors, as
+    the helpers do, because their norms taken from Gram entries cancel
+    (its docstring gives the cases).  d = 1 and d >= 3 take the reflector
+    helpers and _vmf_vector_draw.
     """
     p, d = x.shape
-    if p == 3 and d == 2:
-        _column_pass_3x2(cm, x, rng)
+    if d == 2:
+        if p == 3:
+            _column_pass_3x2(cm, x, rng)
+        else:
+            _column_pass_px2(cm, x, rng)
     else:
         for k in range(d):
             reflectors = _complement_reflectors(x, (k,))

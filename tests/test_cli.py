@@ -273,6 +273,19 @@ class TestFit:
         latents, _ = import_matrix_csv(out / "mean_latents.csv")
         assert latents.shape == (4, 1)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-165])
+    def test_tiny_scale_data_fit(self, tmp_path, scale):
+        # At 1e-165 the latents' squared distances underflow to zero, which
+        # read as identical points before default_bandwidth scaled them.
+        rng = np.random.default_rng(9)
+        path = tmp_path / "input.csv"
+        export_matrix_csv(path, scale * rng.standard_normal((30, 5)), prefix="x")
+        code = main(
+            ["fit", str(path), "--dim", "2", "--sweeps", "4", "--burn-in", "2",
+             "--seed", "1", "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+
     @pytest.mark.parametrize("offset", [3e8, 1e10])
     def test_large_offset_data_fit(self, tmp_path, offset):
         # Centring such data leaves column means far above any absolute

@@ -453,6 +453,18 @@ class TestSweep:
         assert np.array_equal(state.transformations, frames_before)
         assert state.sigma2 == sigma_before
 
+    @pytest.mark.parametrize("a2", [1.5, math.inf])
+    def test_returned_log_posterior_is_the_new_states(self, a2):
+        # sweep passes the noise step's squared residual on to the log
+        # posterior; the value is the one computed afresh, bit for bit.
+        rng = np.random.default_rng(31)
+        data = center(rng.standard_normal((7, 5)))
+        hp = tiny_hp(a2=a2, c_strength=2.0)
+        state = tiny_state(rng, data, hp, d=2)
+        for t in range(3):
+            state, log_post = sweep(state, data, hp, sweep_rng(4, t))
+            assert log_post == log_posterior_unnorm(state, data, hp)
+
 
 class TestRunSummary:
     def test_single_kept_sweep_matches_final_state(self):

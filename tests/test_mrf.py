@@ -156,6 +156,23 @@ class TestDefaultBandwidth:
         with pytest.raises(ValueError):
             default_bandwidth(np.ones((4, 2)))
 
+    @pytest.mark.parametrize("scale", [1e-165, 1e-300, 1e160])
+    def test_extreme_scales_scale_the_value(self, scale):
+        # Squared distances of such latents underflow to 0 or overflow to inf;
+        # the power-of-two scaling inside keeps them, so the bandwidth scales
+        # with the data.
+        x = np.random.default_rng(2).standard_normal((30, 2))
+        assert default_bandwidth(scale * x) == pytest.approx(
+            scale * default_bandwidth(x), rel=1e-12
+        )
+
+    def test_power_of_two_scaling_is_exact(self):
+        x = np.random.default_rng(3).standard_normal((50, 2))
+        assert default_bandwidth(x) == float(
+            np.sqrt(pairwise_sq_distances(x))[np.triu_indices(50, k=1)].mean()
+        )
+        assert default_bandwidth(2.0**-600 * x) == 2.0**-600 * default_bandwidth(x)
+
 
 class TestDefaultStrength:
     def test_values(self):

@@ -318,9 +318,16 @@ class TestColumnGibbs:
         rng = np.random.default_rng(20)
         self.one_pass_from_exact(make_param(rng, 4, 3, scale=0.6), 2_000, rng)
 
-    def test_3x2_float_step_matches_general_helpers(self):
-        # The 3 x 2 pass in Python floats against the general path composed
-        # from its helpers, on twin generators: same variates, same frame.
+    def test_px2_step_invariance_one_sweep(self):
+        # 5 x 2: the p x 2 step on a few products, against exact draws.
+        rng = np.random.default_rng(20)
+        self.one_pass_from_exact(make_param(rng, 5, 2, scale=0.6), 3_000, rng)
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 196])
+    def test_d2_steps_match_general_helpers(self, p):
+        # The d = 2 pass (Python floats at p = 3, a few products above)
+        # against the general path composed from its helpers, on twin
+        # generators: same variates, same frame.
         # Each column's m = N^T c_k cancels when c_k is nearly in the span of
         # the other column, losing digits in proportion to |c_k| / kappa_k,
         # and column 1 reads column 0's draw, so the tolerance carries the
@@ -335,7 +342,7 @@ class TestColumnGibbs:
                 kappa = math.sqrt(m @ m)
                 if kappa == 0.0:
                     uniform_draws.append(k)
-                    z = _uniform_unit_vector(2, rng)
+                    z = _uniform_unit_vector(p - 1, rng)
                 else:
                     z = _vmf_vector_draw(m / kappa, kappa, rng)
                     cancellation *= np.linalg.norm(cm[:, k]) / kappa
@@ -346,13 +353,13 @@ class TestColumnGibbs:
         scales = np.concatenate(
             [10.0 ** rng.uniform(-8, 8, 1800), 10.0 ** rng.uniform(16, 20, 100)]
         )
-        cases = [(scale * rng.standard_normal((3, 2)),
-                  sample_uniform_stiefel(3, 2, rng).matrix) for scale in scales]
+        cases = [(scale * rng.standard_normal((p, 2)),
+                  sample_uniform_stiefel(p, 2, rng).matrix) for scale in scales]
         # Column 0 of C along column 1 of a signed-permutation frame: m is
         # exactly 0 on both paths, so both take the uniform branch.
         for _ in range(100):
-            x = np.eye(3)[rng.permutation(3)[:2]].T * rng.choice([-1.0, 1.0], 2)
-            cm = np.column_stack((rng.uniform(-4, 4) * x[:, 1], rng.standard_normal(3)))
+            x = np.eye(p)[rng.permutation(p)[:2]].T * rng.choice([-1.0, 1.0], 2)
+            cm = np.column_stack((rng.uniform(-4, 4) * x[:, 1], rng.standard_normal(p)))
             cases.append((cm, x))
         for k, (cm, x) in enumerate(cases):
             fast, general = x.copy(), x.copy()
@@ -363,8 +370,29 @@ class TestColumnGibbs:
             assert rng_a.random() == rng_b.random()
         assert uniform_draws.count(0) == 100
 
+    @pytest.mark.parametrize("p", [3, 5, 196])
+    @pytest.mark.parametrize("scale", [1e9, 1e12])
+    def test_param_along_other_column_gives_uniform_column(self, p, scale):
+        # c_0 = scale x_1 leaves column 0's complement only the rounding of
+        # its entries, kappa ~ 1e-16 scale, so column 0 is uniform there: two
+        # passes from one frame give columns whose dot product has mean 0 and
+        # variance 1 / (p - 1).  The expansion kappa^2 = c'.c' - 2f c'.o' +
+        # f^2 o'.o' leaves rounding noise of ~1e-16 scale^2 instead, which
+        # puts both draws near one direction, or is negative.
+        rng = np.random.default_rng(29)
+        n = 200
+        dots = np.empty(n)
+        for k in range(n):
+            x = sample_uniform_stiefel(p, 2, rng).matrix
+            cm = np.column_stack((scale * x[:, 1], rng.standard_normal(p)))
+            y0, y1 = x.copy(), x.copy()
+            column_gibbs_pass(cm, y0, rng)
+            column_gibbs_pass(cm, y1, rng)
+            dots[k] = y0[:, 0] @ y1[:, 0]
+        assert abs(dots.mean()) <= 5.0 / math.sqrt((p - 1) * n)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("p", [3, 5, 196])
     @pytest.mark.parametrize("bad", ["cm_nan", "cm_inf", "cm_minus_inf", "x_nan", "cm_1e200"])
     def test_non_finite_input_raises(self, p, bad):
         # The guard on kappa refuses each of these before anything non-finite

@@ -13,8 +13,14 @@ implicitly.  The pass updates a raw array in place and checks nothing but
 the concentration of each vector draw; vmf_sample_column_gibbs is its
 validated wrapper, as vmf_sample_vector is for the vector draw.  That draw
 is Wood's (1994) scheme, in forms that keep full precision at any finite
-concentration; on the circle (the complement of every d = p - 1 frame) its
-uniform tangent is a sign, and _circle_draw draws it in Python floats.
+concentration, except on the circle (the complement of every d = p - 1
+frame, the sphere's among them).  There _circle_draw takes the angle from
+NumPy's Generator.vonmises, Best and Fisher's (1979) exact sampler in C,
+for 1e-8 <= kappa <= 1e6: the band where NumPy draws it exactly, outside of
+which it takes inexact shortcuts.  That angle is the acos of a rounded
+cosine, so its absolute error is ~eps / |sin theta|, not full precision.
+Outside the band the circle keeps Wood's draw, whose uniform tangent is a
+sign, in Python floats.
 With d = 2, the chain commands' default, each column has one reflector,
 and that step is written out.  The 3 x 2 frame of the paper's sphere runs it
 in Python floats, _column_pass_3x2: the circle draw and the lift, with no
@@ -53,6 +59,9 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+# The kappa range where Generator.vonmises is Best and Fisher's exact
+# sampler; tests/test_vmf.py pins both edges against the installed NumPy.
+_VONMISES_BAND = (1e-8, 1e6)
 
 
 @dataclass(eq=False)
@@ -185,13 +194,28 @@ def _circle_draw(
     """Vector vMF draw on the unit circle around the unit vector (mu0, mu1),
     in Python floats.
 
-    The draw is t mu + sine u, with (t, sine) from _wood_cosine and u the
+    For _VONMISES_BAND[0] <= kappa <= _VONMISES_BAND[1] the draw is
+    (cos theta, sin theta) for theta = rng.vonmises(atan2(mu1, mu0), kappa),
+    NumPy's C implementation of Best and Fisher's (1979) exact rejection
+    sampler.  It returns theta = mean +- acos(W), so an absolute rounding
+    error in W becomes one of ~eps / |sin theta| in the draw (~1e-13 at
+    kappa = 1e6, where theta ~ 1e-3): exact in law, but not to full
+    precision near the mode.  Outside the band NumPy takes shortcuts that
+    are not exact (a uniform angle below it, a wrapped normal above it), so
+    there, and for every kappa the band refuses (0, inf, NaN, which
+    _wood_cosine's guard turns into ValueError), the draw is Wood's, at full
+    precision.
+
+    Wood's draw is t mu + sine u, with (t, sine) from _wood_cosine and u the
     uniform unit tangent at mu, renormalised.  On the circle the tangent
     g - (g . mu) mu of a standard normal pair g is (g . mu_perp) mu_perp with
     mu_perp = (-mu1, mu0), so u is sign(g . mu_perp) mu_perp, with g redrawn
     while |g . mu_perp| is at most 1e-12: the variates and retry condition of
     the general tangent step.
     """
+    if _VONMISES_BAND[0] <= kappa <= _VONMISES_BAND[1]:
+        theta = rng.vonmises(math.atan2(mu1, mu0), kappa)
+        return math.cos(theta), math.sin(theta)
     t, sine = _wood_cosine(kappa, 1, rng)
     while True:
         g0, g1 = rng.standard_normal(2).tolist()
@@ -215,9 +239,11 @@ def _vmf_vector_draw(
     g - (g . mu) mu normalised, for a standard normal g redrawn while that
     norm is at most 1e-12; norms are sqrt(v @ v), the same bits as
     np.linalg.norm on a contiguous 1-D array.  On the circle (p = 2) the
-    draw is _circle_draw's.
+    draw is _circle_draw's: NumPy's von Mises angle for
+    1e-8 <= kappa <= 1e6, exact in law with an absolute error of
+    ~eps / |sin theta| from the mean, and Wood's draw outside that band.
 
-    The draw keeps its precision up to kappa ~ 1e300 at least, but
+    Wood's draw keeps its precision up to kappa ~ 1e300 at least, but
     column_gibbs_pass takes kappa as the norm of its complement coordinates,
     sqrt(m @ m) or its scalar form, whose square overflows above
     kappa ~ 1.3e154; there the kappa is inf and the guard raises instead.
@@ -375,12 +401,16 @@ def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -
     gives N^T c and _lift gives N z.  With d = 2 each column has one
     reflector, and the step is written out for it: in Python floats at
     p = 3 (_column_pass_3x2, the sphere's frames, whose complement is a
-    circle) and on a few products of (p-1)-vectors above
+    circle, drawn by _circle_draw: NumPy's von Mises angle for
+    1e-8 <= kappa <= 1e6, Wood's draw outside) and on a few products of
+    (p-1)-vectors above
     (_column_pass_px2), with the same variates and the same frame to
     rounding.  The latter forms N^T c_k and the Wood tangent as vectors, as
     the helpers do, because their norms taken from Gram entries cancel
     (its docstring gives the cases).  d = 1 and d >= 3 take the reflector
-    helpers and _vmf_vector_draw.
+    helpers and _vmf_vector_draw, which meets the circle at d = p - 1.  Every
+    draw is exact in law; inside the von Mises band a circle draw's error is
+    ~eps / |sin theta| from its mean, not full precision.
     """
     p, d = x.shape
     if d == 2:

@@ -21,13 +21,23 @@ def vmf_log_density_unnorm(x, c):
 
 
 def circle_vmf_moment(kappa, fn):
-    """E[fn(theta)] under the circular density prop. to exp(kappa cos(theta))."""
+    """E[fn(theta)] under the circular density prop. to exp(kappa cos(theta)).
+
+    The density is below exp(-800) of its peak beyond |theta| = 40 / sqrt(kappa);
+    breakpoints there keep quad from stepping over the peak at large kappa.
+    The tolerances are relative to the normaliser, which is ~1e-3 at
+    kappa = 1e6, below quad's default absolute tolerance.
+    """
 
     def dens(theta):
         return math.exp(kappa * (math.cos(theta) - 1.0))
 
-    num, _ = integrate.quad(lambda t: fn(t) * dens(t), -math.pi, math.pi)
-    den, _ = integrate.quad(dens, -math.pi, math.pi)
+    edge = min(math.pi / 2, 40.0 / math.sqrt(kappa))
+    points = (-edge, 0.0, edge)
+    den, _ = integrate.quad(dens, -math.pi, math.pi, points=points, epsabs=0)
+    num, _ = integrate.quad(
+        lambda t: fn(t) * dens(t), -math.pi, math.pi, points=points, epsabs=1e-13 * den
+    )
     return num / den
 
 

@@ -121,7 +121,7 @@ class TestDigitsDemo:
         tmp = tmp_path_factory.mktemp("idx")
         return write_digit_files(tmp, np.random.default_rng(123))
 
-    def test_latent_csv_and_counts(self, tmp_path, digit_files):
+    def test_latent_csv_and_counts(self, tmp_path, digit_files, capsys):
         img, lbl = digit_files
         out = tmp_path / "out"
         code = main(
@@ -148,8 +148,10 @@ class TestDigitsDemo:
         for cls in (1, 2, 3):
             assert int(np.sum(labels == cls)) == 50
         doc = read_summary(out)
-        assert doc["reference_pca_mismatch"] == 53
-        assert doc["reference_model_mismatch"] == 25
+        assert doc["mnist_paper_pca_mismatch"] == 53
+        assert doc["mnist_paper_model_mismatch"] == 25
+        assert "reference_pca_mismatch" not in doc
+        assert "(the paper's MNIST values: model 25 vs PCA 53)" in capsys.readouterr().out
         assert 0 <= doc["model_nn_mismatch"] <= 150
         assert 0 <= doc["pca_nn_mismatch"] <= 150
 
@@ -662,7 +664,11 @@ class TestVmfDiag:
         "kappa, samples, seed",
         [
             pytest.param("0", 500, 1, id="kappa0"),
+            pytest.param("1e-6", 4000, 8, id="kappa1e-6"),
+            pytest.param("3", 4000, 9, id="kappa3"),
             pytest.param("200", 200, 3, id="kappa200"),
+            pytest.param("1e4", 4000, 10, id="kappa1e4"),
+            pytest.param("1e6", 4000, 11, id="kappa1e6"),
             pytest.param("1e8", 2000, 4, id="kappa1e8"),
             pytest.param("1e15", 4000, 5, id="kappa1e15"),
             pytest.param("1e16", 200, 6, id="kappa1e16"),
@@ -685,6 +691,20 @@ class TestVmfDiag:
             nlpca.vmf, "_vmf_vector_draw", lambda mu, kappa, rng: draw(mu, 0.5 * kappa, rng)
         )
         code = main(["vmf-diag", "--p", "2", "--d-frame", "1", "--kappa", "1e16",
+                     "--samples", "4000", "--seed", "0"])
+        assert code == 0
+        assert float(diag_fields(capsys.readouterr().out)["z_score"]) > 5.0
+
+    def test_detects_von_mises_angle_at_half_kappa(self, capsys, monkeypatch):
+        # Inside the band the circle's angle is Generator.vonmises.  A
+        # generator whose vonmises halves kappa, and nothing else, must show.
+        class HalfKappa(np.random.Generator):
+            def vonmises(self, mu, kappa, size=None):
+                return super().vonmises(mu, 0.5 * kappa, size)
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: HalfKappa(np.random.PCG64(seed)))
+        code = main(["vmf-diag", "--p", "2", "--d-frame", "1", "--kappa", "100",
                      "--samples", "4000", "--seed", "0"])
         assert code == 0
         assert float(diag_fields(capsys.readouterr().out)["z_score"]) > 5.0

@@ -17,7 +17,9 @@ from nlpca.stiefel import (
     sample_uniform_stiefel,
 )
 from nlpca.vmf import (
+    _VONMISES_BAND,
     VmfParam,
+    _circle_draw,
     _complement_reflectors,
     _lift,
     _to_complement,
@@ -197,11 +199,13 @@ class TestVectorDraw:
         assert rng_a.random() == rng_b.random()
 
     def test_circle_tangent_matches_general_step(self):
-        # On the circle the tangent is a sign times mu_perp; the general step
-        # projects and normalises a normal pair.  Same variates, same draw.
-        # The projection g - (g . mu) mu cancels when g is nearly along mu, so
-        # the general step loses digits in proportion to |g| / |tangent|, and
-        # the tolerance carries that factor.
+        # Outside the von Mises band the circle draw is Wood's: the tangent
+        # is a sign times mu_perp, where the general step projects and
+        # normalises a normal pair.  Same variates, same draw.  The
+        # projection g - (g . mu) mu cancels when g is nearly along mu, so
+        # the general step loses digits in proportion to |g| / |tangent|,
+        # and the tolerance carries that factor.  The first two kappas are
+        # the nearest doubles outside the band.
         def general_step_draw(mu, kappa, rng):
             t, sine = _wood_cosine(kappa, mu.size - 1, rng)
             while True:
@@ -215,7 +219,12 @@ class TestVectorDraw:
             return x / math.sqrt(x @ x), math.sqrt(g @ g) / norm
 
         rng = np.random.default_rng(20)
-        kappas = np.concatenate([[1e-8], 10.0 ** rng.uniform(-8, 8, 1999)])
+        low, high = _VONMISES_BAND
+        kappas = np.concatenate([
+            [np.nextafter(low, 0.0), np.nextafter(high, math.inf)],
+            10.0 ** rng.uniform(-12, math.log10(low), 999),
+            10.0 ** rng.uniform(math.log10(high), 16, 999),
+        ])
         for k, kappa in enumerate(kappas):
             mu = rng.standard_normal(2)
             mu /= np.linalg.norm(mu)
@@ -228,6 +237,24 @@ class TestVectorDraw:
                 atol=1e-14 * cancellation,
             )
             assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("kappa", [1e-8, 1e-6, 1e-3, 0.5, 3.0, 100.0, 1e4, 1e6])
+    def test_circle_in_band_matches_quadrature(self, kappa):
+        # Inside the band the circle draw is NumPy's von Mises angle.  Its
+        # angle phi to a random mean direction must have the quadrature mean
+        # of the gap 1 - cos(phi) = 2 sin^2(phi / 2), which keeps its digits
+        # at large kappa, and a sine of mean 0.  The band's edges are cases.
+        rng = np.random.default_rng(30)
+        n = 4000
+        mu = rng.standard_normal(2)
+        mu /= np.linalg.norm(mu)
+        draws = np.array([_vmf_vector_draw(mu, kappa, rng) for _ in range(n)])
+        phi = np.arctan2(mu[0] * draws[:, 1] - mu[1] * draws[:, 0], draws @ mu)
+        gap = 2.0 * np.sin(0.5 * phi) ** 2
+        target = circle_vmf_moment(kappa, lambda t: 2.0 * math.sin(0.5 * t) ** 2)
+        assert abs(gap.mean() - target) <= 4 * gap.std(ddof=1) / math.sqrt(n)
+        sine = np.sin(phi)
+        assert abs(sine.mean()) <= 4 * sine.std(ddof=1) / math.sqrt(n)
 
     @pytest.mark.parametrize("p", [2, 3, 196])
     @pytest.mark.parametrize("kappa", [1e15, 1e16, 1e20, 1e100, 1e300])
@@ -242,6 +269,47 @@ class TestVectorDraw:
         )
         se = stat.std(ddof=1) / math.sqrt(n)
         assert abs(stat.mean() - (p - 1)) <= 4 * se
+
+
+class TestVonMisesBand:
+    """Generator.vonmises is Best and Fisher's exact sampler only for
+    1e-8 <= kappa <= 1e6.  Below that it returns the uniform angle
+    pi (2U - 1) and above it the wrapped normal mu + N / sqrt(kappa), and
+    neither is exact.  _circle_draw uses it inside _VONMISES_BAND only, so a
+    NumPy whose band differs must fail here, not make the kernel approximate.
+    Twin generators show which formula a draw took."""
+
+    MU = 0.25
+
+    def uniform_shortcut(self, rng):
+        return math.pi * (2.0 * rng.random() - 1.0)
+
+    def normal_shortcut(self, kappa, rng):
+        return self.MU + math.sqrt(1.0 / kappa) * rng.standard_normal()
+
+    def takes(self, shortcut, kappa):
+        rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
+        return [rng_a.vonmises(self.MU, kappa) == shortcut(rng_b) for _ in range(20)]
+
+    def test_shortcuts_just_outside_band(self):
+        low, high = _VONMISES_BAND
+        assert all(self.takes(self.uniform_shortcut, np.nextafter(low, 0.0)))
+        above = np.nextafter(high, math.inf)
+        assert all(self.takes(lambda rng: self.normal_shortcut(above, rng), above))
+
+    @pytest.mark.parametrize("kappa", _VONMISES_BAND)
+    def test_exact_sampler_at_band_edges(self, kappa):
+        assert not any(self.takes(self.uniform_shortcut, kappa))
+        assert not any(self.takes(lambda rng: self.normal_shortcut(kappa, rng), kappa))
+
+    @pytest.mark.parametrize("kappa", _VONMISES_BAND)
+    def test_circle_draw_takes_vonmises_at_band_edges(self, kappa):
+        mu0, mu1 = 0.6, -0.8
+        rng_a, rng_b = np.random.default_rng(32), np.random.default_rng(32)
+        for _ in range(20):
+            theta = rng_b.vonmises(math.atan2(mu1, mu0), kappa)
+            assert _circle_draw(mu0, mu1, kappa, rng_a) == (math.cos(theta), math.sin(theta))
+        assert rng_a.random() == rng_b.random()
 
 
 class TestColumnGibbs:
@@ -332,6 +400,19 @@ class TestColumnGibbs:
         # the other column, losing digits in proportion to |c_k| / kappa_k,
         # and column 1 reads column 0's draw, so the tolerance carries the
         # product of both columns' factors.
+        # At p = 3 a kappa inside the von Mises band draws the angle theta
+        # from the mean as acos(W), with W = (1 + s Z) / (s + Z) for a
+        # uniform-derived Z and Best and Fisher's s(kappa).  Its rounding
+        # is amplified twice.  An absolute error eps in W moves
+        # theta = acos(W) by eps / |sin theta|.  And an error of one ulp in
+        # s, eps s, moves W by (dW/ds) eps s = -sin^2(theta) eps s / (s^2 - 1)
+        # (from 1 - W^2 = (s^2 - 1)(1 - Z^2) / (s + Z)^2), hence theta by
+        # |sin theta| eps s / (s^2 - 1), and s / (s^2 - 1) ~ kappa at both
+        # ends of the band (s ~ 1 / kappa when kappa is small, and
+        # s - 1 ~ 1 / (2 kappa) when it is large).  The two paths' kappas
+        # differ by rounding, and so may their s, so such a column's factor
+        # also carries 1 / |sin theta| + kappa |sin theta|, read from the
+        # general path's draw.  Near the mode at kappa ~ 1e6 this is ~2e3.
         uniform_draws = []
 
         def general_pass(cm, x, rng):
@@ -344,8 +425,12 @@ class TestColumnGibbs:
                     uniform_draws.append(k)
                     z = _uniform_unit_vector(p - 1, rng)
                 else:
-                    z = _vmf_vector_draw(m / kappa, kappa, rng)
+                    mu = m / kappa
+                    z = _vmf_vector_draw(mu, kappa, rng)
                     cancellation *= np.linalg.norm(cm[:, k]) / kappa
+                    if p == 3 and _VONMISES_BAND[0] <= kappa <= _VONMISES_BAND[1]:
+                        sine = abs(mu[0] * z[1] - mu[1] * z[0])
+                        cancellation *= 1.0 / sine + kappa * sine
                 x[:, k] = _lift(reflectors, z)
             return cancellation
 

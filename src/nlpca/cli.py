@@ -54,7 +54,6 @@ from .gibbs import (
     default_hyperparams,
     init_state,
     kept_sweeps,
-    log_posterior_unnorm,
     run,
 )
 from .metrics import (
@@ -135,9 +134,9 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _parse_a2(text: str):
-    if text in ("auto", "inf"):
-        return text
+def _parse_a2(text: str) -> float | None:
+    if text == "auto":  # None: default_hyperparams' pilot value
+        return None
     try:
         value = float(text)
     except ValueError:
@@ -170,8 +169,8 @@ def _add_chain_options(sub) -> None:
     sub.add_argument("--burn-in", type=int, default=1000, dest="burn_in")
     sub.add_argument("--thin", type=int, default=5, help="keep every thin-th sweep")
     sub.add_argument(
-        "--a2", type=_parse_a2, default="auto", help="latent prior variance: auto|inf|<value>"
-    )
+        "--a2", type=_parse_a2, default=None,
+        help="latent prior variance: auto (default: the pilot value), inf or a number > 0")
     sub.add_argument("--c", type=float, default=None, help="override interaction strength")
     sub.add_argument("--w", type=float, default=None, help="override kernel bandwidth")
 
@@ -182,11 +181,19 @@ def _add_common_options(sub) -> None:
 
 
 def _pilot(args, data) -> tuple[PcaFit, HyperParams]:
-    """The command's one rank-d PCA fit, once the data are known to vary and
-    --dim to fit them (d < p, so the frames reduce dimension, and d <= n), and
-    the pilot-study hyperparameters it gives under the chain flags."""
+    """The command's one rank-d PCA fit, once the data are known to vary and to
+    square without overflow, (n - 1) --c to stay within vmf-diag's --kappa
+    bound, and --dim to fit them (d < p, so the frames reduce dimension, and
+    d <= n); and the pilot-study hyperparameters it gives under the chain flags."""
     if np.all(data.y == data.y[0]):
         raise InputFileError("the data do not vary: every row is the same")
+    with np.errstate(over="ignore"):
+        if not math.isfinite(np.sum(data.y * data.y)):
+            raise InputFileError("the data are too large: their sum of squares overflows")
+    if args.c is not None and (data.n - 1) * args.c > 1e154:
+        raise UsageError(f"--c must be at most 1e154/(n - 1) = {1e154 / (data.n - 1):g} "
+                         f"for n = {data.n}; above, the frame step's squared column "
+                         f"norm overflows; got {args.c}")
     if args.dim >= data.p:
         raise UsageError(f"--dim must be < p = {data.p}, the data's dimension")
     if args.dim > data.n:
@@ -206,20 +213,24 @@ def _pilot(args, data) -> tuple[PcaFit, HyperParams]:
 
 def _run_chain(args, data, hp, seed, state, start_sweep):
     """Create --out and run the chain from start_sweep, streaming one
-    trace.csv row per sweep.  Returns the output directory and the summary."""
+    trace.csv row per sweep.  Returns the output directory, the summary and
+    the last sweep's log posterior, which is the final state's."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    last_log_posterior = math.nan
     with open(out / "trace.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sweep", "sigma2", "log_posterior"])
 
         def on_sweep(t, state, log_posterior):
+            nonlocal last_log_posterior
+            last_log_posterior = log_posterior
             writer.writerow([str(t), repr(float(state.sigma2)), repr(float(log_posterior))])
 
         summary = run(
             data, hp, seed, state=state, start_sweep=start_sweep, on_sweep=on_sweep
         )
-    return out, summary
+    return out, summary, last_log_posterior
 
 
 def _chain_settings(hp: HyperParams) -> dict:
@@ -269,7 +280,7 @@ def cmd_sphere_demo(args) -> int:
     all_sv = np.linalg.svd(data.y / np.sqrt(data.n), compute_uv=False)
     pca_total_analytic = float(data.n * np.sum(all_sv[args.dim:] ** 2))
 
-    out, summary = _run_chain(args, data, hp, seed, init_state(fit, hp), 0)
+    out, summary, _ = _run_chain(args, data, hp, seed, init_state(fit, hp), 0)
     model_recon = summary.mean_reconstruction
     model_errors = reconstruction_errors(data.y, model_recon)
     model_recon_raw = model_recon + data.column_means
@@ -332,7 +343,7 @@ def cmd_digits_demo(args) -> int:
     fit, hp = _pilot(args, data)
     pca_mismatch = nn_mismatch_count(fit.latents, data.labels)
 
-    out, summary = _run_chain(args, data, hp, seed, init_state(fit, hp), 0)
+    out, summary, _ = _run_chain(args, data, hp, seed, init_state(fit, hp), 0)
     model_mismatch = nn_mismatch_count(summary.mean_latents, data.labels)
 
     export_matrix_csv(out / "pca_latents.csv", fit.latents, labels=data.labels)
@@ -408,7 +419,7 @@ def cmd_fit(args) -> int:
         start_sweep = ck.counter
         seed = ck.seed  # the original stream must continue
 
-    out, summary = _run_chain(args, data, hp, seed, state, start_sweep)
+    out, summary, final_log_posterior = _run_chain(args, data, hp, seed, state, start_sweep)
 
     final = summary.final_state
     save_checkpoint(
@@ -427,7 +438,7 @@ def cmd_fit(args) -> int:
         "p": data.p,
         "start_sweep": start_sweep,
         "final_sigma2": float(final.sigma2),
-        "final_log_posterior": log_posterior_unnorm(final, data, hp),
+        "final_log_posterior": final_log_posterior,
     })
     print(f"fit: {hp.n_sweeps - start_sweep} sweeps done; artifacts in {out}")
     return EXIT_OK

@@ -14,9 +14,9 @@ from its Gamma full conditional.  sweep returns the new state and its log
 posterior; run is the one loop over sweeps, from the state it is given:
 init_state(fit, hp) for a fresh chain, where fit is the rank-d PCA fit that
 default_hyperparams also reads.  Per-sweep values reach the caller only
-through run's on_sweep hook.  Frames stay plain (n, p, d) arrays, checked
-by frames_orthonormal; the weights stay the plain (n, n) array that
-compute_weights returns, valid by construction and never re-checked.
+through run's on_sweep hook.  run is the one place where a caller's state
+is checked, once: ModelState is a plain record of the (n, p, d) frames, the
+(n, d) latents, sigma^2 and the (n, n) weights that compute_weights returns.
 
 The x-step is the paper's approximation: it ignores that the weights
 lambda_ij depend on x, so the chain does not exactly target
@@ -104,23 +104,13 @@ class HyperParams:
 @dataclass(eq=False)
 class ModelState:
     """Full Gibbs state: n stacked frames, n latents, noise variance, and the
-    (n, n) weights lambda that compute_weights built from the latents."""
+    (n, n) weights lambda that compute_weights built from the latents.
+    A plain record of float arrays, unchecked: run checks a caller's state on entry."""
 
     transformations: np.ndarray  # (n, p, d)
     latents: np.ndarray  # (n, d)
     sigma2: float
     lam: np.ndarray  # (n, n)
-
-    def __post_init__(self):
-        self.transformations = np.asarray(self.transformations, dtype=float)
-        self.latents = np.asarray(self.latents, dtype=float)
-        n, p, d = self.transformations.shape
-        if self.latents.shape != (n, d):
-            raise ValueError("latents do not match the transformations")
-        if self.lam.shape != (n, n):
-            raise ValueError("lambda does not match the number of sites")
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
 
     @property
     def n(self) -> int:
@@ -149,8 +139,7 @@ class PosteriorSummary:
 
     mean_reconstruction averages the kept draws' V_i x_i, so it is unchanged
     by (V_i R, R^T x_i) for one common rotation R, which the posterior cannot
-    tell apart; mean_latents averages the x_i entrywise.  Per-sweep values
-    come only through run's on_sweep hook.
+    tell apart; mean_latents averages the x_i entrywise.
     """
 
     mean_reconstruction: np.ndarray  # (n, p)
@@ -167,26 +156,23 @@ def default_hyperparams(
     n_sweeps: int = 2000,
     burn_in: int = 1000,
     thin: int = 5,
-    a2: float | str = "auto",
+    a2: float | None = None,
     c_strength: float | None = None,
     bandwidth: float | None = None,
 ) -> HyperParams:
     """Pilot-study defaults from fit, the rank-d PCA fit of data: tau^2 from
-    its residual, a^2 from the average sample variance, c = 100/n, w = mean
-    pairwise distance of its latents, raised to BANDWIDTH_FLOOR if tinier.
-    a^2 is at least the smallest normal double: data below ~1e-154 scale have
-    a variance that underflows to a subnormal or to 0."""
+    its residual and, where a2, c_strength or bandwidth is None, a^2 from the
+    average sample variance, c = 100/n, w = mean pairwise distance of its
+    latents, raised to BANDWIDTH_FLOOR if tinier.  The pilot a^2 is at least
+    the smallest normal double: data below ~1e-154 scale have a variance
+    that underflows to a subnormal or to 0."""
     tau2 = max(pilot_tau2(data, fit), SIGMA2_FLOOR)
-    if a2 == "auto":
-        a2_value = max(avg_variance(data), sys.float_info.min)
-    elif a2 == "inf":
-        a2_value = math.inf
-    else:
-        a2_value = float(a2)
+    if a2 is None:
+        a2 = max(avg_variance(data), sys.float_info.min)
     if bandwidth is None:
         bandwidth = max(default_bandwidth(fit.latents), BANDWIDTH_FLOOR)
     return HyperParams(
-        a2=a2_value,
+        a2=a2,
         tau2=tau2,
         c_strength=default_strength(data.n) if c_strength is None else c_strength,
         bandwidth=bandwidth,
@@ -381,9 +367,10 @@ def run(
     sweep_rng(seed, t), so the trajectory is bit-identical to the unbroken
     run's.  The states of kept_sweeps(hp, start_sweep) are averaged: their
     latents, and their reconstructions V_i x_i.
-    sweep checks nothing on entry, so ValueError is raised before the first
+    The one check of a caller's state: ValueError is raised before the first
     sweep unless state has d < p, frames orthonormal within
-    ORTHONORMALITY_TOL and finite latents and sigma^2, and some sweep is kept.
+    ORTHONORMALITY_TOL, finite (n, d) latents, an (n, n) lambda and
+    0 < sigma^2 < inf, and some sweep is kept.
     ``on_sweep(t, state, log_posterior)`` is called after every sweep, e.g.
     to stream a trace file; it is the only way out for per-sweep values.
     """
@@ -391,12 +378,17 @@ def run(
         raise ValueError(f"need d < p, got frames of shape {state.p}x{state.d}")
     if not frames_orthonormal(state.transformations):
         raise ValueError(f"frames are not orthonormal within {ORTHONORMALITY_TOL:g}")
-    if not (np.all(np.isfinite(state.latents)) and math.isfinite(state.sigma2)):
-        raise ValueError("latents and sigma2 must be finite")
+    n, d = state.n, state.d
+    if state.latents.shape != (n, d) or not np.all(np.isfinite(state.latents)):
+        raise ValueError(f"latents must be a finite (n, d) = {(n, d)} array")
+    if state.lam.shape != (n, n):
+        raise ValueError(f"lambda must be an (n, n) = {(n, n)} array")
+    if not 0 < state.sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {state.sigma2}")
     kept = kept_sweeps(hp, start_sweep)
     if not kept:
         raise ValueError("no sweeps were kept; check n_sweeps/burn_in/start_sweep")
-    sum_recon = np.zeros((state.n, state.p))
+    sum_recon = np.zeros((n, state.p))
     sum_x = np.zeros_like(state.latents)
 
     for t in range(start_sweep, hp.n_sweeps):

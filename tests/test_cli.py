@@ -360,6 +360,56 @@ class TestFit:
         assert "do not vary" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale, code", [(1e153, 0), (1e154, 2), (1e160, 2)])
+    @pytest.mark.parametrize("extra", [[], ["--a2", "inf"]], ids=["defaults", "a2inf"])
+    def test_data_too_large_to_square_is_input_error_before_output(
+        self, tmp_path, capsys, scale, code, extra
+    ):
+        # The pilot tau^2 squares the residuals; above ~1e154 scale the sum
+        # overflows, and the chain would fail only after --out exists.
+        path = tmp_path / "large.csv"
+        export_matrix_csv(path, scale * np.random.default_rng(9).standard_normal((30, 4)),
+                          prefix="x")
+        out = tmp_path / "out"
+        assert main(["fit", str(path), *TINY_CHAIN, *extra, "--out", str(out)]) == code
+        if code:
+            assert "sum of squares overflows" in capsys.readouterr().err
+        assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("c, code", [("1e152", 0), ("3.4e152", 0), ("3.5e152", 1),
+                                         ("1e153", 1)])
+    def test_coupling_beyond_overflow_bound_is_usage_error_before_output(
+        self, tmp_path, capsys, c, code
+    ):
+        # The frame step squares column norms of up to (n - 1) c; n = 30 puts
+        # the bound 1e154 / 29 between 3.4e152 and 3.5e152.
+        path = self.make_input(tmp_path, np.random.default_rng(9), n=30, p=4)
+        out = tmp_path / "out"
+        assert main(["fit", str(path), *TINY_CHAIN, "--c", c, "--out", str(out)]) == code
+        if code:
+            assert "1e154" in capsys.readouterr().err
+        assert out.exists() == (code == 0)
+
+    def test_final_log_posterior_is_last_trace_value(self, tmp_path):
+        path = self.make_input(tmp_path, np.random.default_rng(11), n=8, p=4)
+        half, full = tmp_path / "half", tmp_path / "full"
+        assert main(["fit", str(path), "--sweeps", "10", "--burn-in", "5", "--seed", "4",
+                     "--out", str(half)]) == 0
+        assert main(["fit", str(path), "--sweeps", "20", "--burn-in", "5",
+                     "--resume", str(half / "checkpoint.json"), "--out", str(full)]) == 0
+        for out in (half, full):
+            last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
+            assert read_summary(out)["final_log_posterior"] == float(last[2])
+
+    @pytest.mark.parametrize("text", ["auto", "inf", "Infinity", "1e400", "7.5"])
+    def test_a2_spellings_in_summary(self, tmp_path, text):
+        path = self.make_input(tmp_path, np.random.default_rng(12), n=8, p=4)
+        out = tmp_path / "out"
+        assert main(["fit", str(path), *TINY_CHAIN, "--a2", text, "--out", str(out)]) == 0
+        pilot = nlpca.pca.avg_variance(nlpca.pca.center(import_matrix_csv(path)[0]))
+        expected = {"auto": pilot, "7.5": 7.5}.get(text, "inf")
+        assert read_summary(out)["a2"] == expected
+
     def test_resume_reproduces_unbroken_run(self, tmp_path):
         rng = np.random.default_rng(3)
         path = self.make_input(tmp_path, rng, n=8, p=4, labels=True)

@@ -150,7 +150,7 @@ class TestHyperParams:
     def test_a2_modes(self):
         rng = np.random.default_rng(1)
         _, ds = generate_sphere(20, 0.05, rng)
-        assert math.isinf(default_hyperparams(ds, pca_fit(ds, 2), a2="inf").a2)
+        assert math.isinf(default_hyperparams(ds, pca_fit(ds, 2), a2=math.inf).a2)
         assert default_hyperparams(ds, pca_fit(ds, 2), a2=7.5).a2 == 7.5
 
 
@@ -587,6 +587,37 @@ class TestRunSummary:
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=p)
         with pytest.raises(ValueError, match="d < p"):
+            run(data, hp, 0, state=state)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("latents", np.zeros((5, 2))), ("latents", np.zeros((6, 1))),
+         ("latents", np.zeros(12)), ("lam", np.zeros((5, 5))), ("lam", np.zeros((6, 5))),
+         ("lam", np.zeros(36))],
+        ids=["latents-n", "latents-d", "latents-flat", "lam-n", "lam-ragged", "lam-flat"],
+    )
+    def test_misshapen_state_refused_before_first_sweep(self, monkeypatch, field, bad):
+        calls = []
+        monkeypatch.setattr(gibbs, "sweep", lambda *args: calls.append(1))
+        rng = np.random.default_rng(38)
+        data = center(rng.standard_normal((6, 3)))
+        hp = tiny_hp()
+        state = tiny_state(rng, data, hp, d=2)
+        setattr(state, field, bad)
+        with pytest.raises(ValueError, match=r"\(n, n\)" if field == "lam" else r"\(n, d\)"):
+            run(data, hp, 0, state=state)
+        assert calls == []
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_sigma2_refused_before_first_sweep(self, monkeypatch, sigma2):
+        calls = []
+        monkeypatch.setattr(gibbs, "sweep", lambda *args: calls.append(1))
+        rng = np.random.default_rng(39)
+        data = center(rng.standard_normal((6, 3)))
+        hp = tiny_hp()
+        state = tiny_state(rng, data, hp, d=2, sigma2=sigma2)
+        with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
             run(data, hp, 0, state=state)
         assert calls == []
 

@@ -64,7 +64,7 @@ from .metrics import (
 )
 from .mrf import BANDWIDTH_FLOOR, compute_weights
 from .pca import PcaFit, center, pca_fit, reconstruct_linear
-from .vmf import column_gibbs_pass
+from .vmf import KAPPA_MAX, column_gibbs_pass
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,10 +108,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_input(name: str, load, *paths):
-    """load(*paths), with an OSError or ValueError reported as an input error."""
+def _read_input(name: str, load, *args):
+    """load(*args), with an OSError or ValueError reported as an input error."""
     try:
-        return load(*paths)
+        return load(*args)
     except OSError as err:
         raise InputFileError(f"cannot read {name}: {err}") from err
     except ValueError as err:
@@ -181,17 +181,23 @@ def _add_common_options(sub) -> None:
 
 
 def _pilot(args, data) -> tuple[PcaFit, HyperParams]:
-    """The command's one rank-d PCA fit, once the data are known to vary and to
-    square without overflow, (n - 1) --c to stay within vmf-diag's --kappa
+    """The command's one rank-d PCA fit, once the data are known to vary, their
+    sum of squares and 4 max |y_i|^2 not to overflow (the latter bounds the
+    squared distance between two rows, and between two of the PCA latents
+    that start the chain), (n - 1) --c to stay within vmf-diag's --kappa
     bound, and --dim to fit them (d < p, so the frames reduce dimension, and
     d <= n); and the pilot-study hyperparameters it gives under the chain flags."""
     if np.all(data.y == data.y[0]):
         raise InputFileError("the data do not vary: every row is the same")
     with np.errstate(over="ignore"):
-        if not math.isfinite(np.sum(data.y * data.y)):
+        sq = data.y * data.y
+        if not math.isfinite(np.sum(sq)):
             raise InputFileError("the data are too large: their sum of squares overflows")
-    if args.c is not None and (data.n - 1) * args.c > 1e154:
-        raise UsageError(f"--c must be at most 1e154/(n - 1) = {1e154 / (data.n - 1):g} "
+        if not math.isfinite(4.0 * np.max(np.sum(sq, axis=1))):
+            raise InputFileError("the data are too large: a squared distance between "
+                                 "two rows overflows")
+    if args.c is not None and (data.n - 1) * args.c > KAPPA_MAX:
+        raise UsageError(f"--c must be at most 1e154/(n - 1) = {KAPPA_MAX / (data.n - 1):g} "
                          f"for n = {data.n}; above, the frame step's squared column "
                          f"norm overflows; got {args.c}")
     if args.dim >= data.p:
@@ -213,24 +219,20 @@ def _pilot(args, data) -> tuple[PcaFit, HyperParams]:
 
 def _run_chain(args, data, hp, seed, state, start_sweep):
     """Create --out and run the chain from start_sweep, streaming one
-    trace.csv row per sweep.  Returns the output directory, the summary and
-    the last sweep's log posterior, which is the final state's."""
+    trace.csv row per sweep.  Returns the output directory and run's summary."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    last_log_posterior = math.nan
     with open(out / "trace.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sweep", "sigma2", "log_posterior"])
 
         def on_sweep(t, state, log_posterior):
-            nonlocal last_log_posterior
-            last_log_posterior = log_posterior
             writer.writerow([str(t), repr(float(state.sigma2)), repr(float(log_posterior))])
 
         summary = run(
             data, hp, seed, state=state, start_sweep=start_sweep, on_sweep=on_sweep
         )
-    return out, summary, last_log_posterior
+    return out, summary
 
 
 def _chain_settings(hp: HyperParams) -> dict:
@@ -280,7 +282,7 @@ def cmd_sphere_demo(args) -> int:
     all_sv = np.linalg.svd(data.y / np.sqrt(data.n), compute_uv=False)
     pca_total_analytic = float(data.n * np.sum(all_sv[args.dim:] ** 2))
 
-    out, summary, _ = _run_chain(args, data, hp, seed, init_state(fit, hp), 0)
+    out, summary = _run_chain(args, data, hp, seed, init_state(fit, hp), 0)
     model_recon = summary.mean_reconstruction
     model_errors = reconstruction_errors(data.y, model_recon)
     model_recon_raw = model_recon + data.column_means
@@ -343,7 +345,7 @@ def cmd_digits_demo(args) -> int:
     fit, hp = _pilot(args, data)
     pca_mismatch = nn_mismatch_count(fit.latents, data.labels)
 
-    out, summary, _ = _run_chain(args, data, hp, seed, init_state(fit, hp), 0)
+    out, summary = _run_chain(args, data, hp, seed, init_state(fit, hp), 0)
     model_mismatch = nn_mismatch_count(summary.mean_latents, data.labels)
 
     export_matrix_csv(out / "pca_latents.csv", fit.latents, labels=data.labels)
@@ -377,7 +379,7 @@ def cmd_fit(args) -> int:
     matrix, labels = _read_input(args.input, import_matrix_csv, args.input)
     if matrix.shape[0] < 2:
         raise UsageError(f"need at least 2 rows, got {matrix.shape[0]}")
-    data = center(matrix, labels=labels)
+    data = _read_input(args.input, center, matrix, labels)
     fit, hp = _pilot(args, data)
 
     fingerprint = {**_chain_settings(hp), "data_sha256": data_sha256(data.y)}
@@ -395,11 +397,7 @@ def cmd_fit(args) -> int:
                 f"checkpoint is for n={n}, p={p}, d={d}; "
                 f"input gives n={data.n}, p={data.p}, d={args.dim}"
             )
-        if ck.counter >= args.sweeps:
-            raise UsageError(
-                f"checkpoint already has {ck.counter} sweeps; --sweeps is {args.sweeps}"
-            )
-        if not kept_sweeps(hp, ck.counter):
+        if not kept_sweeps(hp, ck.counter):  # also when counter >= --sweeps
             raise UsageError(
                 f"--sweeps {args.sweeps}, --burn-in {args.burn_in} and --thin {args.thin} "
                 f"keep no sweep after the checkpoint's {ck.counter}"
@@ -419,7 +417,7 @@ def cmd_fit(args) -> int:
         start_sweep = ck.counter
         seed = ck.seed  # the original stream must continue
 
-    out, summary, final_log_posterior = _run_chain(args, data, hp, seed, state, start_sweep)
+    out, summary = _run_chain(args, data, hp, seed, state, start_sweep)
 
     final = summary.final_state
     save_checkpoint(
@@ -438,7 +436,7 @@ def cmd_fit(args) -> int:
         "p": data.p,
         "start_sweep": start_sweep,
         "final_sigma2": float(final.sigma2),
-        "final_log_posterior": final_log_posterior,
+        "final_log_posterior": summary.final_log_posterior,
     })
     print(f"fit: {hp.n_sweeps - start_sweep} sweeps done; artifacts in {out}")
     return EXIT_OK
@@ -465,7 +463,7 @@ def cmd_vmf_diag(args) -> int:
         raise UsageError("--p must be >= 2")
     if not 1 <= args.d_frame < args.p:
         raise UsageError(f"--d-frame must satisfy 1 <= d < p = {args.p}")
-    if not 0 <= args.kappa <= 1e154:  # column_gibbs_pass squares kappa
+    if not 0 <= args.kappa <= KAPPA_MAX:
         raise UsageError(f"--kappa must be in [0, 1e154]; above, the frame step's "
                          f"squared column norm overflows; got {args.kappa}")
     if args.samples < 2:

@@ -14,7 +14,8 @@ from its Gamma full conditional.  sweep returns the new state and its log
 posterior; run is the one loop over sweeps, from the state it is given:
 init_state(fit, hp) for a fresh chain, where fit is the rank-d PCA fit that
 default_hyperparams also reads.  Per-sweep values reach the caller only
-through run's on_sweep hook.  run is the one place where a caller's state
+through run's on_sweep hook; the last sweep's state and log posterior are
+also in run's PosteriorSummary.  run is the one place where a caller's state
 is checked, once: ModelState is a plain record of the (n, p, d) frames, the
 (n, d) latents, sigma^2 and the (n, n) weights that compute_weights returns.
 
@@ -135,7 +136,7 @@ class ModelState:
 
 @dataclass(eq=False)
 class PosteriorSummary:
-    """Posterior sample averages and the final state of one Gibbs run.
+    """Posterior averages of one Gibbs run, and its last sweep's state and log posterior.
 
     mean_reconstruction averages the kept draws' V_i x_i, so it is unchanged
     by (V_i R, R^T x_i) for one common rotation R, which the posterior cannot
@@ -147,6 +148,7 @@ class PosteriorSummary:
     n_kept: int
     total_draws: int  # frame draws made by this run: n per sweep
     final_state: ModelState
+    final_log_posterior: float
 
 
 def default_hyperparams(
@@ -263,44 +265,35 @@ def _total_sq_residual(state: ModelState, data: Dataset) -> float:
 
 
 def noise_posterior_params(
-    state: ModelState, data: Dataset, hp: HyperParams, *, sq_residual: float | None = None
+    data: Dataset, hp: HyperParams, sq_residual: float
 ) -> tuple[float, float]:
     """Gamma (shape, rate) of the precision full conditional:
-    ((ETA + np)/2, (ETA tau^2 + total squared residual)/2).  sq_residual is
-    that residual if the caller has it already."""
+    ((ETA + np)/2, (ETA tau^2 + sq_residual)/2), where sq_residual is the
+    total squared residual of the frames and latents, _total_sq_residual's."""
     shape0, rate0 = noise_prior_params(hp)
     n, p = data.y.shape
-    if sq_residual is None:
-        sq_residual = _total_sq_residual(state, data)
     return shape0 + 0.5 * n * p, rate0 + 0.5 * sq_residual
 
 
 def update_noise(
-    state: ModelState,
-    data: Dataset,
-    hp: HyperParams,
-    rng: np.random.Generator,
-    *,
-    sq_residual: float | None = None,
+    data: Dataset, hp: HyperParams, sq_residual: float, rng: np.random.Generator
 ) -> float:
-    """Draw the precision from its Gamma full conditional; return sigma^2.
-    sq_residual is the total squared residual if the caller has it already."""
-    shape, rate = noise_posterior_params(state, data, hp, sq_residual=sq_residual)
+    """Draw the precision from its Gamma full conditional given the total
+    squared residual sq_residual; return sigma^2."""
+    shape, rate = noise_posterior_params(data, hp, sq_residual)
     precision = rng.gamma(shape, 1.0 / rate)
     return max(1.0 / precision, SIGMA2_FLOOR)
 
 
 def log_posterior_unnorm(
-    state: ModelState, data: Dataset, hp: HyperParams, *, sq_residual: float | None = None
+    state: ModelState, data: Dataset, hp: HyperParams, sq_residual: float
 ) -> float:
     """Unnormalized log posterior: Gaussian likelihood, MRF coupling term,
     latent prior (omitted when a^2 is infinite), and the Gamma prior on the
-    precision.  sq_residual is the total squared residual of the frames and
-    latents if the caller has it already."""
+    precision.  sq_residual is the total squared residual of state's frames
+    and latents, _total_sq_residual(state, data), which sweep has already."""
     n, p = data.y.shape
     sigma2 = state.sigma2
-    if sq_residual is None:
-        sq_residual = _total_sq_residual(state, data)
     value = -sq_residual / (2.0 * sigma2)
     value -= 0.5 * n * p * math.log(sigma2)
     value += mrf_log_density_unnorm(state.transformations, state.lam)
@@ -330,11 +323,11 @@ def sweep(
     st.latents = update_latent(st, data, hp, rng)
     st.lam = compute_weights(st.latents, hp.c_strength, hp.bandwidth)
     sq_residual = _total_sq_residual(st, data)
-    st.sigma2 = update_noise(st, data, hp, rng, sq_residual=sq_residual)
+    st.sigma2 = update_noise(data, hp, sq_residual, rng)
 
     if not frames_orthonormal(st.transformations):
         raise ArithmeticError("orthonormality lost during sweep")
-    return st, log_posterior_unnorm(st, data, hp, sq_residual=sq_residual)
+    return st, log_posterior_unnorm(st, data, hp, sq_residual)
 
 
 def sweep_rng(seed: int, sweep_index: int) -> np.random.Generator:
@@ -404,5 +397,6 @@ def run(
         n_kept=len(kept),
         total_draws=data.n * (hp.n_sweeps - start_sweep),
         final_state=state,
+        final_log_posterior=log_post,
     )
 

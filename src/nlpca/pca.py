@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ class Dataset:
             scale = max(
                 1.0, np.max(np.abs(self.column_means)), np.max(np.abs(self.y))
             )
-            if np.max(np.abs(self.y.mean(axis=0))) > _CENTERING_TOL * scale:
+            if np.max(np.abs(_column_means(self.y))) > _CENTERING_TOL * scale:
                 raise ValueError("data are not centered")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
@@ -69,13 +70,28 @@ class PcaFit:
     latents: np.ndarray
 
 
+def _column_means(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=0), taken of a scaled by the power of two that brings its
+    largest magnitude into [1/2, 1) and scaled back, as in default_bandwidth.
+    Both scalings are exact, so the means are bit for bit a.mean(axis=0)'s
+    unless an entry is subnormal at either scale, and a column sum beyond the
+    float range does not overflow."""
+    exponent = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+    return np.ldexp(np.ldexp(a, -exponent).mean(axis=0), exponent)
+
+
 def center(raw: np.ndarray, labels=None) -> Dataset:
-    """Subtract column means and remember them for de-centering."""
+    """Subtract column means and remember them for de-centering.  Finite data
+    whose centred values overflow raise ValueError."""
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[0] < 1:
         raise ValueError("need a nonempty n x p matrix")
-    means = raw.mean(axis=0)
-    return Dataset(y=raw - means, column_means=means, labels=labels)
+    means = _column_means(raw)
+    with np.errstate(over="ignore"):
+        y = raw - means
+    if np.all(np.isfinite(raw)) and not np.all(np.isfinite(y)):
+        raise ValueError("the data are too large: centring them overflows")
+    return Dataset(y=y, column_means=means, labels=labels)
 
 
 def pca_fit(data: Dataset, d: int) -> PcaFit:

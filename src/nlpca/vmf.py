@@ -6,29 +6,14 @@ values D set the concentration.
 
 The Gibbs sampler's frame step is column_gibbs_pass: one pass of
 column-wise Gibbs (Hoff 2009) started from the chain's current frame, which
-leaves vMF(C) exactly invariant for a p x d frame with d < p.  Each column
-is drawn in coordinates of the orthogonal complement of the other columns,
-built one way for every shape: from their Householder reflectors, applied
-implicitly.  The pass updates a raw array in place and checks nothing but
-the concentration of each vector draw; vmf_sample_column_gibbs is its
-validated wrapper, as vmf_sample_vector is for the vector draw.  That draw
-is Wood's (1994) scheme, in forms that keep full precision at any finite
-concentration, except on the circle (the complement of every d = p - 1
-frame, the sphere's among them).  There _circle_draw takes the angle from
-NumPy's Generator.vonmises, Best and Fisher's (1979) exact sampler in C,
-for 1e-8 <= kappa <= 1e6: the band where NumPy draws it exactly, outside of
-which it takes inexact shortcuts.  That angle is the acos of a rounded
-cosine, so its absolute error is ~eps / |sin theta|, not full precision.
-Outside the band the circle keeps Wood's draw, whose uniform tangent is a
-sign, in Python floats.
-With d = 2, the chain commands' default, each column has one reflector,
-and that step is written out.  The 3 x 2 frame of the paper's sphere runs it
-in Python floats, _column_pass_3x2: the circle draw and the lift, with no
-NumPy call but the variate draws and the store of each column.  A p x 2
-frame with p > 3 (the digits, any CSV fit at d = 2) runs it on a few
-products of (p-1)-vectors, _column_pass_px2, with the complement parameter
-m and the tangent formed as vectors, because their norms taken from Gram
-entries cancel.  The reflector helpers remain for d = 1 and d >= 3.
+leaves vMF(C) exactly invariant for a p x d frame with d < p; its docstring
+says which code each frame shape runs.  The pass updates a raw array in
+place and checks nothing but the concentration of each vector draw;
+vmf_sample_column_gibbs is its validated wrapper, as vmf_sample_vector is
+for the vector draw.  That draw is Wood's (1994) scheme, in forms that keep
+full precision at any finite concentration, except on the circle, where
+_circle_draw's docstring gives the band in which it takes NumPy's von Mises
+angle instead.
 vmf_sample_rejection, uniform-proposal rejection with the tight envelope
 exp{sum(D)}, is the exact reference the tests check the kernel against.
 """
@@ -62,6 +47,9 @@ _LOG2 = math.log(2.0)
 # The kappa range where Generator.vonmises is Best and Fisher's exact
 # sampler; tests/test_vmf.py pins both edges against the installed NumPy.
 _VONMISES_BAND = (1e-8, 1e6)
+# Largest concentration the frame step takes: column_gibbs_pass takes each
+# kappa as a norm sqrt(m @ m), and the square overflows above ~1.3e154.
+KAPPA_MAX = 1e154
 
 
 @dataclass(eq=False)
@@ -239,14 +227,11 @@ def _vmf_vector_draw(
     g - (g . mu) mu normalised, for a standard normal g redrawn while that
     norm is at most 1e-12; norms are sqrt(v @ v), the same bits as
     np.linalg.norm on a contiguous 1-D array.  On the circle (p = 2) the
-    draw is _circle_draw's: NumPy's von Mises angle for
-    1e-8 <= kappa <= 1e6, exact in law with an absolute error of
-    ~eps / |sin theta| from the mean, and Wood's draw outside that band.
+    draw is _circle_draw's.
 
-    Wood's draw keeps its precision up to kappa ~ 1e300 at least, but
-    column_gibbs_pass takes kappa as the norm of its complement coordinates,
-    sqrt(m @ m) or its scalar form, whose square overflows above
-    kappa ~ 1.3e154; there the kappa is inf and the guard raises instead.
+    Wood's draw keeps its precision up to kappa ~ 1e300 at least, but the
+    frame step's kappa is inf above ~1.3e154 (KAPPA_MAX), and the guard
+    raises instead.
     """
     p = mu.size
     if p == 2:
@@ -398,19 +383,16 @@ def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -
 
     N is never formed: it is the trailing columns of the Q of the other
     columns' reflectors (none for d = 1, where N = I), so _to_complement
-    gives N^T c and _lift gives N z.  With d = 2 each column has one
-    reflector, and the step is written out for it: in Python floats at
-    p = 3 (_column_pass_3x2, the sphere's frames, whose complement is a
-    circle, drawn by _circle_draw: NumPy's von Mises angle for
-    1e-8 <= kappa <= 1e6, Wood's draw outside) and on a few products of
-    (p-1)-vectors above
-    (_column_pass_px2), with the same variates and the same frame to
-    rounding.  The latter forms N^T c_k and the Wood tangent as vectors, as
-    the helpers do, because their norms taken from Gram entries cancel
-    (its docstring gives the cases).  d = 1 and d >= 3 take the reflector
-    helpers and _vmf_vector_draw, which meets the circle at d = p - 1.  Every
-    draw is exact in law; inside the von Mises band a circle draw's error is
-    ~eps / |sin theta| from its mean, not full precision.
+    gives N^T c and _lift gives N z; d = 1 and d >= 3 take these helpers and
+    _vmf_vector_draw, which meets the circle at d = p - 1.  With d = 2, the
+    chain commands' default, each column has one reflector, and the step is
+    written out for it, with the same variates and the same frame to
+    rounding: in Python floats for the 3 x 2 frames of the paper's sphere,
+    whose complement is a circle (_column_pass_3x2), and on a few products
+    of (p-1)-vectors for p > 3, the digits and any CSV fit at d = 2
+    (_column_pass_px2, whose docstring says why some products are formed as
+    vectors).  Every draw is exact in law; _circle_draw's docstring gives
+    the precision of a circle draw.
     """
     p, d = x.shape
     if d == 2:

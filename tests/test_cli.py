@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -360,21 +361,47 @@ class TestFit:
         assert "do not vary" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("scale, code", [(1e153, 0), (1e154, 2), (1e160, 2)])
+    @pytest.mark.parametrize("scale, code", [(1e153, 0), (1e154, 2), (1e160, 2),
+                                             pytest.param(None, 2, id="rows_8e153")])
     @pytest.mark.parametrize("extra", [[], ["--a2", "inf"]], ids=["defaults", "a2inf"])
     def test_data_too_large_to_square_is_input_error_before_output(
         self, tmp_path, capsys, scale, code, extra
     ):
         # The pilot tau^2 squares the residuals; above ~1e154 scale the sum
-        # overflows, and the chain would fail only after --out exists.
+        # overflows, and the chain would fail only after --out exists.  The
+        # rows (8e153, 1) and (-8e153, -1) square to a finite sum, 1.28e308,
+        # but their squared distance, 2.56e308, overflows in the weights.
         path = tmp_path / "large.csv"
-        export_matrix_csv(path, scale * np.random.default_rng(9).standard_normal((30, 4)),
-                          prefix="x")
+        if scale is None:
+            matrix, dim = np.array([[8e153, 1.0], [-8e153, -1.0]]), ["--dim", "1"]
+        else:
+            matrix, dim = scale * np.random.default_rng(9).standard_normal((30, 4)), []
+        export_matrix_csv(path, matrix, prefix="x")
         out = tmp_path / "out"
-        assert main(["fit", str(path), *TINY_CHAIN, *extra, "--out", str(out)]) == code
+        assert main(["fit", str(path), *TINY_CHAIN, *dim, *extra, "--out", str(out)]) == code
         if code:
-            assert "sum of squares overflows" in capsys.readouterr().err
+            expected = "sum of squares" if scale else "squared distance between two rows"
+            assert f"{expected} overflows" in capsys.readouterr().err
         assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("column, message", [
+        ([1e308, 1e308, -1e308], "sum of squares overflows"),
+        ([1.7e308, 1.7e308, -1.7e308], "centring them overflows"),
+    ])
+    def test_column_sum_beyond_float_range_is_input_error_before_output(
+        self, tmp_path, capsys, column, message
+    ):
+        # Finite data whose column sum overflows: the means are taken without
+        # overflow, and the pilot or the centring refuses the data.
+        path = tmp_path / "huge.csv"
+        export_matrix_csv(path, np.column_stack([column, [1.0, 2.0, 3.0]]), prefix="x")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", str(path), *TINY_CHAIN, "--dim", "1", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("c, code", [("1e152", 0), ("3.4e152", 0), ("3.5e152", 1),
                                          ("1e153", 1)])
@@ -453,12 +480,16 @@ class TestFit:
         assert main(["fit", str(path), "--sweeps", "10", "--burn-in", "5", "--thin", "100",
                      "--out", str(first)]) == 0
         out = tmp_path / "out"
-        code = main(["fit", str(path), "--sweeps", "20", "--burn-in", "5", "--thin", "100",
-                     "--resume", str(first / "checkpoint.json"), "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert all(flag in err for flag in ("--sweeps", "--burn-in", "--thin"))
-        assert not out.exists()
+        # The checkpoint's counter is 10: --sweeps 20 keeps only sweep 5, which
+        # it has passed, and --sweeps 10 and 8 leave it no sweep to run.
+        for sweeps in ("20", "10", "8"):
+            code = main(["fit", str(path), "--sweeps", sweeps, "--burn-in", "5",
+                         "--thin", "100", "--resume", str(first / "checkpoint.json"),
+                         "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert all(flag in err for flag in ("--sweeps", "--burn-in", "--thin"))
+            assert not out.exists()
 
     def test_resume_shape_mismatch_is_usage_error(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -86,7 +86,7 @@ def reference_sweep(state, data, hp, rng):
             mean, var = shrink * proj, shrink * st.sigma2
         st.latents[i] = mean + math.sqrt(var) * rng.standard_normal(st.d)
     st.lam = compute_weights(st.latents, hp.c_strength, hp.bandwidth)
-    st.sigma2 = update_noise(st, data, hp, rng)
+    st.sigma2 = update_noise(data, hp, gibbs._total_sq_residual(st, data), rng)
     return st
 
 
@@ -170,7 +170,8 @@ class TestInitState:
         _, ds = generate_sphere(15, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=10, burn_in=5)
         state = init_state(pca_fit(ds, 2), hp)
-        assert math.isfinite(log_posterior_unnorm(state, ds, hp))
+        sq_residual = gibbs._total_sq_residual(state, ds)
+        assert math.isfinite(log_posterior_unnorm(state, ds, hp, sq_residual))
 
     def test_initial_reconstruction_matches_pca(self):
         rng = np.random.default_rng(4)
@@ -307,11 +308,13 @@ class TestUpdateNoise:
         frames = np.array([[[1.0]]])
         latents = np.array([[0.0]])  # exact reconstruction of the zero row
         state = ModelState(frames, latents, 1.0, np.zeros((1, 1)))
-        shape, rate = noise_posterior_params(state, data, hp)
+        sq_residual = gibbs._total_sq_residual(state, data)
+        shape, rate = noise_posterior_params(data, hp, sq_residual)
         assert shape == pytest.approx(1.5)
         assert rate == pytest.approx(1.0)
         n = 10_000
-        precisions = np.array([1.0 / update_noise(state, data, hp, rng) for _ in range(n)])
+        precisions = np.array([1.0 / update_noise(data, hp, sq_residual, rng)
+                               for _ in range(n)])
         se = math.sqrt(1.5 / n)  # Gamma variance = shape / rate^2
         assert abs(precisions.mean() - 1.5) <= 3 * se
 
@@ -322,12 +325,13 @@ class TestUpdateNoise:
         hp = tiny_hp(tau2=0.01)
         state = tiny_state(rng, data, hp, d=1)
         state.latents[:] = 0.0  # residual is the full data norm
-        shape, rate = noise_posterior_params(state, data, hp)
+        sq_residual = gibbs._total_sq_residual(state, data)
+        shape, rate = noise_posterior_params(data, hp, sq_residual)
         resid = float(np.sum(data.y**2))
         assert shape == pytest.approx((2.0 + 40.0) / 2.0)
         assert rate == pytest.approx((2.0 * 0.01 + resid) / 2.0)
         n = 10_000
-        draws = np.array([update_noise(state, data, hp, rng) for _ in range(n)])
+        draws = np.array([update_noise(data, hp, sq_residual, rng) for _ in range(n)])
         mean_ig = rate / (shape - 1.0)
         var_ig = rate**2 / ((shape - 1.0) ** 2 * (shape - 2.0))
         assert abs(draws.mean() - mean_ig) <= 3 * math.sqrt(var_ig / n)
@@ -463,7 +467,9 @@ class TestSweep:
         state = tiny_state(rng, data, hp, d=2)
         for t in range(3):
             state, log_post = sweep(state, data, hp, sweep_rng(4, t))
-            assert log_post == log_posterior_unnorm(state, data, hp)
+            assert log_post == log_posterior_unnorm(
+                state, data, hp, gibbs._total_sq_residual(state, data)
+            )
 
 
 class TestRunSummary:
@@ -660,7 +666,7 @@ class TestLogPosterior:
         # sigma^2 stay fixed, so only the likelihood changes.
         for i in range(data.n):
             state.latents[i] = state.transformations[i].T @ data.y[i]
-        base = log_posterior_unnorm(state, data, hp)
+        base = log_posterior_unnorm(state, data, hp, gibbs._total_sq_residual(state, data))
         worse = state.copy()
         worse.latents = -worse.latents
         resid_base = np.sum(
@@ -670,7 +676,8 @@ class TestLogPosterior:
             (data.y - np.einsum("npd,nd->np", worse.transformations, worse.latents)) ** 2
         )
         assert resid_worse > resid_base
-        assert log_posterior_unnorm(worse, data, hp) < base
+        assert log_posterior_unnorm(worse, data, hp, gibbs._total_sq_residual(worse, data)) \
+            < base
 
     def test_right_rotation_invariance(self):
         rng = np.random.default_rng(23)
@@ -684,8 +691,9 @@ class TestLogPosterior:
             sigma2=state.sigma2,
             lam=state.lam,
         )
-        base = log_posterior_unnorm(state, data, hp)
-        assert abs(log_posterior_unnorm(rotated, data, hp) - base) <= 1e-8 * max(
+        base = log_posterior_unnorm(state, data, hp, gibbs._total_sq_residual(state, data))
+        resid_rotated = gibbs._total_sq_residual(rotated, data)
+        assert abs(log_posterior_unnorm(rotated, data, hp, resid_rotated) - base) <= 1e-8 * max(
             1.0, abs(base)
         )
 
@@ -709,7 +717,7 @@ class TestLogPosterior:
         prec = 1.0 / state.sigma2
         expected += (ETA / 2 - 1) * math.log(prec) - (ETA * hp.tau2 / 2) * prec
 
-        got = log_posterior_unnorm(state, data, hp)
+        got = log_posterior_unnorm(state, data, hp, gibbs._total_sq_residual(state, data))
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_latent_prior_omitted_when_infinite(self):
@@ -718,7 +726,7 @@ class TestLogPosterior:
         hp_fin = tiny_hp(a2=2.0)
         hp_inf = tiny_hp(a2=math.inf)
         state = tiny_state(rng, data, hp_fin, d=1)
-        gap = log_posterior_unnorm(state, data, hp_inf) - log_posterior_unnorm(
-            state, data, hp_fin
-        )
+        sq_residual = gibbs._total_sq_residual(state, data)
+        gap = (log_posterior_unnorm(state, data, hp_inf, sq_residual)
+               - log_posterior_unnorm(state, data, hp_fin, sq_residual))
         assert gap == pytest.approx(float(np.sum(state.latents**2)) / 4.0, abs=1e-10)

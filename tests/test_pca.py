@@ -51,6 +51,26 @@ class TestCenter:
         with pytest.raises(ValueError, match="non-finite"):
             center(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-165, 1e-3, 1.0, 7.0, 1e5, 1e150])
+    def test_means_are_numpys_bit_for_bit(self, scale):
+        raw = scale * np.random.default_rng(5).standard_normal((40, 6)) + scale
+        ds = center(raw)
+        assert np.array_equal(ds.column_means, raw.mean(axis=0))
+        assert np.array_equal(ds.y, raw - raw.mean(axis=0))
+
+    def test_column_sum_beyond_float_range_does_not_overflow(self):
+        # The first column sums to 1e308, beyond no double, and would overflow
+        # at its own scale; at a power-of-two scale its mean is exact.
+        raw = np.array([[1e308, 1.0], [1e308, 2.0], [-1e308, 3.0]])
+        with np.errstate(all="raise"):
+            ds = center(raw)
+        assert ds.column_means.tolist() == [1e308 / 3, 2.0]
+
+    def test_centred_values_beyond_float_range_rejected(self):
+        # The mean 1.7e308 / 3 is finite, but -1.7e308 minus it is not.
+        with pytest.raises(ValueError, match="too large"):
+            center(np.array([[1.7e308, 1.0], [1.7e308, 2.0], [-1.7e308, 3.0]]))
+
 
 class TestPcaFit:
     def test_axis_data_recovers_axis(self):

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import (
+    CheckpointData,
     data_sha256,
     generate_sphere,
     import_matrix_csv,
@@ -420,15 +421,8 @@ def cmd_fit(args) -> int:
     out, summary = _run_chain(args, data, hp, seed, state, start_sweep)
 
     final = summary.final_state
-    save_checkpoint(
-        out / "checkpoint.json",
-        transformations=final.transformations,
-        latents=final.latents,
-        sigma2=final.sigma2,
-        seed=seed,
-        counter=hp.n_sweeps,
-        fingerprint=fingerprint,
-    )
+    save_checkpoint(out / "checkpoint.json", CheckpointData(
+        final.transformations, final.latents, final.sigma2, seed, hp.n_sweeps, fingerprint))
     export_matrix_csv(out / "mean_latents.csv", summary.mean_latents, labels=data.labels)
 
     _save_summary(out, hp, seed, summary, {

@@ -265,14 +265,17 @@ def data_sha256(y: np.ndarray) -> str:
 
 @dataclass(eq=False)
 class CheckpointData:
-    """Deserialized sampler checkpoint: the chain's state and its fingerprint.
-    The sizes n, p and d are the shape of transformations, (n, p, d)."""
+    """A sampler checkpoint, as save_checkpoint writes it and load_checkpoint
+    returns it: the chain's state, the RNG seed plus completed-sweep counter
+    for bit-exact resumption, and the fingerprint, the JSON values that
+    identify the chain.  The sizes n, p and d are the shape of
+    transformations, (n, p, d)."""
 
+    transformations: np.ndarray  # (n, p, d)
+    latents: np.ndarray  # (n, d)
     sigma2: float
     seed: int
     counter: int
-    transformations: np.ndarray  # (n, p, d)
-    latents: np.ndarray  # (n, d)
     fingerprint: dict
 
 
@@ -280,26 +283,15 @@ class CheckpointData:
 _STATE_KEYS = {"n", "p", "d", "sigma2", "seed", "counter", "transformations", "latents"}
 
 
-def save_checkpoint(
-    path,
-    *,
-    transformations: np.ndarray,
-    latents: np.ndarray,
-    sigma2: float,
-    seed: int,
-    counter: int,
-    fingerprint: dict,
-) -> None:
-    """JSON checkpoint: the state keys (dimensions, row-major flattened matrices,
-    sigma^2, the RNG seed plus completed-sweep counter for bit-exact
-    resumption), and the keys of the fingerprint, the JSON values that
-    identify the chain.
+def save_checkpoint(path, checkpoint: CheckpointData) -> None:
+    """JSON checkpoint: the state keys (dimensions, row-major flattened
+    matrices, sigma^2, seed and counter) beside the fingerprint's keys.
 
     The file is written beside its destination and moved into place with
     os.replace, so a reader never sees a partly written checkpoint.
     """
-    v = np.asarray(transformations, dtype=float)
-    x = np.asarray(latents, dtype=float)
+    v = np.asarray(checkpoint.transformations, dtype=float)
+    x = np.asarray(checkpoint.latents, dtype=float)
     n, p, d = v.shape
     if x.shape != (n, d):
         raise ValueError("latents do not match the transformations")
@@ -308,13 +300,13 @@ def save_checkpoint(
     save_json(
         tmp,
         {
-            **fingerprint,
+            **checkpoint.fingerprint,
             "n": int(n),
             "p": int(p),
             "d": int(d),
-            "sigma2": float(sigma2),
-            "seed": int(seed),
-            "counter": int(counter),
+            "sigma2": float(checkpoint.sigma2),
+            "seed": int(checkpoint.seed),
+            "counter": int(checkpoint.counter),
             "transformations": [v[i].reshape(-1).tolist() for i in range(n)],
             "latents": [x[i].tolist() for i in range(n)],
         },
@@ -379,11 +371,5 @@ def load_checkpoint(path) -> CheckpointData:
     seed, counter = doc["seed"], doc["counter"]
     if seed < 0 or counter < 0:
         raise ValueError(f"{path}: checkpoint seed and counter must be nonnegative")
-    return CheckpointData(
-        sigma2=sigma2,
-        seed=seed,
-        counter=counter,
-        transformations=v,
-        latents=x,
-        fingerprint={k: doc[k] for k in doc.keys() - _STATE_KEYS},
-    )
+    fingerprint = {k: doc[k] for k in doc.keys() - _STATE_KEYS}
+    return CheckpointData(v, x, sigma2, seed, counter, fingerprint)

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mrf import BANDWIDTH_FLOOR, compute_weights, default_bandwidth, \
-    default_strength, mrf_log_density_unnorm
-from .pca import Dataset, PcaFit, avg_variance, pilot_tau2
+from .mrf import BANDWIDTH_FLOOR, compute_weights, default_bandwidth, mrf_log_density_unnorm
+from .pca import Dataset, PcaFit, pilot_tau2
 from .stiefel import ORTHONORMALITY_TOL, frames_orthonormal
 from .vmf import column_gibbs_pass
 
@@ -49,7 +48,6 @@ __all__ = [
     "update_latent",
     "update_noise",
     "noise_prior_params",
-    "noise_posterior_params",
     "sweep",
     "sweep_rng",
     "kept_sweeps",
@@ -57,8 +55,9 @@ __all__ = [
     "log_posterior_unnorm",
 ]
 
-# Keeps sampled noise variances away from exact zero on degenerate
-# (noise-free) data; never binds on data with genuine residual noise.
+# Keeps the pilot tau^2 and sampled noise variances away from exact zero on
+# degenerate (noise-free) data, relative to the data's scale where that
+# exceeds 1; never binds on data with genuine residual noise.
 SIGMA2_FLOOR = 1e-12
 
 # Shape of the Gamma prior on the precision is ETA/2: an exponential prior.
@@ -162,21 +161,26 @@ def default_hyperparams(
     c_strength: float | None = None,
     bandwidth: float | None = None,
 ) -> HyperParams:
-    """Pilot-study defaults from fit, the rank-d PCA fit of data: tau^2 from
-    its residual and, where a2, c_strength or bandwidth is None, a^2 from the
-    average sample variance, c = 100/n, w = mean pairwise distance of its
-    latents, raised to BANDWIDTH_FLOOR if tinier.  The pilot a^2 is at least
-    the smallest normal double: data below ~1e-154 scale have a variance
-    that underflows to a subnormal or to 0."""
-    tau2 = max(pilot_tau2(data, fit), SIGMA2_FLOOR)
+    """Pilot-study defaults from fit, the rank-d PCA fit of data, which needs
+    n >= 2 rows: tau^2 from its residual and, where a2, c_strength or
+    bandwidth is None, a^2 from the average sample variance (the per-column
+    variance, n - 1 denominator, averaged over columns), c = 100/n, w = mean
+    pairwise distance of its latents, raised to BANDWIDTH_FLOOR if tinier.
+    tau^2 is at least SIGMA2_FLOOR * max(1, that variance).  The pilot a^2
+    is at least the smallest normal double: data below ~1e-154 scale have a
+    variance that underflows to a subnormal or to 0."""
+    if data.n < 2:
+        raise ValueError("need at least two rows for a sample variance")
+    variance = float(data.y.var(axis=0, ddof=1).mean())
+    tau2 = max(pilot_tau2(data, fit), SIGMA2_FLOOR * max(1.0, variance))
     if a2 is None:
-        a2 = max(avg_variance(data), sys.float_info.min)
+        a2 = max(variance, sys.float_info.min)
     if bandwidth is None:
         bandwidth = max(default_bandwidth(fit.latents), BANDWIDTH_FLOOR)
     return HyperParams(
         a2=a2,
         tau2=tau2,
-        c_strength=default_strength(data.n) if c_strength is None else c_strength,
+        c_strength=100.0 / data.n if c_strength is None else c_strength,
         bandwidth=bandwidth,
         n_sweeps=n_sweeps,
         burn_in=burn_in,
@@ -264,25 +268,17 @@ def _total_sq_residual(state: ModelState, data: Dataset) -> float:
     return float(np.sum(diff * diff))
 
 
-def noise_posterior_params(
-    data: Dataset, hp: HyperParams, sq_residual: float
-) -> tuple[float, float]:
-    """Gamma (shape, rate) of the precision full conditional:
-    ((ETA + np)/2, (ETA tau^2 + sq_residual)/2), where sq_residual is the
-    total squared residual of the frames and latents, _total_sq_residual's."""
-    shape0, rate0 = noise_prior_params(hp)
-    n, p = data.y.shape
-    return shape0 + 0.5 * n * p, rate0 + 0.5 * sq_residual
-
-
 def update_noise(
     data: Dataset, hp: HyperParams, sq_residual: float, rng: np.random.Generator
 ) -> float:
-    """Draw the precision from its Gamma full conditional given the total
-    squared residual sq_residual; return sigma^2."""
-    shape, rate = noise_posterior_params(data, hp, sq_residual)
-    precision = rng.gamma(shape, 1.0 / rate)
-    return max(1.0 / precision, SIGMA2_FLOOR)
+    """Draw the precision 1/sigma^2 from its Gamma full conditional, of shape
+    (ETA + np)/2 and rate (ETA tau^2 + sq_residual)/2, where sq_residual is the
+    total squared residual of the frames and latents, _total_sq_residual's.
+    Returns sigma^2, at least SIGMA2_FLOOR * max(1, tau^2)."""
+    shape0, rate0 = noise_prior_params(hp)
+    n, p = data.y.shape
+    precision = rng.gamma(shape0 + 0.5 * n * p, 1.0 / (rate0 + 0.5 * sq_residual))
+    return max(1.0 / precision, SIGMA2_FLOOR * max(1.0, hp.tau2))
 
 
 def log_posterior_unnorm(

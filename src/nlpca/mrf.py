@@ -19,7 +19,6 @@ __all__ = [
     "InteractionWeights",
     "compute_weights",
     "default_bandwidth",
-    "default_strength",
     "pairwise_sq_distances",
     "conditional_param",
     "mrf_log_density_unnorm",
@@ -108,13 +107,6 @@ def default_bandwidth(latents: np.ndarray) -> float:
     if w == 0.0:
         raise ValueError("all latent points are identical; bandwidth would be zero")
     return w
-
-
-def default_strength(n: int) -> float:
-    """Interaction strength 100 / n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 100.0 / n
 
 
 def conditional_param(i: int, v: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ __all__ = [
     "pca_fit",
     "reconstruct_linear",
     "pilot_tau2",
-    "avg_variance",
 ]
 
 # Largest column mean of centred data, relative to the data's magnitude.
@@ -123,10 +122,3 @@ def pilot_tau2(data: Dataset, fit: PcaFit) -> float:
     resid = data.y - reconstruct_linear(fit)
     n, p = data.y.shape
     return float(np.sum(resid * resid) / (n * p))
-
-
-def avg_variance(data: Dataset) -> float:
-    """Per-column sample variance (n-1 denominator) averaged over columns."""
-    if data.n < 2:
-        raise ValueError("need at least two rows for a sample variance")
-    return float(data.y.var(axis=0, ddof=1).mean())

@@ -289,6 +289,24 @@ class TestFit:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("rows, flags", [
+        ([[k * 1e150 - 3.5e150, 0.0] for k in range(1, 7)], ["--dim", "1", "--sweeps", "3"]),
+        ([[k * 1e100] + [0.0] * 5 for k in range(40)], ["--sweeps", "4"]),
+    ], ids=["line_1e150", "line_1e100"])
+    def test_noise_free_large_scale_data_fit(self, tmp_path, rows, flags):
+        # PCA leaves no residual here, so tau^2 and sigma^2 sit at their floors,
+        # which scale with the data: an absolute floor let y x^T / sigma^2 overflow.
+        path = tmp_path / "input.csv"
+        export_matrix_csv(path, np.array(rows), prefix="x")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", str(path), *flags, "--burn-in", "1", "--thin", "1",
+                         "--out", str(out)])
+        assert code == 0
+        trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+        assert trace.shape == (int(flags[-1]), 3) and np.all(np.isfinite(trace))
+
     @pytest.mark.parametrize("offset", [3e8, 1e10])
     def test_large_offset_data_fit(self, tmp_path, offset):
         # Centring such data leaves column means far above any absolute
@@ -433,7 +451,7 @@ class TestFit:
         path = self.make_input(tmp_path, np.random.default_rng(12), n=8, p=4)
         out = tmp_path / "out"
         assert main(["fit", str(path), *TINY_CHAIN, "--a2", text, "--out", str(out)]) == 0
-        pilot = nlpca.pca.avg_variance(nlpca.pca.center(import_matrix_csv(path)[0]))
+        pilot = float(nlpca.pca.center(import_matrix_csv(path)[0]).y.var(axis=0, ddof=1).mean())
         expected = {"auto": pilot, "7.5": 7.5}.get(text, "inf")
         assert read_summary(out)["a2"] == expected
 

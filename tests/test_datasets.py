@@ -350,10 +350,7 @@ class TestCheckpoint:
         v = np.linalg.qr(rng.standard_normal((n, p, d)))[0]
         x = rng.standard_normal((n, d))
         path = tmp_path / "ck.json"
-        save_checkpoint(
-            path, transformations=v, latents=x, sigma2=0.125, seed=42, counter=17,
-            fingerprint=FINGERPRINT,
-        )
+        save_checkpoint(path, CheckpointData(v, x, 0.125, 42, 17, FINGERPRINT))
         ck = load_checkpoint(path)
         assert isinstance(ck, CheckpointData)
         assert ck.transformations.shape == (n, p, d)
@@ -367,13 +364,7 @@ class TestCheckpoint:
     def test_schema_fields_present(self, tmp_path):
         path = tmp_path / "ck.json"
         save_checkpoint(
-            path,
-            transformations=np.zeros((2, 3, 1)),
-            latents=np.zeros((2, 1)),
-            sigma2=1.0,
-            seed=0,
-            counter=0,
-            fingerprint=FINGERPRINT,
+            path, CheckpointData(np.zeros((2, 3, 1)), np.zeros((2, 1)), 1.0, 0, 0, FINGERPRINT)
         )
         doc = json.loads(path.read_text())
         assert set(doc) == {
@@ -382,6 +373,15 @@ class TestCheckpoint:
         }
         assert len(doc["transformations"]) == 2
         assert len(doc["transformations"][0]) == 3
+
+    def test_load_then_save_rewrites_identical_bytes(self, tmp_path):
+        rng = np.random.default_rng(19)
+        v = np.linalg.qr(rng.standard_normal((5, 4, 2)))[0]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_checkpoint(first, CheckpointData(
+            v, rng.standard_normal((5, 2)), 0.1 + 0.2, 3, 250, FINGERPRINT))
+        save_checkpoint(second, load_checkpoint(first))
+        assert second.read_bytes() == first.read_bytes()
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

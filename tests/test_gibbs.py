@@ -13,11 +13,11 @@ from nlpca.gibbs import (
     ETA,
     HyperParams,
     ModelState,
+    SIGMA2_FLOOR,
     default_hyperparams,
     init_state,
     kept_sweeps,
     log_posterior_unnorm,
-    noise_posterior_params,
     noise_prior_params,
     run,
     sweep,
@@ -141,11 +141,21 @@ class TestHyperParams:
         assert hp.c_strength == pytest.approx(2.0)  # 100 / n
         fit = pca_fit(ds, 2)
         from nlpca.mrf import default_bandwidth
-        from nlpca.pca import avg_variance, pilot_tau2
+        from nlpca.pca import pilot_tau2
 
         assert hp.bandwidth == pytest.approx(default_bandwidth(fit.latents))
         assert hp.tau2 == pytest.approx(pilot_tau2(ds, pca_fit(ds, 2)))
-        assert hp.a2 == pytest.approx(avg_variance(ds))
+        assert hp.a2 == float(ds.y.var(axis=0, ddof=1).mean())
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5, 1e150])
+    def test_pilot_tau2_floor_scales_with_the_data(self, scale):
+        # Noise-free data on a line: PCA leaves no residual, so tau^2 is the
+        # floor, SIGMA2_FLOOR times the average variance where that exceeds 1.
+        raw = np.zeros((6, 2))
+        raw[:, 0] = scale * np.arange(6.0)
+        ds = center(raw)
+        hp = default_hyperparams(ds, pca_fit(ds, 1))
+        assert hp.tau2 == SIGMA2_FLOOR * max(1.0, hp.a2)
 
     def test_a2_modes(self):
         rng = np.random.default_rng(1)
@@ -309,9 +319,10 @@ class TestUpdateNoise:
         latents = np.array([[0.0]])  # exact reconstruction of the zero row
         state = ModelState(frames, latents, 1.0, np.zeros((1, 1)))
         sq_residual = gibbs._total_sq_residual(state, data)
-        shape, rate = noise_posterior_params(data, hp, sq_residual)
-        assert shape == pytest.approx(1.5)
-        assert rate == pytest.approx(1.0)
+        assert sq_residual == 0.0
+        shape, rate = 1.5, 1.0  # the conjugate (ETA + np)/2, (ETA tau^2 + 0)/2
+        draw = update_noise(data, hp, sq_residual, np.random.default_rng(5))
+        assert draw == 1.0 / np.random.default_rng(5).gamma(shape, 1.0 / rate)
         n = 10_000
         precisions = np.array([1.0 / update_noise(data, hp, sq_residual, rng)
                                for _ in range(n)])
@@ -326,15 +337,28 @@ class TestUpdateNoise:
         state = tiny_state(rng, data, hp, d=1)
         state.latents[:] = 0.0  # residual is the full data norm
         sq_residual = gibbs._total_sq_residual(state, data)
-        shape, rate = noise_posterior_params(data, hp, sq_residual)
         resid = float(np.sum(data.y**2))
-        assert shape == pytest.approx((2.0 + 40.0) / 2.0)
-        assert rate == pytest.approx((2.0 * 0.01 + resid) / 2.0)
+        assert sq_residual == pytest.approx(resid)
+        shape, rate = (2.0 + 40.0) / 2.0, (2.0 * 0.01 + resid) / 2.0
+        draw = update_noise(data, hp, sq_residual, np.random.default_rng(6))
+        expected = 1.0 / np.random.default_rng(6).gamma(shape, 1.0 / rate)
+        assert draw == pytest.approx(expected, rel=1e-15)
         n = 10_000
         draws = np.array([update_noise(data, hp, sq_residual, rng) for _ in range(n)])
         mean_ig = rate / (shape - 1.0)
         var_ig = rate**2 / ((shape - 1.0) ** 2 * (shape - 2.0))
         assert abs(draws.mean() - mean_ig) <= 3 * math.sqrt(var_ig / n)
+
+    @pytest.mark.parametrize("tau2", [1e-3, 1.0, 1e200])
+    def test_floor_scales_with_tau2(self, tau2):
+        # An infinite precision gives sigma^2 = 0, so the floor binds.
+        class InfinitePrecision:
+            def gamma(self, shape, scale):
+                return math.inf
+
+        data = Dataset(y=np.array([[0.0]]), column_means=np.zeros(1))
+        sigma2 = update_noise(data, tiny_hp(tau2=tau2), 0.0, InfinitePrecision())
+        assert sigma2 == SIGMA2_FLOOR * max(1.0, tau2)
 
     def test_prior_parameterization(self):
         # Prior shape eta/2 and rate eta tau^2/2 give prior mean 1/tau^2.

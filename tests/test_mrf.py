@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import vmf_log_density_unnorm
+from nlpca.gibbs import default_hyperparams
 from nlpca.mrf import (
     BANDWIDTH_FLOOR,
     InteractionWeights,
     compute_weights,
     conditional_param,
     default_bandwidth,
-    default_strength,
     mrf_log_density_unnorm,
     pairwise_sq_distances,
 )
+from nlpca.pca import Dataset, PcaFit, center, pca_fit
 from nlpca.stiefel import sample_uniform_stiefel
 from nlpca.vmf import VmfParam, vmf_mode
 
@@ -174,15 +175,25 @@ class TestDefaultBandwidth:
         assert default_bandwidth(2.0**-600 * x) == 2.0**-600 * default_bandwidth(x)
 
 
+def pilot_strength(n):
+    """default_hyperparams' pilot c for n rows of data."""
+    data = center(np.random.default_rng(n).standard_normal((n, 3)))
+    return default_hyperparams(data, pca_fit(data, 1), bandwidth=1.0).c_strength
+
+
 class TestDefaultStrength:
     def test_values(self):
-        assert default_strength(100) == pytest.approx(1.0)
-        assert default_strength(150) == pytest.approx(2.0 / 3.0)
-        assert default_strength(1) == pytest.approx(100.0)
+        assert pilot_strength(100) == pytest.approx(1.0)
+        assert pilot_strength(150) == pytest.approx(2.0 / 3.0)
+        assert pilot_strength(2) == pytest.approx(50.0)
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            default_strength(0)
+        # Fewer than two rows are refused before c = 100/n is formed.
+        for n in (0, 1):
+            data = Dataset(np.zeros((n, 3)), np.zeros(3))
+            fit = PcaFit(np.eye(3, 1), np.zeros((n, 1)))
+            with pytest.raises(ValueError, match="at least two rows"):
+                default_hyperparams(data, fit, bandwidth=1.0)
 
 
 class TestConditionalParam:

@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
+from nlpca.gibbs import default_hyperparams
 from nlpca.pca import (
     Dataset,
-    avg_variance,
     center,
     pca_fit,
     pilot_tau2,
@@ -171,14 +173,20 @@ class TestPilotTau2:
         assert pilot_tau2(ds, pca_fit(ds, 3)) <= 1e-10
 
 
+def pilot_a2(ds):
+    """default_hyperparams' pilot a^2, the average sample variance."""
+    return default_hyperparams(ds, pca_fit(ds, 1), bandwidth=1.0).a2
+
+
 class TestAvgVariance:
     def test_zero_data(self):
+        # A zero variance is raised to the smallest normal double.
         ds = center(np.zeros((5, 3)))
-        assert avg_variance(ds) == 0.0
+        assert pilot_a2(ds) == sys.float_info.min
 
     def test_two_point_column(self):
         ds = center(np.array([[-1.0], [1.0]]))
-        assert avg_variance(ds) == pytest.approx(2.0)
+        assert pilot_a2(ds) == pytest.approx(2.0)
 
     def test_matches_two_pass_computation(self):
         rng = np.random.default_rng(14)
@@ -190,9 +198,9 @@ class TestAvgVariance:
             mean = col.sum() / 25
             expected += ((col - mean) ** 2).sum() / 24
         expected /= 4
-        assert avg_variance(ds) == pytest.approx(expected, abs=1e-12)
+        assert pilot_a2(ds) == pytest.approx(expected, abs=1e-12)
 
     def test_single_row_rejected(self):
         ds = center(np.ones((1, 3)))
-        with pytest.raises(ValueError):
-            avg_variance(ds)
+        with pytest.raises(ValueError, match="at least two rows"):
+            pilot_a2(ds)

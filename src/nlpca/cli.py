@@ -378,8 +378,6 @@ def cmd_fit(args) -> int:
     seed = _resolve_seed(args)
 
     matrix, labels = _read_input(args.input, import_matrix_csv, args.input)
-    if matrix.shape[0] < 2:
-        raise UsageError(f"need at least 2 rows, got {matrix.shape[0]}")
     data = _read_input(args.input, center, matrix, labels)
     fit, hp = _pilot(args, data)
 

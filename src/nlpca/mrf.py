@@ -84,7 +84,9 @@ def compute_weights(latents: np.ndarray, c_strength: float, bandwidth: float) ->
     if not BANDWIDTH_FLOOR <= bandwidth < math.inf:
         raise ValueError(f"bandwidth must be finite and >= {BANDWIDTH_FLOOR:g}, got {bandwidth}")
     sq_dist = pairwise_sq_distances(latents)
-    lam = c_strength * np.exp(-sq_dist / (2.0 * bandwidth * bandwidth))
+    # An exponent that overflows tends to -inf, whose exp, 0, is the weight.
+    with np.errstate(over="ignore"):
+        lam = c_strength * np.exp(-sq_dist / (2.0 * bandwidth * bandwidth))
     np.fill_diagonal(lam, 0.0)
     return lam
 

@@ -11,9 +11,9 @@ says which code each frame shape runs.  The pass updates a raw array in
 place and checks nothing but the concentration of each vector draw;
 vmf_sample_column_gibbs is its validated wrapper, as vmf_sample_vector is
 for the vector draw.  That draw is Wood's (1994) scheme, in forms that keep
-full precision at any finite concentration, except on the circle, where
-_circle_draw's docstring gives the band in which it takes NumPy's von Mises
-angle instead.
+full precision at any finite concentration.  A draw on the circle takes
+NumPy's von Mises angle inside its exact band (_VONMISES_BAND, see
+_circle_draw) and the same Wood step outside it.
 vmf_sample_rejection, uniform-proposal rejection with the tight envelope
 exp{sum(D)}, is the exact reference the tests check the kernel against.
 """
@@ -191,29 +191,13 @@ def _circle_draw(
     precision near the mode.  Outside the band NumPy takes shortcuts that
     are not exact (a uniform angle below it, a wrapped normal above it), so
     there, and for every kappa the band refuses (0, inf, NaN, which
-    _wood_cosine's guard turns into ValueError), the draw is Wood's, at full
-    precision.
-
-    Wood's draw is t mu + sine u, with (t, sine) from _wood_cosine and u the
-    uniform unit tangent at mu, renormalised.  On the circle the tangent
-    g - (g . mu) mu of a standard normal pair g is (g . mu_perp) mu_perp with
-    mu_perp = (-mu1, mu0), so u is sign(g . mu_perp) mu_perp, with g redrawn
-    while |g . mu_perp| is at most 1e-12: the variates and retry condition of
-    the general tangent step.
+    _wood_cosine's guard turns into ValueError), the draw is
+    _vmf_vector_draw's general Wood step on the 2-vector.
     """
     if _VONMISES_BAND[0] <= kappa <= _VONMISES_BAND[1]:
         theta = rng.vonmises(math.atan2(mu1, mu0), kappa)
         return math.cos(theta), math.sin(theta)
-    t, sine = _wood_cosine(kappa, 1, rng)
-    while True:
-        g0, g1 = rng.standard_normal(2).tolist()
-        along = mu0 * g1 - mu1 * g0
-        if abs(along) > 1e-12:
-            break
-    sine = math.copysign(sine, along)
-    v0, v1 = t * mu0 - sine * mu1, t * mu1 + sine * mu0
-    norm = math.sqrt(v0 * v0 + v1 * v1)
-    return v0 / norm, v1 / norm
+    return tuple(_vmf_vector_draw(np.array((mu0, mu1)), kappa, rng).tolist())
 
 
 def _vmf_vector_draw(
@@ -226,15 +210,16 @@ def _vmf_vector_draw(
     _wood_cosine and u a uniform unit tangent at mu, renormalised.  u is
     g - (g . mu) mu normalised, for a standard normal g redrawn while that
     norm is at most 1e-12; norms are sqrt(v @ v), the same bits as
-    np.linalg.norm on a contiguous 1-D array.  On the circle (p = 2) the
-    draw is _circle_draw's.
+    np.linalg.norm on a contiguous 1-D array.  On the circle (p = 2) a kappa
+    inside _VONMISES_BAND takes _circle_draw's von Mises angle; every other
+    draw, on the circle too, is this step.
 
     Wood's draw keeps its precision up to kappa ~ 1e300 at least, but the
     frame step's kappa is inf above ~1.3e154 (KAPPA_MAX), and the guard
     raises instead.
     """
     p = mu.size
-    if p == 2:
+    if p == 2 and _VONMISES_BAND[0] <= kappa <= _VONMISES_BAND[1]:
         return np.array(_circle_draw(*mu.tolist(), kappa, rng))
     t, sine = _wood_cosine(kappa, p - 1, rng)
     while True:
@@ -391,8 +376,10 @@ def column_gibbs_pass(cm: np.ndarray, x: np.ndarray, rng: np.random.Generator) -
     whose complement is a circle (_column_pass_3x2), and on a few products
     of (p-1)-vectors for p > 3, the digits and any CSV fit at d = 2
     (_column_pass_px2, whose docstring says why some products are formed as
-    vectors).  Every draw is exact in law; _circle_draw's docstring gives
-    the precision of a circle draw.
+    vectors).  Every draw is exact in law.  A circle draw (the 3 x 2 frames,
+    and d = p - 1) is NumPy's von Mises angle inside _VONMISES_BAND and
+    _vmf_vector_draw's Wood step outside it; _circle_draw's docstring gives
+    its precision.
     """
     p, d = x.shape
     if d == 2:

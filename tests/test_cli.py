@@ -379,6 +379,31 @@ class TestFit:
         assert "do not vary" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_row_is_input_error_before_output(self, tmp_path, capsys):
+        # One centred row is all zeros: a fault in the data, not in the flags.
+        path = tmp_path / "one.csv"
+        export_matrix_csv(path, np.array([[1.0, 2.0, 3.0]]), prefix="x")
+        out = tmp_path / "out"
+        code = main(["fit", str(path), "--dim", "1", *TINY_CHAIN, "--out", str(out)])
+        assert code == 2
+        assert "do not vary" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bandwidth_small_against_data_scale_fits(self, tmp_path):
+        # Squared latent distances of ~1e292 over 2 w^2 = 2e-16 overflow the
+        # weights' exponent; its limit, -inf, gives the exact weight 0.
+        path = tmp_path / "input.csv"
+        export_matrix_csv(path, 1e146 * np.random.default_rng(9).standard_normal((30, 3)),
+                          prefix="x")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", str(path), "--dim", "1", "--w", "1e-8", *TINY_CHAIN,
+                         "--out", str(out)])
+        assert code == 0
+        trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+        assert trace.shape == (3, 3) and np.all(np.isfinite(trace))
+
     @pytest.mark.parametrize("scale, code", [(1e153, 0), (1e154, 2), (1e160, 2),
                                              pytest.param(None, 2, id="rows_8e153")])
     @pytest.mark.parametrize("extra", [[], ["--a2", "inf"]], ids=["defaults", "a2inf"])

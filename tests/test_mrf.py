@@ -83,6 +83,11 @@ class TestComputeWeights:
         lam = compute_weights(x, c_strength=1.0, bandwidth=BANDWIDTH_FLOOR)
         assert lam[0, 1] == pytest.approx(math.exp(-0.5))
 
+    def test_overflowing_exponent_gives_zero_weight(self):
+        # 1e300 / (2 w^2) overflows at the floor w; exp of its limit is 0.
+        lam = compute_weights(np.array([[0.0], [1e150]]), 1.0, BANDWIDTH_FLOOR)
+        assert np.array_equal(lam, np.zeros((2, 2)))
+
     @pytest.mark.parametrize("bandwidth", [BANDWIDTH_FLOOR, 0.7, 1e300])
     def test_invariants_hold_by_construction(self, bandwidth):
         # No sweep re-checks lambda, so compute_weights must meet every

@@ -199,13 +199,12 @@ class TestVectorDraw:
         assert rng_a.random() == rng_b.random()
 
     def test_circle_tangent_matches_general_step(self):
-        # Outside the von Mises band the circle draw is Wood's: the tangent
-        # is a sign times mu_perp, where the general step projects and
-        # normalises a normal pair.  Same variates, same draw.  The
-        # projection g - (g . mu) mu cancels when g is nearly along mu, so
-        # the general step loses digits in proportion to |g| / |tangent|,
-        # and the tolerance carries that factor.  The first two kappas are
-        # the nearest doubles outside the band.
+        # Outside the von Mises band a circle draw is the general Wood step:
+        # the tangent projects and normalises a normal pair.  Both entry
+        # points, _vmf_vector_draw on the 2-vector and _circle_draw in Python
+        # floats, must give this step's bits and leave the stream where it
+        # does.  The first two kappas are the nearest doubles outside the
+        # band.
         def general_step_draw(mu, kappa, rng):
             t, sine = _wood_cosine(kappa, mu.size - 1, rng)
             while True:
@@ -216,7 +215,7 @@ class TestVectorDraw:
                     tangent /= norm
                     break
             x = t * mu + sine * tangent
-            return x / math.sqrt(x @ x), math.sqrt(g @ g) / norm
+            return x / math.sqrt(x @ x)
 
         rng = np.random.default_rng(20)
         low, high = _VONMISES_BAND
@@ -228,15 +227,11 @@ class TestVectorDraw:
         for k, kappa in enumerate(kappas):
             mu = rng.standard_normal(2)
             mu /= np.linalg.norm(mu)
-            rng_a, rng_b = np.random.default_rng(k), np.random.default_rng(k)
-            reference, cancellation = general_step_draw(mu, kappa, rng_b)
-            np.testing.assert_allclose(
-                _vmf_vector_draw(mu, kappa, rng_a),
-                reference,
-                rtol=0,
-                atol=1e-14 * cancellation,
-            )
-            assert rng_a.random() == rng_b.random()
+            rng_a, rng_b, rng_c = (np.random.default_rng(k) for _ in range(3))
+            reference = general_step_draw(mu, kappa, rng_b)
+            assert np.array_equal(_vmf_vector_draw(mu, kappa, rng_a), reference)
+            assert np.array_equal(_circle_draw(*mu.tolist(), kappa, rng_c), reference)
+            assert rng_a.random() == rng_b.random() == rng_c.random()
 
     @pytest.mark.parametrize("kappa", [1e-8, 1e-6, 1e-3, 0.5, 3.0, 100.0, 1e4, 1e6])
     def test_circle_in_band_matches_quadrature(self, kappa):

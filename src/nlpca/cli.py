@@ -14,9 +14,6 @@ centred input data.  Otherwise it names the settings that differ and exits 1.
 Every command honors --seed (env NLPCA_SEED as fallback) for full determinism
 and writes only inside --out.  Exit codes: 0 success, 1 usage, 2 I/O,
 3 numerical failure.
-
-The chain commands load numpy alone.  scipy.special is imported on first
-use by vmf-diag's oracle, so every other command starts without scipy.
 """
 
 from __future__ import annotations
@@ -436,18 +433,21 @@ def cmd_fit(args) -> int:
 
 def _circle_mean_gap(kappa: float) -> float:
     """1 - E[cos(theta)] under the circular density prop. to exp(kappa cos(theta)),
-    that is 1 - I_1(kappa) / I_0(kappa).  Up to kappa = 1e6 it comes from the
-    exponentially scaled Bessel functions; above, from the asymptotic series
-    1/(2 kappa) + 1/(8 kappa^2) + 1/(8 kappa^3), whose next term is below the
-    rounding of the sum there; in Horner form, no power overflows."""
+    that is 1 - I_1(kappa) / I_0(kappa).  Up to kappa = 1e6 it is the ratio of
+    the integrals of 2 s^2 exp(-2 kappa s^2) and exp(-2 kappa s^2), s = sin(theta/2),
+    by the midpoint rule on N = 64 + 40 sqrt(kappa) points of the period, which
+    converges exponentially for periodic analytic integrands (Trefethen &
+    Weideman 2014).  Both are even, so it sums the N/2 points in (0, pi), where s
+    keeps full relative precision; it is within 1e-15 relative of 40-digit values
+    there.  Above 1e6 it is the asymptotic series 1/(2 kappa) + 1/(8 kappa^2) +
+    1/(8 kappa^3), whose next term is below the rounding of the sum there; in
+    Horner form, no power overflows."""
     if kappa > 1e6:
         return (0.5 + (0.125 + 0.125 / kappa) / kappa) / kappa
-    # Imported here, not at module level: scipy.special adds ~0.3 s and ~25 MB
-    # to start-up (2-vCPU x86 VM), and only this oracle needs it.
-    from scipy import special
-
-    i0 = special.i0e(kappa)
-    return float((i0 - special.i1e(kappa)) / i0)
+    half = 32 + int(20.0 * math.sqrt(kappa))
+    s2 = np.sin((np.arange(half) + 0.5) * (0.5 * math.pi / half)) ** 2
+    weight = np.exp(-2.0 * kappa * s2)
+    return float(2.0 * (s2 @ weight) / weight.sum())
 
 
 def cmd_vmf_diag(args) -> int:

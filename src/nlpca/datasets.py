@@ -200,7 +200,7 @@ def import_matrix_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Inverse of export_matrix_csv; returns (matrix, labels-or-None).  The
     first line must be the header: ValueError if every field of it is a
     number, as in a file written without one."""
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 from conftest import make_digit_corpus
 import nlpca.cli
@@ -355,14 +356,17 @@ class TestFit:
         assert not out.exists()
 
     def test_headerless_csv_is_input_error_before_output(self, tmp_path, capsys):
-        # np.savetxt writes no header: its first row must not be taken for one.
-        path = tmp_path / "plain.csv"
-        np.savetxt(path, np.random.default_rng(9).standard_normal((30, 4)), delimiter=",")
-        out = tmp_path / "out"
-        code = main(["fit", str(path), *TINY_CHAIN, "--out", str(out)])
-        assert code == 2
-        assert "line 1" in capsys.readouterr().err
-        assert not out.exists()
+        # np.savetxt writes no header: its first row must not be taken for one,
+        # also behind the byte-order mark that Excel's "CSV UTF-8" writes.
+        rows = np.random.default_rng(9).standard_normal((30, 4))
+        for encoding in ("ascii", "utf-8-sig"):
+            path = tmp_path / f"plain-{encoding}.csv"
+            np.savetxt(path, rows, delimiter=",", encoding=encoding)
+            out = tmp_path / f"out-{encoding}"
+            code = main(["fit", str(path), *TINY_CHAIN, "--out", str(out)])
+            assert code == 2, encoding
+            assert "line 1" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("value", [0.0, 0.1, 3.0])
     @pytest.mark.parametrize("extra", [[], ["--w", "1"], ["--w", "1", "--a2", "inf"]],
@@ -833,6 +837,21 @@ class TestVmfDiag:
         assert code == 0
         assert float(diag_fields(capsys.readouterr().out)["z_score"]) > 5.0
 
+    @pytest.mark.parametrize("kappa", [0.0, 1e-8, 0.5, 2.0, 10.0, 100.0, 1e4, 1e5, 1e6])
+    def test_oracle_matches_bessel_ratio(self, kappa):
+        # Above kappa = 100 SciPy's own form cancels (off by up to 6e-11 at
+        # 1e6 against 40-digit values), so the bound there is looser.
+        i0 = special.i0e(kappa)
+        expected = float((i0 - special.i1e(kappa)) / i0)
+        rtol = 1e-14 if kappa <= 100 else 1e-9
+        assert nlpca.cli._circle_mean_gap(kappa) == pytest.approx(expected, rel=rtol, abs=0)
+
+    def test_oracle_rule_meets_series_at_switch(self):
+        # The midpoint rule serves kappa <= 1e6 and the series the next double.
+        rule = nlpca.cli._circle_mean_gap(1e6)
+        series = nlpca.cli._circle_mean_gap(math.nextafter(1e6, math.inf))
+        assert series == pytest.approx(rule, rel=1e-12, abs=0)
+
     def test_moderate_kappa_matches_quadrature(self, capsys):
         code = main(["vmf-diag", "--p", "2", "--d-frame", "1", "--kappa", "2",
                      "--samples", "10000", "--seed", "2"])
@@ -926,10 +945,10 @@ print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
 
 
 class TestFreshInterpreter:
-    """scipy is imported on first use only; the suite's conftest imports it,
-    so these checks need an interpreter of their own."""
+    """The suite's conftest imports scipy, so the check that no command loads
+    it needs an interpreter of its own."""
 
-    def test_chain_commands_load_no_scipy(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         img, lbl = write_digit_files(tmp_path, np.random.default_rng(5), per_class=50)
         csv_path = tmp_path / "data.csv"
         export_matrix_csv(csv_path, np.random.default_rng(6).standard_normal((12, 4)))
@@ -938,25 +957,10 @@ class TestFreshInterpreter:
             ["digits-demo", "--images", str(img), "--labels", str(lbl),
              *TINY_CHAIN, "--out", str(tmp_path / "d")],
             ["fit", str(csv_path), "--dim", "2", *TINY_CHAIN, "--out", str(tmp_path / "f")],
+            ["vmf-diag", "--p", "2", "--d-frame", "1", "--kappa", "2",
+             "--samples", "200", "--seed", "1"],
         ]
         proc = run_fresh(_CLI_SCRIPT, *(json.dumps(argv) for argv in commands))
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
-
-    def test_vmf_diag_oracle_imports_scipy_special_on_first_use(self):
-        argv = ["vmf-diag", "--p", "2", "--d-frame", "1", "--kappa", "2",
-                "--samples", "200", "--seed", "1"]
-        proc = run_fresh(_CLI_SCRIPT, json.dumps(argv))
-        assert proc.returncode == 0, proc.stderr
         assert "mean_resultant_exact: " in proc.stdout
-        loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert "scipy.special" in loaded
-        assert "scipy.integrate" not in loaded
-
-    def test_vmf_diag_without_oracle_loads_no_scipy(self):
-        argv = ["vmf-diag", "--p", "3", "--d-frame", "2", "--kappa", "2",
-                "--samples", "200", "--seed", "1"]
-        proc = run_fresh(_CLI_SCRIPT, json.dumps(argv))
-        assert proc.returncode == 0, proc.stderr
-        assert "lag1_autocorrelation: " in proc.stdout
         assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -298,6 +298,12 @@ class TestCsvRoundTrip:
         back, back_labels = import_matrix_csv(path)
         assert np.array_equal(back, matrix)  # repr round-trip is exact
         assert np.array_equal(back_labels, labels)
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark.
+        bom = tmp_path / "latents_bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        bom_back, bom_labels = import_matrix_csv(bom)
+        assert np.array_equal(bom_back, matrix)
+        assert np.array_equal(bom_labels, labels)
 
     def test_matrix_without_labels(self, tmp_path):
         matrix = np.array([[1.5, -2.25]])

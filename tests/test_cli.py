@@ -945,10 +945,10 @@ print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
 
 
 class TestFreshInterpreter:
-    """The suite's conftest imports scipy, so the check that no command loads
-    it needs an interpreter of its own."""
+    """The suite's conftest imports scipy, so the checks that no command loads
+    it need an interpreter of their own."""
 
-    def test_no_command_loads_scipy(self, tmp_path):
+    def test_chain_commands_load_no_scipy(self, tmp_path):
         img, lbl = write_digit_files(tmp_path, np.random.default_rng(5), per_class=50)
         csv_path = tmp_path / "data.csv"
         export_matrix_csv(csv_path, np.random.default_rng(6).standard_normal((12, 4)))
@@ -957,10 +957,23 @@ class TestFreshInterpreter:
             ["digits-demo", "--images", str(img), "--labels", str(lbl),
              *TINY_CHAIN, "--out", str(tmp_path / "d")],
             ["fit", str(csv_path), "--dim", "2", *TINY_CHAIN, "--out", str(tmp_path / "f")],
-            ["vmf-diag", "--p", "2", "--d-frame", "1", "--kappa", "2",
-             "--samples", "200", "--seed", "1"],
         ]
         proc = run_fresh(_CLI_SCRIPT, *(json.dumps(argv) for argv in commands))
         assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_vmf_diag_oracle_loads_no_scipy(self):
+        argv = ["vmf-diag", "--p", "2", "--d-frame", "1", "--kappa", "2",
+                "--samples", "200", "--seed", "1"]
+        proc = run_fresh(_CLI_SCRIPT, json.dumps(argv))
+        assert proc.returncode == 0, proc.stderr
         assert "mean_resultant_exact: " in proc.stdout
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_vmf_diag_without_oracle_loads_no_scipy(self):
+        argv = ["vmf-diag", "--p", "3", "--d-frame", "2", "--kappa", "2",
+                "--samples", "200", "--seed", "1"]
+        proc = run_fresh(_CLI_SCRIPT, json.dumps(argv))
+        assert proc.returncode == 0, proc.stderr
+        assert "lag1_autocorrelation: " in proc.stdout
         assert json.loads(proc.stdout.splitlines()[-1]) == []

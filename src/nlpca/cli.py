@@ -13,7 +13,7 @@ centred input data.  Otherwise it names the settings that differ and exits 1.
 
 Every command honors --seed (env NLPCA_SEED as fallback) for full determinism
 and writes only inside --out.  Exit codes: 0 success, 1 usage, 2 I/O,
-3 numerical failure.
+3 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -54,12 +54,7 @@ from .gibbs import (
     kept_sweeps,
     run,
 )
-from .metrics import (
-    distance_to_unit_sphere,
-    histogram,
-    nn_mismatch_count,
-    reconstruction_errors,
-)
+from .metrics import distance_to_unit_sphere, nn_mismatch_count, reconstruction_errors
 from .mrf import BANDWIDTH_FLOOR, compute_weights
 from .pca import PcaFit, center, pca_fit, reconstruct_linear
 from .vmf import KAPPA_MAX, column_gibbs_pass
@@ -273,7 +268,10 @@ def cmd_sphere_demo(args) -> int:
 
     rng = np.random.default_rng([_DATA_STREAM_TAG, seed])
     raw, data = generate_sphere(args.n, args.noise, rng)
-    fit, hp = _pilot(args, data)
+    try:
+        fit, hp = _pilot(args, data)
+    except InputFileError as err:  # it reads no file: only --noise makes data this large
+        raise UsageError(f"--noise is too large, got {args.noise}: {err}") from err
     pca_recon = reconstruct_linear(fit)
     pca_errors = reconstruction_errors(data.y, pca_recon)
     # Rank-d optimum from the trailing singular values, cross-checking the fit.
@@ -292,15 +290,11 @@ def cmd_sphere_demo(args) -> int:
 
     export_matrix_csv(out / "raw_points.csv", raw, prefix="coord")
     export_matrix_csv(out / "reconstructions.csv", model_recon_raw, prefix="coord")
-    export_histogram_csv(
-        out / "hist_data_to_sphere.csv", *histogram(data_sphere, _HIST_BINS)
-    )
-    export_histogram_csv(
-        out / "hist_recon_to_sphere.csv", *histogram(model_sphere, _HIST_BINS)
-    )
-    export_histogram_csv(
-        out / "hist_recon_errors.csv", *histogram(model_errors, _HIST_BINS)
-    )
+    for name, values in (("hist_data_to_sphere.csv", data_sphere),
+                         ("hist_recon_to_sphere.csv", model_sphere),
+                         ("hist_recon_errors.csv", model_errors)):
+        counts, edges = np.histogram(values, _HIST_BINS)
+        export_histogram_csv(out / name, edges, counts)
 
     _save_summary(out, hp, seed, summary, {
         "n": data.n,
@@ -563,6 +557,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ArithmeticError, ValueError, RuntimeError, np.linalg.LinAlgError) as err:
         print(f"nlpca: numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as err:
+        print(f"nlpca: out of memory: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

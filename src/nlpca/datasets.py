@@ -233,8 +233,8 @@ def import_matrix_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def export_histogram_csv(path, bin_edges: np.ndarray, counts: np.ndarray) -> None:
-    """Write a histogram, the (bin_edges, counts) pair of metrics.histogram,
-    as one bin_left, bin_right, count row per bin."""
+    """Write a histogram, its n + 1 bin_edges and n counts (np.histogram's
+    pair, in the other order), as one bin_left, bin_right, count row per bin."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_left", "bin_right", "count"])

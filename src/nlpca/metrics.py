@@ -1,5 +1,5 @@
 """Evaluation quantities: per-point reconstruction errors, distance to the
-unit sphere, nearest-neighbor label mismatches, and histogram binning."""
+unit sphere, and nearest-neighbor label mismatches."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ __all__ = [
     "reconstruction_errors",
     "distance_to_unit_sphere",
     "nn_mismatch_count",
-    "histogram",
 ]
 
 
@@ -47,26 +46,3 @@ def nn_mismatch_count(latents: np.ndarray, labels: np.ndarray) -> int:
     np.fill_diagonal(sq, np.inf)
     nearest = np.argmin(sq, axis=1)  # argmin takes the first, i.e. smallest index
     return int(np.sum(labels[nearest] != labels))
-
-
-def histogram(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-width bins over [min, max], returned as (bin_edges, counts).
-
-    The first bin is closed on both sides and every later bin is
-    (left, right], so a value equal to an interior edge counts to the bin on
-    its left.  Constant input gets a half-unit margin on both sides.  Values
-    spread by less than rounding give ValueError: edges not ascending.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
-        raise ValueError("values must be nonempty")
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    lo, hi = float(values.min()), float(values.max())
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, n_bins + 1)
-    if np.any(np.diff(edges) <= 0):
-        raise ValueError("bin edges must be strictly ascending")
-    idx = np.clip(np.searchsorted(edges, values, side="left") - 1, 0, n_bins - 1)
-    return edges, np.bincount(idx, minlength=n_bins)

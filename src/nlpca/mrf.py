@@ -6,6 +6,10 @@ Gaussian-kernel interaction weights lambda_ij driven by the latent positions.
 Under this pair convention the full conditional at site i is exactly
 vMF(sum_{j != i} lambda_ij V_j).  The chain holds lambda as the plain
 (n, n) array compute_weights returns and the frames as an (n, p, d) stack.
+
+InteractionWeights and conditional_param are test oracles that no command
+runs; they stay defined here, outside __all__, until they move into the
+tests.
 """
 
 from __future__ import annotations
@@ -16,11 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "InteractionWeights",
     "compute_weights",
     "default_bandwidth",
     "pairwise_sq_distances",
-    "conditional_param",
     "mrf_log_density_unnorm",
 ]
 

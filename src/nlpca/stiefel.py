@@ -1,4 +1,11 @@
-"""Linear algebra on the Stiefel manifold of p x d matrices with orthonormal columns."""
+"""Linear algebra on the Stiefel manifold of p x d matrices with orthonormal columns.
+
+Only ORTHONORMALITY_TOL and frames_orthonormal are exported.  StiefelPoint,
+is_orthonormal, thin_svd, sample_uniform_stiefel, null_space_basis,
+polar_project and their tolerance DERIVED_TOL serve the test oracles in vmf
+and the tests themselves, not a command; they stay defined here, outside
+__all__, until they move into the tests.
+"""
 
 from __future__ import annotations
 
@@ -12,17 +19,7 @@ ORTHONORMALITY_TOL = 1e-10
 # Looser bound for inputs that have already been through factorizations.
 DERIVED_TOL = 1e-8
 
-__all__ = [
-    "ORTHONORMALITY_TOL",
-    "DERIVED_TOL",
-    "StiefelPoint",
-    "is_orthonormal",
-    "frames_orthonormal",
-    "thin_svd",
-    "sample_uniform_stiefel",
-    "null_space_basis",
-    "polar_project",
-]
+__all__ = ["ORTHONORMALITY_TOL", "frames_orthonormal"]
 
 
 def is_orthonormal(m: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> bool:

@@ -91,10 +91,29 @@ class TestSphereDemo:
             ["--noise", "nan"],
             ["--noise", "inf"],
             ["--noise", "-0.1"],
+            ["--noise", "1e200"],
             ["--seed", "-1"],
         ):
             assert main(["sphere-demo", *flags, "--out", str(out)]) == 1, flags
             assert not out.exists()
+
+    def test_histograms_cover_their_values(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sphere-demo", *SPHERE_FAST, "--seed", "3", "--out", str(out)]) == 0
+        sphere_distances = {
+            "hist_data_to_sphere.csv": "raw_points.csv",
+            "hist_recon_to_sphere.csv": "reconstructions.csv",
+        }
+        for name in (*sphere_distances, "hist_recon_errors.csv"):
+            table, _ = import_matrix_csv(out / name)
+            left, right, counts = table.T
+            assert table.shape == (20, 3), name
+            assert counts.sum() == 30, name
+            assert np.all(left < right) and np.array_equal(left[1:], right[:-1]), name
+            if name in sphere_distances:
+                points, _ = import_matrix_csv(out / sphere_distances[name])
+                dist = np.abs(np.linalg.norm(points, axis=1) - 1.0)
+                assert (left[0], right[-1]) == (dist.min(), dist.max()), name
 
     def test_square_frame_refused_before_output(self, tmp_path, capsys):
         out = tmp_path / "never"
@@ -891,6 +910,15 @@ class TestVmfDiag:
             assert main(["vmf-diag", "--p", "2", "--kappa", kappa]) == 1, kappa
         assert main(["vmf-diag", "--p", "2", "--kappa", "1", "--samples", "1"]) == 1
 
+    def test_out_of_memory_is_numerical_failure(self):
+        # 1e13 samples of two doubles are 146 TiB, beyond any user address
+        # space, so the allocation fails at once.
+        argv = ["vmf-diag", "--p", "2", "--kappa", "1", "--samples", "10000000000000"]
+        proc = run_fresh("import sys; from nlpca.cli import main; sys.exit(main(sys.argv[1:]))",
+                         *argv)
+        assert proc.returncode == 3, proc.stderr
+        assert "out of memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_kappa_beyond_overflow_limit_is_usage_error(self, capsys, monkeypatch):
         # Above 1e154 the frame step's squared column norm is infinite; the

@@ -18,7 +18,6 @@ from nlpca.datasets import (
     to_dataset,
     write_idx,
 )
-from nlpca.metrics import histogram
 
 
 def make_image_set(rng, n=30, rows=28, cols=28, classes=(1, 2, 3)):
@@ -335,7 +334,7 @@ class TestCsvRoundTrip:
             import_matrix_csv(path)
 
     def test_histogram_export(self, tmp_path):
-        edges, counts = histogram(np.array([0.0, 0.5, 1.0]), 2)
+        counts, edges = np.histogram(np.array([0.0, 0.5, 1.0]), 2)
         path = tmp_path / "h.csv"
         export_histogram_csv(path, edges, counts)
         lines = path.read_text().splitlines()

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from nlpca.datasets import generate_sphere
-from nlpca.metrics import (
-    distance_to_unit_sphere,
-    histogram,
-    nn_mismatch_count,
-    reconstruction_errors,
-)
+from nlpca.metrics import distance_to_unit_sphere, nn_mismatch_count, reconstruction_errors
 
 
 class TestReconstructionErrors:
@@ -93,37 +88,3 @@ class TestNnMismatch:
     def test_requires_labels(self):
         with pytest.raises(ValueError):
             nn_mismatch_count(np.ones((3, 2)), None)
-
-
-class TestHistogram:
-    def test_constant_values_single_occupied_bin(self):
-        _, counts = histogram(np.full(7, 2.5), 3)
-        assert counts.sum() == 7
-        assert np.count_nonzero(counts) == 1
-
-    def test_interior_edge_counts_left(self):
-        _, counts = histogram(np.array([0.0, 0.5, 1.0]), 2)
-        assert list(counts) == [2, 1]
-
-    def test_counts_conserved_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            values = rng.standard_normal(rng.integers(1, 200))
-            bins = int(rng.integers(1, 12))
-            _, counts = histogram(values, bins)
-            assert counts.sum() == len(values)
-            assert np.all(counts >= 0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            histogram(np.array([]), 3)
-
-    def test_spread_below_rounding_rejected(self):
-        # Two adjacent doubles: 20 equal-width bins between them round to
-        # repeated edges.
-        with pytest.raises(ValueError, match="strictly ascending"):
-            histogram([1.0, np.nextafter(1.0, 2.0)], 20)
-
-    def test_bad_bins_rejected(self):
-        with pytest.raises(ValueError):
-            histogram(np.array([1.0]), 0)

@@ -111,66 +111,50 @@ def _read_input(name: str, load, *args):
         raise InputFileError(str(err)) from err
 
 
-def _resolve_seed(args) -> int:
-    seed, source = args.seed, "--seed"
-    if seed is None:
-        source = "NLPCA_SEED"
-        env = os.environ.get(source)
-        if env is None:
-            return 0
+def _checked(kind, ok, want: str):
+    """An argparse type: kind(text) if it parses and ok accepts it, else the
+    refusal "must be <want>, got '<text>'", which argparse prefixes with the flag."""
+    def parse(text: str):
         try:
-            seed = int(env)
+            value = kind(text)
         except ValueError:
-            raise UsageError(f"NLPCA_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise UsageError(f"{source} must be a nonnegative integer, got {seed}")
-    return seed
+            value = math.nan
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+        return value
+    return parse
 
 
-def _parse_a2(text: str) -> float | None:
-    if text == "auto":  # None: default_hyperparams' pilot value
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise UsageError(
-            f"--a2 must be 'auto', 'inf', or a positive number, got {text!r}"
-        ) from None
-    if not value > 0:
-        raise UsageError(f"--a2 must be positive, got {value}")
-    return value
-
-
-def _validate_chain(args) -> None:
-    if args.sweeps < 1:
-        raise UsageError("--sweeps must be >= 1")
-    if not 0 <= args.burn_in < args.sweeps:
-        raise UsageError("--burn-in must satisfy 0 <= burn-in < sweeps")
-    if args.thin < 1:
-        raise UsageError("--thin must be >= 1")
-    if args.dim < 1:
-        raise UsageError("--dim must be >= 1")
-    if args.c is not None and not 0 < args.c < math.inf:
-        raise UsageError(f"--c must be positive and finite, got {args.c}")
-    if args.w is not None and not BANDWIDTH_FLOOR <= args.w < math.inf:
-        raise UsageError(f"--w must be finite and >= {BANDWIDTH_FLOOR:g}, got {args.w}")
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
 
 
 def _add_chain_options(sub) -> None:
-    sub.add_argument("--dim", type=int, default=2, help="latent dimension d, 1 <= d < p")
-    sub.add_argument("--sweeps", type=int, default=2000, help="total Gibbs sweeps")
-    sub.add_argument("--burn-in", type=int, default=1000, dest="burn_in")
-    sub.add_argument("--thin", type=int, default=5, help="keep every thin-th sweep")
-    sub.add_argument(
-        "--a2", type=_parse_a2, default=None,
+    sub.add_argument("--dim", type=_at_least(1), default=2,
+                     help="latent dimension d, 1 <= d < p")
+    sub.add_argument("--sweeps", type=_at_least(1), default=2000, help="total Gibbs sweeps")
+    sub.add_argument("--burn-in", type=_at_least(0), default=1000, dest="burn_in")
+    sub.add_argument("--thin", type=_at_least(1), default=5, help="keep every thin-th sweep")
+    sub.add_argument(  # None: default_hyperparams' pilot value, as for --c and --w
+        "--a2", default=None,
+        type=_checked(lambda t: None if t == "auto" else float(t),
+                      lambda v: v is None or v > 0, "'auto', 'inf' or a number > 0"),
         help="latent prior variance: auto (default: the pilot value), inf or a number > 0")
-    sub.add_argument("--c", type=float, default=None, help="override interaction strength")
-    sub.add_argument("--w", type=float, default=None, help="override kernel bandwidth")
-
-
-def _add_common_options(sub) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed (env NLPCA_SEED)")
+    sub.add_argument("--c", default=None, help="override interaction strength",
+                     type=_checked(float, lambda v: 0 < v < math.inf,
+                                   "a positive finite number"))
+    sub.add_argument("--w", default=None, help="override kernel bandwidth",
+                     type=_checked(float, lambda v: BANDWIDTH_FLOOR <= v < math.inf,
+                                   f"a finite number >= {BANDWIDTH_FLOOR:g}"))
     sub.add_argument("--out", type=str, default="out", help="output directory")
+
+
+def _add_seed_option(sub) -> None:
+    # A string default passes through the type, so NLPCA_SEED is checked as --seed is.
+    sub.add_argument("--seed", default=os.environ.get("NLPCA_SEED", "0"),
+                     type=_checked(int, lambda v: v >= 0,
+                                   "a nonnegative integer (from --seed, else NLPCA_SEED)"),
+                     help="RNG seed (default: env NLPCA_SEED, else 0)")
 
 
 def _pilot(args, data) -> tuple[PcaFit, HyperParams]:
@@ -259,13 +243,7 @@ def _save_summary(out, hp, seed: int, summary, fields: dict) -> None:
 
 
 def cmd_sphere_demo(args) -> int:
-    _validate_chain(args)
-    if args.n < 2:
-        raise UsageError("--n must be >= 2")
-    if not 0 <= args.noise < math.inf:
-        raise UsageError(f"--noise must be nonnegative and finite, got {args.noise}")
-    seed = _resolve_seed(args)
-
+    seed = args.seed
     rng = np.random.default_rng([_DATA_STREAM_TAG, seed])
     raw, data = generate_sphere(args.n, args.noise, rng)
     try:
@@ -316,9 +294,7 @@ def cmd_sphere_demo(args) -> int:
 
 
 def cmd_digits_demo(args) -> int:
-    _validate_chain(args)
-    seed = _resolve_seed(args)
-
+    seed = args.seed
     images, labels = _read_input("IDX input", load_image_set, args.images, args.labels)
     try:
         small = shrink_images(images, _DIGIT_TARGET_SIDE, mode=args.pool)
@@ -365,9 +341,7 @@ def cmd_digits_demo(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    _validate_chain(args)
-    seed = _resolve_seed(args)
-
+    seed = args.seed
     matrix, labels = _read_input(args.input, import_matrix_csv, args.input)
     data = _read_input(args.input, center, matrix, labels)
     fit, hp = _pilot(args, data)
@@ -445,21 +419,13 @@ def _circle_mean_gap(kappa: float) -> float:
 
 
 def cmd_vmf_diag(args) -> int:
-    if args.p < 2:
-        raise UsageError("--p must be >= 2")
-    if not 1 <= args.d_frame < args.p:
-        raise UsageError(f"--d-frame must satisfy 1 <= d < p = {args.p}")
-    if not 0 <= args.kappa <= KAPPA_MAX:
-        raise UsageError(f"--kappa must be in [0, 1e154]; above, the frame step's "
-                         f"squared column norm overflows; got {args.kappa}")
-    if args.samples < 2:
-        raise UsageError("--samples must be >= 2")
-    seed = _resolve_seed(args)
+    if args.d_frame >= args.p:
+        raise UsageError(f"argument --d-frame: must be < --p = {args.p}, got {args.d_frame}")
 
     # The chain's frame step, passed repeatedly from the mode of C = kappa I.
     cm = args.kappa * np.eye(args.p, args.d_frame)
     x = np.eye(args.p, args.d_frame)
-    rng = np.random.default_rng([_DIAG_STREAM_TAG, seed])
+    rng = np.random.default_rng([_DIAG_STREAM_TAG, args.seed])
     lead = np.empty((args.samples, 2))  # x[0, 0] and x[1, 0] after each pass
     for k in range(args.samples):
         column_gibbs_pass(cm, x, rng)
@@ -499,10 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sphere = sub.add_parser("sphere-demo", help="noisy-sphere experiment")
-    sphere.add_argument("--n", type=int, default=100, help="number of points")
-    sphere.add_argument("--noise", type=float, default=0.05, help="noise level")
+    sphere.add_argument("--n", type=_at_least(2), default=100, help="number of points")
+    sphere.add_argument("--noise", default=0.05, help="noise level",
+                        type=_checked(float, lambda v: 0 <= v < math.inf,
+                                      "a nonnegative finite number"))
     _add_chain_options(sphere)
-    _add_common_options(sphere)
+    _add_seed_option(sphere)
     sphere.set_defaults(handler=cmd_sphere_demo)
 
     digits = sub.add_parser("digits-demo", help="handwritten-digit experiment")
@@ -512,24 +480,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--pool", choices=("stride", "mean"), default="stride", help="downsampling mode"
     )
     _add_chain_options(digits)
-    _add_common_options(digits)
+    _add_seed_option(digits)
     digits.set_defaults(handler=cmd_digits_demo)
 
     fit = sub.add_parser("fit", help="fit a CSV matrix")
     fit.add_argument("input", type=str, help="input CSV (optional trailing label column)")
     fit.add_argument("--resume", type=str, default=None, help="checkpoint to resume from")
     _add_chain_options(fit)
-    _add_common_options(fit)
+    _add_seed_option(fit)
     fit.set_defaults(handler=cmd_fit)
 
     diag = sub.add_parser("vmf-diag", help="frame-kernel check")
-    diag.add_argument("--p", type=int, required=True, help="ambient dimension")
+    diag.add_argument("--p", type=_at_least(2), required=True, help="ambient dimension")
+    diag.add_argument("--d-frame", type=_at_least(1), default=1, dest="d_frame",
+                      help="frame dimension d, 1 <= d < p")
     diag.add_argument(
-        "--d-frame", type=int, default=1, dest="d_frame", help="frame dimension d, 1 <= d < p"
-    )
-    diag.add_argument("--kappa", type=float, required=True, help="concentration")
-    diag.add_argument("--samples", type=int, default=10_000, help="kernel passes")
-    diag.add_argument("--seed", type=int, default=None)
+        "--kappa", required=True, help="concentration",
+        type=_checked(float, lambda v: 0 <= v <= KAPPA_MAX,
+                      "in [0, 1e154] (above, the frame step's squared column norm overflows)"))
+    diag.add_argument("--samples", type=_at_least(2), default=10_000, help="kernel passes")
+    _add_seed_option(diag)
     diag.set_defaults(handler=cmd_vmf_diag)
 
     return parser
@@ -539,6 +509,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # The chain commands' one check between flags, before any input is read.
+        if "sweeps" in args and args.burn_in >= args.sweeps:
+            raise UsageError(f"argument --burn-in: must be < --sweeps = {args.sweeps}, "
+                             f"got {args.burn_in}")
     except UsageError as err:
         print(f"nlpca: error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -555,7 +529,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"nlpca: I/O error: {err}", file=sys.stderr)
         return EXIT_IO
-    except (ArithmeticError, ValueError, RuntimeError, np.linalg.LinAlgError) as err:
+    except (ArithmeticError, ValueError, RuntimeError) as err:
         print(f"nlpca: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as err:

@@ -199,7 +199,8 @@ def export_matrix_csv(path, matrix: np.ndarray, labels=None, prefix: str = "late
 def import_matrix_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Inverse of export_matrix_csv; returns (matrix, labels-or-None).  The
     first line must be the header: ValueError if every field of it is a
-    number, as in a file written without one."""
+    number, as in a file written without one.  Blank lines after it are
+    skipped, as np.loadtxt skips them; error messages count every line."""
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -216,6 +217,8 @@ def import_matrix_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
         n_cols = len(header) - int(has_labels)
         values, labels = [], []
         for line_no, row in enumerate(reader, start=2):
+            if not row:  # csv.reader's record for a blank line
+                continue
             if len(row) != len(header):
                 raise ValueError(
                     f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"

@@ -124,14 +124,6 @@ class ModelState:
     def d(self) -> int:
         return self.transformations.shape[2]
 
-    def copy(self) -> "ModelState":
-        return ModelState(
-            transformations=self.transformations.copy(),
-            latents=self.latents.copy(),
-            sigma2=self.sigma2,
-            lam=self.lam,
-        )
-
 
 @dataclass(eq=False)
 class PosteriorSummary:
@@ -312,7 +304,9 @@ def sweep(
     frame loop, because the latents and sigma^2 change only after it; and
     the total squared residual once, for both the noise draw and the log
     posterior, because sigma^2 does not enter it."""
-    st = state.copy()
+    # The frames are redrawn in place, so only they are copied: the latents,
+    # weights and sigma^2 are replaced, and the caller's state is left as it was.
+    st = ModelState(state.transformations.copy(), state.latents, state.sigma2, state.lam)
     data_term = (data.y[:, :, None] * st.latents[:, None, :]) / st.sigma2
     for i in range(st.n):
         update_transformation(i, st, data_term, rng)

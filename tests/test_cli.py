@@ -12,6 +12,7 @@ from scipy import special
 
 from conftest import make_digit_corpus
 import nlpca.cli
+import nlpca.gibbs
 import nlpca.mrf
 import nlpca.pca
 import nlpca.stiefel
@@ -20,7 +21,6 @@ from nlpca.cli import main
 from nlpca.datasets import (
     export_matrix_csv,
     import_matrix_csv,
-    load_checkpoint,
     write_idx,
 )
 from nlpca.gibbs import FRAME_KERNEL, LATENT_UPDATE
@@ -128,12 +128,30 @@ class TestSphereDemo:
         assert main(["sphere-demo", *SPHERE_FAST, "--out", str(out)]) == 0
         assert read_summary(out)["seed"] == 77
 
-    def test_bad_env_seed_is_usage_error(self, tmp_path, monkeypatch):
+    def test_bad_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "bad"
         for value in ("not-a-number", "-5"):
             monkeypatch.setenv("NLPCA_SEED", value)
             assert main(["sphere-demo", *SPHERE_FAST, "--out", str(out)]) == 1, value
+            assert "NLPCA_SEED" in capsys.readouterr().err, value
             assert not out.exists()
+
+    def test_out_naming_a_file_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep me\n")
+        assert main(["sphere-demo", *SPHERE_FAST, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("nlpca: I/O error")
+        assert out.read_text() == "keep me\n"
+
+    def test_failure_inside_the_chain_is_numerical(self, tmp_path, monkeypatch, capsys):
+        # run looks sweep up once per sweep, so the patch reaches the chain.
+        def lose_orthonormality(*args):
+            raise ArithmeticError("orthonormality lost during sweep")
+
+        monkeypatch.setattr(nlpca.gibbs, "sweep", lose_orthonormality)
+        out = tmp_path / "out"
+        assert main(["sphere-demo", *SPHERE_FAST, "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestDigitsDemo:
@@ -372,6 +390,24 @@ class TestFit:
         assert code == 2
         err = capsys.readouterr().err
         assert str(path) in err and "line 3" in err
+        assert not out.exists()
+
+    def test_blank_lines_after_header_fit_as_without(self, tmp_path):
+        path = self.make_input(tmp_path, np.random.default_rng(8), n=20, p=4)
+        head, *rows = path.read_text().splitlines(keepends=True)
+        blank = tmp_path / "blank.csv"
+        blank.write_text(head + "".join(rows[:10]) + "\n" + "".join(rows[10:]) + "\n")
+        checkpoints = []
+        for name in (path, blank):
+            out = tmp_path / f"out-{name.stem}"
+            assert main(["fit", str(name), "--dim", "1", *TINY_CHAIN, "--out", str(out)]) == 0
+            checkpoints.append((out / "checkpoint.json").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+        # A header followed only by blank lines holds no data.
+        only = tmp_path / "only.csv"
+        only.write_text(head + "\n\n")
+        out = tmp_path / "never"
+        assert main(["fit", str(only), "--dim", "1", *TINY_CHAIN, "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_headerless_csv_is_input_error_before_output(self, tmp_path, capsys):

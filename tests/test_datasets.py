@@ -303,6 +303,13 @@ class TestCsvRoundTrip:
         bom_back, bom_labels = import_matrix_csv(bom)
         assert np.array_equal(bom_back, matrix)
         assert np.array_equal(bom_labels, labels)
+        # Blank lines after the header are skipped: one inside, one at the end.
+        head, *rows = path.read_text().splitlines(keepends=True)
+        blank = tmp_path / "latents_blank.csv"
+        blank.write_text(head + "".join(rows[:5]) + "\n" + "".join(rows[5:]) + "\n")
+        blank_back, blank_labels = import_matrix_csv(blank)
+        assert np.array_equal(blank_back, matrix)
+        assert np.array_equal(blank_labels, labels)
 
     def test_matrix_without_labels(self, tmp_path):
         matrix = np.array([[1.5, -2.25]])

@@ -30,7 +30,6 @@ from nlpca.mrf import (
     BANDWIDTH_FLOOR,
     compute_weights,
     conditional_param,
-    mrf_log_density_unnorm,
 )
 from nlpca.pca import Dataset, center, pca_fit, reconstruct_linear
 from nlpca.stiefel import (
@@ -72,7 +71,7 @@ def chain_site(i, state, data, rng, n):
 def reference_sweep(state, data, hp, rng):
     """The per-site sweep: one validated frame draw per site, then one
     Gaussian latent draw per site, then the weights and sigma^2."""
-    st = state.copy()
+    st = ModelState(state.transformations.copy(), state.latents.copy(), state.sigma2, state.lam)
     for i in range(st.n):
         c = frame_conditional(i, st, data)
         frame = StiefelPoint(st.transformations[i])
@@ -691,7 +690,8 @@ class TestLogPosterior:
         for i in range(data.n):
             state.latents[i] = state.transformations[i].T @ data.y[i]
         base = log_posterior_unnorm(state, data, hp, gibbs._total_sq_residual(state, data))
-        worse = state.copy()
+        worse = ModelState(state.transformations.copy(), state.latents.copy(),
+                           state.sigma2, state.lam)
         worse.latents = -worse.latents
         resid_base = np.sum(
             (data.y - np.einsum("npd,nd->np", state.transformations, state.latents)) ** 2

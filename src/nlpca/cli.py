@@ -56,7 +56,7 @@ from .gibbs import (
 )
 from .metrics import distance_to_unit_sphere, nn_mismatch_count, reconstruction_errors
 from .mrf import BANDWIDTH_FLOOR, compute_weights
-from .pca import PcaFit, center, pca_fit, reconstruct_linear
+from .pca import Dataset, PcaFit, pca_fit, reconstruct_linear
 from .vmf import KAPPA_MAX, column_gibbs_pass
 
 EXIT_OK = 0
@@ -297,10 +297,6 @@ def cmd_digits_demo(args) -> int:
     seed = args.seed
     images, labels = _read_input("IDX input", load_image_set, args.images, args.labels)
     try:
-        small = shrink_images(images, _DIGIT_TARGET_SIDE, mode=args.pool)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-    try:
         idx = select_digit_subset(
             labels,
             _DIGIT_CLASSES,
@@ -309,7 +305,11 @@ def cmd_digits_demo(args) -> int:
         )
     except ValueError as err:
         raise InputFileError(f"{args.labels}: {err}") from err
-    data = to_dataset(small[idx], labels[idx])
+    try:  # only the picked images are pooled, not the whole file
+        small = shrink_images(images[idx], _DIGIT_TARGET_SIDE, mode=args.pool)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
+    data = to_dataset(small, labels[idx])
     fit, hp = _pilot(args, data)
     pca_mismatch = nn_mismatch_count(fit.latents, data.labels)
 
@@ -343,7 +343,7 @@ def cmd_digits_demo(args) -> int:
 def cmd_fit(args) -> int:
     seed = args.seed
     matrix, labels = _read_input(args.input, import_matrix_csv, args.input)
-    data = _read_input(args.input, center, matrix, labels)
+    data = _read_input(args.input, Dataset, matrix, labels)
     fit, hp = _pilot(args, data)
 
     fingerprint = {**_chain_settings(hp), "data_sha256": data_sha256(data.y)}
@@ -513,13 +513,9 @@ def main(argv=None) -> int:
         if "sweeps" in args and args.burn_in >= args.sweeps:
             raise UsageError(f"argument --burn-in: must be < --sweeps = {args.sweeps}, "
                              f"got {args.burn_in}")
-    except UsageError as err:
-        print(f"nlpca: error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return args.handler(args)
     except SystemExit as err:  # --help / --version
         return int(err.code or 0)
-    try:
-        return args.handler(args)
     except UsageError as err:
         print(f"nlpca: error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,6 +1,7 @@
 """Experiment data: the noisy-sphere generator, IDX-format digit files (images
 as one uint8 (n, rows, cols) array, labels as one uint8 n-vector), and CSV/JSON
-import/export for latents, histograms, and sampler checkpoints."""
+import/export for latents, histograms, and sampler checkpoints.  The sphere
+and the digit images become a Dataset, which centres the rows it is given."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pca import Dataset, center
+from .pca import Dataset
 from .stiefel import ORTHONORMALITY_TOL, frames_orthonormal
 
 __all__ = [
@@ -41,8 +42,8 @@ def generate_sphere(
 ) -> tuple[np.ndarray, Dataset]:
     """n uniform points on the unit sphere in R^3 plus isotropic Gaussian noise.
 
-    Returns the raw points (sphere centered at the origin) and the centered
-    Dataset built from them.
+    Returns the raw points (sphere centered at the origin) and the Dataset
+    that centres them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -56,13 +57,13 @@ def generate_sphere(
         norms = np.linalg.norm(g, axis=1)
     points = g / norms[:, None]
     raw = points + noise_sigma * rng.standard_normal((n, 3))
-    return raw, center(raw)
+    return raw, Dataset(raw)
 
 
 def _read_idx(path, fields: tuple[str, ...], payload: str) -> np.ndarray:
     """Read an IDX file of unsigned bytes: the big-endian uint32 magic
     0x0800 | len(fields), one uint32 per name in fields, then as many uint8
-    bytes as their product.  Returns the payload, writable and shaped by the
+    bytes as their product.  Returns the payload, read-only and shaped by the
     header; ValueError names the file and the offending offset."""
     magic = 0x0800 | len(fields)
     data = Path(path).read_bytes()
@@ -94,14 +95,15 @@ def _read_idx(path, fields: tuple[str, ...], payload: str) -> np.ndarray:
         )
     if len(data) > expected:
         raise ValueError(f"{path}: trailing bytes after offset {expected}")
-    return np.frombuffer(data, dtype=np.uint8, offset=start).reshape(values).copy()
+    return np.frombuffer(data, dtype=np.uint8, offset=start).reshape(values)
 
 
 def load_image_set(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Read an IDX image file (rank 3) and its IDX label file (rank 1), as
     MNIST ships them; returns the (n, rows, cols) uint8 images and the n uint8
-    labels.  ValueError names the file for a malformed file (_read_idx), a
-    label count that differs from the image count, or a label outside 0-9."""
+    labels, read-only views of the files' bytes.  ValueError names the file
+    for a malformed file (_read_idx), a label count that differs from the
+    image count, or a label outside 0-9."""
     images = _read_idx(images_path, ("count", "rows", "cols"), "pixel")
     labels = _read_idx(labels_path, ("count",), "label")
     if labels.shape[0] != images.shape[0]:
@@ -162,11 +164,11 @@ def select_digit_subset(
 
 def to_dataset(images: np.ndarray, labels: np.ndarray) -> Dataset:
     """Flatten (n, rows, cols) images to n x (rows*cols) reals in [0, 1] and
-    center them; labels[i] stays the label of row i."""
+    make them a Dataset, which centres them; labels[i] stays the label of row i."""
     if len(images) < 1:
         raise ValueError("need at least one image")
     x = images.reshape(len(images), -1).astype(float) / 255.0
-    return center(x, labels=labels)
+    return Dataset(x, labels)
 
 
 def _format_float(v: float) -> str:

@@ -236,13 +236,8 @@ def update_latent(
     lambda_ij change with x_i.
     """
     proj = (state.transformations.transpose(0, 2, 1) @ data.y[:, :, None])[:, :, 0]
-    if math.isinf(hp.a2):
-        mean, var = proj, state.sigma2
-    else:
-        shrink = hp.a2 / (hp.a2 + state.sigma2)
-        mean = shrink * proj
-        var = shrink * state.sigma2
-    return mean + math.sqrt(var) * rng.standard_normal((state.n, state.d))
+    shrink = 1.0 if math.isinf(hp.a2) else hp.a2 / (hp.a2 + state.sigma2)
+    return shrink * proj + math.sqrt(shrink * state.sigma2) * rng.standard_normal(proj.shape)
 
 
 def noise_prior_params(hp: HyperParams) -> tuple[float, float]:
@@ -352,8 +347,9 @@ def run(
     latents, and their reconstructions V_i x_i.
     The one check of a caller's state: ValueError is raised before the first
     sweep unless state has d < p, frames orthonormal within
-    ORTHONORMALITY_TOL, finite (n, d) latents, an (n, n) lambda and
-    0 < sigma^2 < inf, and some sweep is kept.
+    ORTHONORMALITY_TOL, finite (n, d) latents, the (n, n) lambda that
+    compute_weights gives them under hp's c and w, and 0 < sigma^2 < inf,
+    and some sweep is kept.
     ``on_sweep(t, state, log_posterior)`` is called after every sweep, e.g.
     to stream a trace file; it is the only way out for per-sweep values.
     """
@@ -364,8 +360,9 @@ def run(
     n, d = state.n, state.d
     if state.latents.shape != (n, d) or not np.all(np.isfinite(state.latents)):
         raise ValueError(f"latents must be a finite (n, d) = {(n, d)} array")
-    if state.lam.shape != (n, n):
-        raise ValueError(f"lambda must be an (n, n) = {(n, n)} array")
+    if not np.array_equal(state.lam, compute_weights(state.latents, hp.c_strength, hp.bandwidth)):
+        raise ValueError(f"lambda must be the (n, n) = {(n, n)} weights that "
+                         "compute_weights gives the latents under hp")
     if not 0 < state.sigma2 < math.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {state.sigma2}")
     kept = kept_sweeps(hp, start_sweep)

@@ -1,50 +1,43 @@
-"""Classical PCA and the pilot estimates used for initialization."""
+"""Classical PCA and its pilot estimates, on a Dataset that centres its rows."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 __all__ = [
     "Dataset",
     "PcaFit",
-    "center",
     "pca_fit",
     "reconstruct_linear",
     "pilot_tau2",
 ]
 
-# Largest column mean of centred data, relative to the data's magnitude.
-_CENTERING_TOL = 1e-8
-
 
 @dataclass(eq=False)
 class Dataset:
-    """Centered n x p observations with the removed column means kept around."""
+    """Rows centred by construction: column_means holds the n x p raw's column
+    means and y is raw minus them.  ValueError for an empty or non-2-D raw, a
+    non-finite entry, centred values that overflow or labels not one per row."""
 
-    y: np.ndarray
-    column_means: np.ndarray
+    raw: InitVar[np.ndarray]
     labels: np.ndarray | None = None
+    y: np.ndarray = field(init=False)
+    column_means: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
-        self.column_means = np.asarray(self.column_means, dtype=float)
-        if self.y.ndim != 2:
-            raise ValueError("observations must form an n x p matrix")
-        if self.column_means.shape != (self.y.shape[1],):
-            raise ValueError("column_means must have one entry per column")
-        if not np.all(np.isfinite(self.y)):
+    def __post_init__(self, raw):
+        raw = np.asarray(raw, dtype=float)
+        if raw.ndim != 2 or raw.shape[0] < 1:
+            raise ValueError("need a nonempty n x p matrix")
+        if not np.all(np.isfinite(raw)):
             raise ValueError("observations contain non-finite values")
-        if self.y.size:
-            # Centring leaves rounding error in proportion to the size of the
-            # data and of the means it removed, so the tolerance scales with them.
-            scale = max(
-                1.0, np.max(np.abs(self.column_means)), np.max(np.abs(self.y))
-            )
-            if np.max(np.abs(_column_means(self.y))) > _CENTERING_TOL * scale:
-                raise ValueError("data are not centered")
+        self.column_means = _column_means(raw)
+        with np.errstate(over="ignore"):
+            self.y = raw - self.column_means
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("the data are too large: centring them overflows")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
             if self.labels.shape != (self.y.shape[0],):
@@ -77,20 +70,6 @@ def _column_means(a: np.ndarray) -> np.ndarray:
     float range does not overflow."""
     exponent = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
     return np.ldexp(np.ldexp(a, -exponent).mean(axis=0), exponent)
-
-
-def center(raw: np.ndarray, labels=None) -> Dataset:
-    """Subtract column means and remember them for de-centering.  Finite data
-    whose centred values overflow raise ValueError."""
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[0] < 1:
-        raise ValueError("need a nonempty n x p matrix")
-    means = _column_means(raw)
-    with np.errstate(over="ignore"):
-        y = raw - means
-    if np.all(np.isfinite(raw)) and not np.all(np.isfinite(y)):
-        raise ValueError("the data are too large: centring them overflows")
-    return Dataset(y=y, column_means=means, labels=labels)
 
 
 def pca_fit(data: Dataset, d: int) -> PcaFit:

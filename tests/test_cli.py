@@ -285,6 +285,23 @@ class TestDigitsDemo:
         assert code == 0
         assert read_summary(out)["pool"] == "mean"
 
+    def test_only_the_picked_images_are_pooled(self, tmp_path, digit_files, monkeypatch):
+        # Pooling the whole file (180 images here, 60 000 in MNIST's training
+        # set) before picking 150 held every pooled image in memory at once.
+        pooled = []
+        shrink = nlpca.cli.shrink_images
+
+        def recording(images, *args, **kwargs):
+            pooled.append(len(images))
+            return shrink(images, *args, **kwargs)
+
+        monkeypatch.setattr(nlpca.cli, "shrink_images", recording)
+        img, lbl = digit_files
+        code = main(["digits-demo", "--images", str(img), "--labels", str(lbl),
+                     "--pool", "mean", *TINY_CHAIN, "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert pooled == [150]
+
 
 class TestFit:
     def make_input(self, tmp_path, rng, n=6, p=3, labels=False):
@@ -535,7 +552,7 @@ class TestFit:
         path = self.make_input(tmp_path, np.random.default_rng(12), n=8, p=4)
         out = tmp_path / "out"
         assert main(["fit", str(path), *TINY_CHAIN, "--a2", text, "--out", str(out)]) == 0
-        pilot = float(nlpca.pca.center(import_matrix_csv(path)[0]).y.var(axis=0, ddof=1).mean())
+        pilot = float(nlpca.pca.Dataset(import_matrix_csv(path)[0]).y.var(axis=0, ddof=1).mean())
         expected = {"auto": pilot, "7.5": 7.5}.get(text, "inf")
         assert read_summary(out)["a2"] == expected
 

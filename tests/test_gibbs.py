@@ -31,7 +31,7 @@ from nlpca.mrf import (
     compute_weights,
     conditional_param,
 )
-from nlpca.pca import Dataset, center, pca_fit, reconstruct_linear
+from nlpca.pca import Dataset, pca_fit, reconstruct_linear
 from nlpca.stiefel import (
     StiefelPoint,
     frames_orthonormal,
@@ -130,7 +130,7 @@ class TestHyperParams:
         assert tiny_hp(bandwidth=BANDWIDTH_FLOOR).bandwidth == BANDWIDTH_FLOOR
 
     def test_pilot_bandwidth_floored_on_tiny_scale_data(self):
-        data = center(1e-12 * np.random.default_rng(3).standard_normal((10, 3)))
+        data = Dataset(1e-12 * np.random.default_rng(3).standard_normal((10, 3)))
         assert default_hyperparams(data, pca_fit(data, 2)).bandwidth == BANDWIDTH_FLOOR
 
     def test_defaults_from_pilot_study(self):
@@ -152,7 +152,7 @@ class TestHyperParams:
         # floor, SIGMA2_FLOOR times the average variance where that exceeds 1.
         raw = np.zeros((6, 2))
         raw[:, 0] = scale * np.arange(6.0)
-        ds = center(raw)
+        ds = Dataset(raw)
         hp = default_hyperparams(ds, pca_fit(ds, 1))
         assert hp.tau2 == SIGMA2_FLOOR * max(1.0, hp.a2)
 
@@ -198,7 +198,7 @@ class TestUpdateTransformation:
         # x_i = 0 and lambda = 0 make C = 0: V_i is uniform on the sphere,
         # with mean 0 and second moment I/3, wherever the chain starts.
         rng = np.random.default_rng(5)
-        data = center(np.vstack([np.eye(3), -np.eye(3)]))
+        data = Dataset(np.vstack([np.eye(3), -np.eye(3)]))
         hp = tiny_hp(c_strength=1e-300)
         state = tiny_state(rng, data, hp, d=1)
         state.latents[:] = 0.0
@@ -216,7 +216,7 @@ class TestUpdateTransformation:
         # a rank-one matrix: along its only determined direction the mode must
         # map x_i/|x_i| to y_i/|y_i| (the remaining mode column is arbitrary).
         rng = np.random.default_rng(6)
-        data = center(rng.standard_normal((6, 3)))
+        data = Dataset(rng.standard_normal((6, 3)))
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=2, sigma2=1e-6)
         i = 2
@@ -229,7 +229,7 @@ class TestUpdateTransformation:
         # p = 2, d = 1: the conditional is a circular vMF whose parameter we
         # can evaluate explicitly.
         rng = np.random.default_rng(7)
-        data = center(np.array([[1.0, 0.4], [-1.0, -0.4], [0.5, -0.7], [-0.5, 0.7]]))
+        data = Dataset(np.array([[1.0, 0.4], [-1.0, -0.4], [0.5, -0.7], [-0.5, 0.7]]))
         hp = tiny_hp(a2=2.0)
         state = tiny_state(rng, data, hp, d=1, sigma2=0.8)
         i = 1
@@ -248,7 +248,7 @@ class TestUpdateTransformation:
         # p = 3, d = 2: the chained kernel's mean of tr(C^T V_i) must match
         # exact rejection draws from the same conditional.
         rng = np.random.default_rng(28)
-        data = center(rng.standard_normal((6, 3)))
+        data = Dataset(rng.standard_normal((6, 3)))
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=2, sigma2=0.5)
         i = 0
@@ -268,7 +268,7 @@ class TestUpdateLatent:
     def test_improper_prior_moments(self):
         # a^2 = inf gives x | . ~ N(V^T y, sigma^2 I).
         rng = np.random.default_rng(8)
-        data = center(np.array([[2.0, 1.0], [-2.0, -1.0]]))
+        data = Dataset(np.array([[2.0, 1.0], [-2.0, -1.0]]))
         hp = tiny_hp(a2=math.inf)
         state = tiny_state(rng, data, hp, d=1, sigma2=0.49)
         i = 0
@@ -283,7 +283,7 @@ class TestUpdateLatent:
     def test_unit_scales_halve(self):
         # a^2 = sigma^2 = 1 with V = I gives N(y/2, I/2).
         rng = np.random.default_rng(9)
-        data = center(np.array([[3.0, -1.0], [-3.0, 1.0]]))
+        data = Dataset(np.array([[3.0, -1.0], [-3.0, 1.0]]))
         hp = tiny_hp(a2=1.0)
         n = data.n
         frames = np.stack([np.eye(2)] * n)
@@ -299,7 +299,7 @@ class TestUpdateLatent:
 
     def test_small_sigma2_concentrates_on_projection(self):
         rng = np.random.default_rng(10)
-        data = center(np.array([[2.0, 0.0], [-2.0, 0.0]]))
+        data = Dataset(np.array([[2.0, 0.0], [-2.0, 0.0]]))
         hp = tiny_hp(a2=5.0)
         state = tiny_state(rng, data, hp, d=1, sigma2=1e-10)
         proj = state.transformations[0][:, 0] @ data.y[0]
@@ -312,7 +312,7 @@ class TestUpdateNoise:
         # n = p = 1, eta = 2, tau^2 = 1, zero residual: precision ~
         # Gamma(shape 1.5, rate 1) with mean 1.5.
         rng = np.random.default_rng(11)
-        data = Dataset(y=np.array([[0.0]]), column_means=np.zeros(1))
+        data = Dataset(np.array([[0.0]]))
         hp = tiny_hp(tau2=1.0)
         frames = np.array([[[1.0]]])
         latents = np.array([[0.0]])  # exact reconstruction of the zero row
@@ -331,7 +331,7 @@ class TestUpdateNoise:
     def test_large_residual_concentrates_sigma2(self):
         # Inverse-gamma mean rate/(shape-1) with matching Monte Carlo error.
         rng = np.random.default_rng(12)
-        data = center(np.vstack([np.full((5, 4), 3.0), np.full((5, 4), -3.0)]))
+        data = Dataset(np.vstack([np.full((5, 4), 3.0), np.full((5, 4), -3.0)]))
         hp = tiny_hp(tau2=0.01)
         state = tiny_state(rng, data, hp, d=1)
         state.latents[:] = 0.0  # residual is the full data norm
@@ -355,7 +355,7 @@ class TestUpdateNoise:
             def gamma(self, shape, scale):
                 return math.inf
 
-        data = Dataset(y=np.array([[0.0]]), column_means=np.zeros(1))
+        data = Dataset(np.array([[0.0]]))
         sigma2 = update_noise(data, tiny_hp(tau2=tau2), 0.0, InfinitePrecision())
         assert sigma2 == SIGMA2_FLOOR * max(1.0, tau2)
 
@@ -404,7 +404,7 @@ class TestSweep:
         # matmul here and n matrix-vector products in the reference; whether
         # those sum in the same order depends on the BLAS build.
         rng = np.random.default_rng(30)
-        data = center(rng.standard_normal((7, p)))
+        data = Dataset(rng.standard_normal((7, p)))
         hp = tiny_hp(a2=a2, c_strength=2.0)
         state = tiny_state(rng, data, hp, d=d)
         for t in range(3):
@@ -427,7 +427,7 @@ class TestSweep:
             raise AssertionError("validated wrapper called inside the sweep")
 
         rng = np.random.default_rng(30)
-        data = center(rng.standard_normal((7, p)))
+        data = Dataset(rng.standard_normal((7, p)))
         hp = tiny_hp(a2=a2, c_strength=2.0)
         state = tiny_state(rng, data, hp, d=d)
         monkeypatch.setattr(nlpca.vmf, "vmf_sample_vector", refuse)
@@ -443,7 +443,7 @@ class TestSweep:
         # A NaN frame poisons its neighbours' conditionals; the frame step
         # must raise rather than spin in a rejection loop that NaN never exits.
         rng = np.random.default_rng(32)
-        data = center(rng.standard_normal((6, p)))
+        data = Dataset(rng.standard_normal((6, p)))
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=d)
         state.transformations[0] = np.nan
@@ -454,7 +454,7 @@ class TestSweep:
         # NaN written by the last frame update reaches no other conditional;
         # the once-per-sweep orthonormality check must still stop it.
         rng = np.random.default_rng(33)
-        data = center(rng.standard_normal((6, 3)))
+        data = Dataset(rng.standard_normal((6, 3)))
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=2)
         frame_step = gibbs.update_transformation
@@ -485,7 +485,7 @@ class TestSweep:
         # sweep passes the noise step's squared residual on to the log
         # posterior; the value is the one computed afresh, bit for bit.
         rng = np.random.default_rng(31)
-        data = center(rng.standard_normal((7, 5)))
+        data = Dataset(rng.standard_normal((7, 5)))
         hp = tiny_hp(a2=a2, c_strength=2.0)
         state = tiny_state(rng, data, hp, d=2)
         for t in range(3):
@@ -548,7 +548,7 @@ class TestRunSummary:
         rng = np.random.default_rng(18)
         basis = np.linalg.qr(rng.standard_normal((4, 2)))[0]
         raw = rng.standard_normal((30, 2)) @ basis.T
-        ds = center(raw)
+        ds = Dataset(raw)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=60, burn_in=30, thin=2)
         summary = run(ds, hp, seed=5, state=init_state(pca_fit(ds, 2), hp))
         model_err = np.sum((ds.y - summary.mean_reconstruction) ** 2)
@@ -599,7 +599,7 @@ class TestRunSummary:
         # The frame step would quietly redraw a bad frame for small d, so a
         # caller's state is checked before the first sweep.
         rng = np.random.default_rng(34)
-        data = center(rng.standard_normal((6, p)))
+        data = Dataset(rng.standard_normal((6, p)))
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=d)
         state.transformations[0] *= 2.0
@@ -612,7 +612,7 @@ class TestRunSummary:
         calls = []
         monkeypatch.setattr(gibbs, "sweep", lambda *args: calls.append(1))
         rng = np.random.default_rng(37)
-        data = center(rng.standard_normal((6, p)))
+        data = Dataset(rng.standard_normal((6, p)))
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=p)
         with pytest.raises(ValueError, match="d < p"):
@@ -623,14 +623,15 @@ class TestRunSummary:
         "field, bad",
         [("latents", np.zeros((5, 2))), ("latents", np.zeros((6, 1))),
          ("latents", np.zeros(12)), ("lam", np.zeros((5, 5))), ("lam", np.zeros((6, 5))),
-         ("lam", np.zeros(36))],
-        ids=["latents-n", "latents-d", "latents-flat", "lam-n", "lam-ragged", "lam-flat"],
+         ("lam", np.zeros(36)), ("lam", np.zeros((6, 6)))],
+        ids=["latents-n", "latents-d", "latents-flat", "lam-n", "lam-ragged", "lam-flat",
+             "lam-values"],
     )
     def test_misshapen_state_refused_before_first_sweep(self, monkeypatch, field, bad):
         calls = []
         monkeypatch.setattr(gibbs, "sweep", lambda *args: calls.append(1))
         rng = np.random.default_rng(38)
-        data = center(rng.standard_normal((6, 3)))
+        data = Dataset(rng.standard_normal((6, 3)))
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=2)
         setattr(state, field, bad)
@@ -643,7 +644,7 @@ class TestRunSummary:
         calls = []
         monkeypatch.setattr(gibbs, "sweep", lambda *args: calls.append(1))
         rng = np.random.default_rng(39)
-        data = center(rng.standard_normal((6, 3)))
+        data = Dataset(rng.standard_normal((6, 3)))
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=2, sigma2=sigma2)
         with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
@@ -652,7 +653,7 @@ class TestRunSummary:
 
     def test_nan_start_latent_rejected(self):
         rng = np.random.default_rng(35)
-        data = center(rng.standard_normal((6, 3)))
+        data = Dataset(rng.standard_normal((6, 3)))
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=2)
         state.latents[0, 0] = np.nan
@@ -663,7 +664,7 @@ class TestRunSummary:
         calls = []
         monkeypatch.setattr(gibbs, "sweep", lambda *args: calls.append(1))
         rng = np.random.default_rng(36)
-        data = center(rng.standard_normal((6, 3)))
+        data = Dataset(rng.standard_normal((6, 3)))
         hp = tiny_hp(n_sweeps=20, burn_in=5, thin=100)
         state = tiny_state(rng, data, hp, d=2)
         with pytest.raises(ValueError, match="no sweeps were kept"):
@@ -681,7 +682,7 @@ class TestRunSummary:
 class TestLogPosterior:
     def test_increasing_residual_decreases_value(self):
         rng = np.random.default_rng(22)
-        data = center(rng.standard_normal((6, 3)))
+        data = Dataset(rng.standard_normal((6, 3)))
         hp = tiny_hp(a2=2.0)
         state = tiny_state(rng, data, hp, d=1)
         # Point each reconstruction at the data, then flip the latent signs:
@@ -705,7 +706,7 @@ class TestLogPosterior:
 
     def test_right_rotation_invariance(self):
         rng = np.random.default_rng(23)
-        data = center(rng.standard_normal((8, 4)))
+        data = Dataset(rng.standard_normal((8, 4)))
         hp = tiny_hp(a2=1.5)
         state = tiny_state(rng, data, hp, d=2)
         r = np.linalg.qr(rng.standard_normal((2, 2)))[0]
@@ -723,7 +724,7 @@ class TestLogPosterior:
 
     def test_matches_slow_reimplementation(self):
         rng = np.random.default_rng(24)
-        data = center(rng.standard_normal((3, 3)))
+        data = Dataset(rng.standard_normal((3, 3)))
         hp = tiny_hp(a2=2.0, tau2=0.7)
         state = tiny_state(rng, data, hp, d=1, sigma2=0.6)
 
@@ -746,7 +747,7 @@ class TestLogPosterior:
 
     def test_latent_prior_omitted_when_infinite(self):
         rng = np.random.default_rng(25)
-        data = center(rng.standard_normal((4, 3)))
+        data = Dataset(rng.standard_normal((4, 3)))
         hp_fin = tiny_hp(a2=2.0)
         hp_inf = tiny_hp(a2=math.inf)
         state = tiny_state(rng, data, hp_fin, d=1)

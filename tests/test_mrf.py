@@ -14,7 +14,7 @@ from nlpca.mrf import (
     mrf_log_density_unnorm,
     pairwise_sq_distances,
 )
-from nlpca.pca import Dataset, PcaFit, center, pca_fit
+from nlpca.pca import Dataset, PcaFit, pca_fit
 from nlpca.stiefel import sample_uniform_stiefel
 from nlpca.vmf import VmfParam, vmf_mode
 
@@ -182,7 +182,7 @@ class TestDefaultBandwidth:
 
 def pilot_strength(n):
     """default_hyperparams' pilot c for n rows of data."""
-    data = center(np.random.default_rng(n).standard_normal((n, 3)))
+    data = Dataset(np.random.default_rng(n).standard_normal((n, 3)))
     return default_hyperparams(data, pca_fit(data, 1), bandwidth=1.0).c_strength
 
 
@@ -193,12 +193,14 @@ class TestDefaultStrength:
         assert pilot_strength(2) == pytest.approx(50.0)
 
     def test_rejects_zero(self):
-        # Fewer than two rows are refused before c = 100/n is formed.
-        for n in (0, 1):
-            data = Dataset(np.zeros((n, 3)), np.zeros(3))
-            fit = PcaFit(np.eye(3, 1), np.zeros((n, 1)))
-            with pytest.raises(ValueError, match="at least two rows"):
-                default_hyperparams(data, fit, bandwidth=1.0)
+        # Fewer than two rows are refused before c = 100/n is formed; a
+        # Dataset of zero rows cannot be built at all.
+        with pytest.raises(ValueError, match="nonempty"):
+            Dataset(np.zeros((0, 3)))
+        data = Dataset(np.zeros((1, 3)))
+        fit = PcaFit(np.eye(3, 1), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="at least two rows"):
+            default_hyperparams(data, fit, bandwidth=1.0)
 
 
 class TestConditionalParam:

@@ -117,14 +117,17 @@ def write_idx(path, array: np.ndarray) -> None:
     """Write a uint8 array as an IDX file: the big-endian uint32 magic
     0x0800 | ndim, one uint32 per dimension, then the bytes in C order.
     ValueError, before the file is opened, unless every value is an integer
-    in 0..255."""
+    in 0..255.  A C-ordered uint8 array is written as it is, without a
+    check or a copy."""
     array = np.asarray(array)
-    if not np.all((array >= 0) & (array <= 255) & (np.floor(array) == array)):
+    if array.dtype != np.uint8 and not np.all(
+        (array >= 0) & (array <= 255) & (np.floor(array) == array)
+    ):
         raise ValueError("IDX values must be integers in 0..255")
-    array = array.astype(np.uint8)
+    array = np.asarray(array, dtype=np.uint8, order="C")
     with open(path, "wb") as fh:
         fh.write(struct.pack(f">{1 + array.ndim}I", 0x0800 | array.ndim, *array.shape))
-        fh.write(array.tobytes())
+        fh.write(memoryview(array))
 
 
 def shrink_images(images: np.ndarray, side: int, mode: str = "stride") -> np.ndarray:

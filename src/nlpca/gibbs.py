@@ -250,9 +250,10 @@ def noise_prior_params(hp: HyperParams) -> tuple[float, float]:
 
 
 def _total_sq_residual(state: ModelState, data: Dataset) -> float:
-    recon = np.einsum("npd,nd->np", state.transformations, state.latents)
-    diff = data.y - recon
-    return float(np.sum(diff * diff))
+    diff = np.einsum("npd,nd->np", state.transformations, state.latents)
+    np.subtract(data.y, diff, out=diff)
+    diff *= diff
+    return float(np.sum(diff))
 
 
 def update_noise(
@@ -298,13 +299,18 @@ def sweep(
     y_i x_i^T / sigma^2 of every frame conditional is built once, before the
     frame loop, because the latents and sigma^2 change only after it; and
     the total squared residual once, for both the noise draw and the log
-    posterior, because sigma^2 does not enter it."""
+    posterior, because sigma^2 does not enter it.  The data term is as large
+    as the frame stack and nothing after the frame loop reads it, so it is
+    divided in place and released when the loop ends: the later steps then
+    allocate their arrays without it."""
     # The frames are redrawn in place, so only they are copied: the latents,
     # weights and sigma^2 are replaced, and the caller's state is left as it was.
     st = ModelState(state.transformations.copy(), state.latents, state.sigma2, state.lam)
-    data_term = (data.y[:, :, None] * st.latents[:, None, :]) / st.sigma2
+    data_term = data.y[:, :, None] * st.latents[:, None, :]
+    data_term /= st.sigma2
     for i in range(st.n):
         update_transformation(i, st, data_term, rng)
+    del data_term
     st.latents = update_latent(st, data, hp, rng)
     st.lam = compute_weights(st.latents, hp.c_strength, hp.bandwidth)
     sq_residual = _total_sq_residual(st, data)

@@ -80,15 +80,20 @@ def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
 def compute_weights(latents: np.ndarray, c_strength: float, bandwidth: float) -> np.ndarray:
     """The (n, n) couplings lambda_ij = c * exp(-||x_i - x_j||^2 / (2 w^2)),
     zero on the diagonal.  c and w are checked here; the array meets
-    InteractionWeights' invariants by construction and is not re-checked."""
+    InteractionWeights' invariants by construction and is not re-checked.
+    The kernel is applied in place to the array pairwise_sq_distances
+    returns, so the weights allocate no further (n, n) array."""
     if not 0 < c_strength < math.inf:
         raise ValueError(f"c_strength must be positive and finite, got {c_strength}")
     if not BANDWIDTH_FLOOR <= bandwidth < math.inf:
         raise ValueError(f"bandwidth must be finite and >= {BANDWIDTH_FLOOR:g}, got {bandwidth}")
-    sq_dist = pairwise_sq_distances(latents)
+    lam = pairwise_sq_distances(latents)
     # An exponent that overflows tends to -inf, whose exp, 0, is the weight.
     with np.errstate(over="ignore"):
-        lam = c_strength * np.exp(-sq_dist / (2.0 * bandwidth * bandwidth))
+        np.negative(lam, out=lam)
+        lam /= 2.0 * bandwidth * bandwidth
+        np.exp(lam, out=lam)
+        lam *= c_strength
     np.fill_diagonal(lam, 0.0)
     return lam
 

@@ -1,4 +1,4 @@
-"""Shared oracles and inputs for the test suite.
+"""Shared oracles, inputs and measurements for the test suite.
 
 The oracles are kept deliberately independent of the library code paths they
 are used to check: plain 1-D quadrature and brute-force summation only.
@@ -6,12 +6,29 @@ are used to check: plain 1-D quadrature and brute-force summation only.
 
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 from scipy import integrate
 
 DIGITS = Path(__file__).resolve().parents[1] / "perfbench" / "digits.py"
+
+
+def traced_peak(fn):
+    """Peak bytes that fn() holds above the level at its call, by tracemalloc,
+    which NumPy reports its array buffers to."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def vmf_log_density_unnorm(x, c):

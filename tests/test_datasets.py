@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from nlpca.datasets import (
     CheckpointData,
     export_histogram_csv,
@@ -96,6 +97,14 @@ class TestIdxRoundTrip:
         expected = (tmp_path / "uint8.idx").read_bytes()
         assert (tmp_path / "int.idx").read_bytes() == expected
         assert (tmp_path / "float.idx").read_bytes() == expected
+
+    def test_uint8_array_written_without_a_copy(self, tmp_path):
+        # MNIST's 28x28 images: a copy, a float test or a boolean mask of
+        # the array would each hold at least half its bytes again.
+        images = np.random.default_rng(6).integers(0, 256, (2000, 28, 28), dtype=np.uint8)
+        path = tmp_path / "images.idx"
+        assert traced_peak(lambda: write_idx(path, images)) < 0.5 * images.nbytes
+        assert path.read_bytes()[16:] == images.tobytes()
 
     @pytest.mark.parametrize(
         "bad", [[300], [-1], [-1.5], [0.5], [255.5], [np.nan], [np.inf], [-np.inf]]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import circle_vmf_moment
+from conftest import circle_vmf_moment, traced_peak
 import nlpca.mrf
 import nlpca.stiefel
 import nlpca.vmf
@@ -493,6 +493,32 @@ class TestSweep:
             assert log_post == log_posterior_unnorm(
                 state, data, hp, gibbs._total_sq_residual(state, data)
             )
+
+
+class TestSweepMemory:
+    # (n, p, d) as in the paper's digits run, where the frame stack is the
+    # largest array a sweep holds.
+    @pytest.fixture
+    def digits_shaped(self):
+        rng = np.random.default_rng(34)
+        data = Dataset(rng.standard_normal((150, 196)))
+        fit = pca_fit(data, 2)
+        hp = default_hyperparams(data, fit, n_sweeps=2, burn_in=1)
+        state, _ = sweep(init_state(fit, hp), data, hp, sweep_rng(0, 0))
+        return state, data, hp
+
+    def test_sweep_peaks_below_three_frame_stacks(self, digits_shaped):
+        # The sweep keeps its frame copy and the data term, which is divided
+        # in place and released when the frame loop ends; an extra temporary
+        # of that size on top of both reads ~3.9 frame stacks.
+        state, data, hp = digits_shaped
+        peak = traced_peak(lambda: sweep(state, data, hp, sweep_rng(0, 1)))
+        assert peak <= 3.0 * state.transformations.nbytes
+
+    def test_residual_is_squared_in_its_einsum_array(self, digits_shaped):
+        # One (n, p) array: a difference and a square beside it read ~3.0.
+        state, data, _ = digits_shaped
+        assert traced_peak(lambda: gibbs._total_sq_residual(state, data)) <= 1.5 * data.y.nbytes
 
 
 class TestRunSummary:

@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
-from conftest import make_digit_corpus
+from conftest import make_digit_corpus, traced_peak
 import nlpca.cli
 import nlpca.gibbs
 import nlpca.mrf
@@ -853,6 +854,50 @@ def test_no_command_builds_validated_frames_or_weights(tmp_path, monkeypatch):
                      "--out", str(out)]) == 0, label
     assert main(["vmf-diag", "--p", "3", "--d-frame", "2", "--kappa", "2",
                  "--samples", "50", "--seed", "6"]) == 0
+
+
+# CPython 3.11 hands a call's arguments to the callee, so run alone holds
+# the start state that _run_chain builds in its argument list; 3.10 keeps
+# them on the caller's stack until the call returns.
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="arguments stay on the caller's stack")
+class TestChainMemory:
+    # At n = 600 each (n, n) array is 2.9 MB, so lambda sets the peak: the
+    # last state's, and the new one with compute_weights' two difference
+    # arrays, read ~4.2 of them; keeping the start state's alive too reads ~5.2.
+    N = 600
+
+    def run_fit(self, tmp_path, *flags):
+        path = tmp_path / "input.csv"
+        if not path.exists():
+            rng = np.random.default_rng(5)
+            export_matrix_csv(path, rng.standard_normal((self.N, 5)), prefix="x")
+        return main(["fit", str(path), "--burn-in", "1", "--thin", "1", *flags])
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+    def test_fit_holds_two_weight_arrays(self, tmp_path, resume):
+        flags = ["--sweeps", "3", "--out", str(tmp_path / "fresh")]
+        if resume:
+            assert self.run_fit(tmp_path, *flags) == 0
+            flags = ["--sweeps", "6", "--resume", str(tmp_path / "fresh" / "checkpoint.json"),
+                     "--out", str(tmp_path / "resumed")]
+        codes = []
+        peak = traced_peak(lambda: codes.append(self.run_fit(tmp_path, *flags)))
+        assert codes == [0]
+        assert peak <= 4.7 * self.N * self.N * 8
+
+    def test_start_state_is_freed_after_the_first_sweep(self, tmp_path, monkeypatch):
+        start, gone = [], []
+        sweep = nlpca.gibbs.sweep
+
+        def spy(state, *args):
+            if not start:
+                start.append(weakref.ref(state))
+            gone.append(start[0]() is None)
+            return sweep(state, *args)
+
+        monkeypatch.setattr(nlpca.gibbs, "sweep", spy)
+        assert self.run_fit(tmp_path, "--sweeps", "3", "--out", str(tmp_path / "out")) == 0
+        assert gone[2]
 
 
 def diag_fields(out):

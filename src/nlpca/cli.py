@@ -194,11 +194,9 @@ def _pilot(args, data) -> tuple[PcaFit, HyperParams]:
     )
 
 
-def _run_chain(args, data, hp, seed, start, start_sweep):
-    """Create --out and run the chain from start_sweep and the state start()
-    builds, streaming one trace.csv row per sweep; returns --out and run's summary.
-    start() is called in run's argument list, so from CPython 3.11 run alone holds
-    the start state and frees it after the first sweep: two (n, n) lambdas, not three."""
+def _run_chain(args, data, hp, seed, state, start_sweep):
+    """Create --out and run the chain from start_sweep, streaming one
+    trace.csv row per sweep.  Returns the output directory and run's summary."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "trace.csv", "w", newline="") as fh:
@@ -209,7 +207,7 @@ def _run_chain(args, data, hp, seed, start, start_sweep):
             writer.writerow([str(t), repr(float(state.sigma2)), repr(float(log_posterior))])
 
         summary = run(
-            data, hp, seed, state=start(), start_sweep=start_sweep, on_sweep=on_sweep
+            data, hp, seed, state=state, start_sweep=start_sweep, on_sweep=on_sweep
         )
     return out, summary
 
@@ -258,7 +256,7 @@ def cmd_sphere_demo(args) -> int:
     all_sv = np.linalg.svd(data.y / np.sqrt(data.n), compute_uv=False)
     pca_total_analytic = float(data.n * np.sum(all_sv[args.dim:] ** 2))
 
-    out, summary = _run_chain(args, data, hp, seed, lambda: init_state(fit, hp), 0)
+    out, summary = _run_chain(args, data, hp, seed, init_state(fit, hp), 0)
     model_recon = summary.mean_reconstruction
     model_errors = reconstruction_errors(data.y, model_recon)
     model_recon_raw = model_recon + data.column_means
@@ -315,7 +313,7 @@ def cmd_digits_demo(args) -> int:
     fit, hp = _pilot(args, data)
     pca_mismatch = nn_mismatch_count(fit.latents, data.labels)
 
-    out, summary = _run_chain(args, data, hp, seed, lambda: init_state(fit, hp), 0)
+    out, summary = _run_chain(args, data, hp, seed, init_state(fit, hp), 0)
     model_mismatch = nn_mismatch_count(summary.mean_latents, data.labels)
 
     export_matrix_csv(out / "pca_latents.csv", fit.latents, labels=data.labels)
@@ -351,7 +349,7 @@ def cmd_fit(args) -> int:
     fingerprint = {**_chain_settings(hp), "data_sha256": data_sha256(data.y)}
     start_sweep = 0
     if args.resume is None:
-        start = lambda: init_state(fit, hp)
+        state = init_state(fit, hp)
     else:
         ck = _read_input(args.resume, load_checkpoint, args.resume)
         missing = fingerprint.keys() - ck.fingerprint.keys()
@@ -378,12 +376,12 @@ def cmd_fit(args) -> int:
                 f"checkpoint belongs to a different chain: {', '.join(changed)} "
                 "differ from the run that wrote it"
             )
-        start = lambda: ModelState(ck.transformations, ck.latents, ck.sigma2,
-                                   compute_weights(ck.latents, hp.c_strength, hp.bandwidth))
+        state = ModelState(ck.transformations, ck.latents, ck.sigma2,
+                           compute_weights(ck.latents, hp.c_strength, hp.bandwidth))
         start_sweep = ck.counter
         seed = ck.seed  # the original stream must continue
 
-    out, summary = _run_chain(args, data, hp, seed, start, start_sweep)
+    out, summary = _run_chain(args, data, hp, seed, state, start_sweep)
 
     final = summary.final_state
     save_checkpoint(out / "checkpoint.json", CheckpointData(

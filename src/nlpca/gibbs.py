@@ -10,11 +10,12 @@ One sweep updates, in order: every V_i by one column-Gibbs pass (Hoff 2009)
 started from the current V_i, a kernel that leaves its vMF full conditional
 exactly invariant; every x_i from the paper's Gaussian conditional; the
 interaction weights from the new latents (c and w stay fixed); and sigma^2
-from its Gamma full conditional.  sweep returns the new state and its log
-posterior; run is the one loop over sweeps, from the state it is given:
-init_state(fit, hp) for a fresh chain, where fit is the rank-d PCA fit that
-default_hyperparams also reads.  Per-sweep values reach the caller only
-through run's on_sweep hook; the last sweep's state and log posterior are
+from its Gamma full conditional.  sweep advances the state it is given in
+place and returns it with its log posterior; run is the one loop over
+sweeps, from the state it is given: init_state(fit, hp) for a fresh chain,
+fit being the rank-d PCA fit that default_hyperparams also reads.  Per-sweep
+values reach the caller only through run's on_sweep hook, as the live state;
+the last sweep's state, the start state advanced, and its log posterior are
 also in run's PosteriorSummary.  run is the one place where a caller's state
 is checked, once: ModelState is a plain record of the (n, p, d) frames, the
 (n, d) latents, sigma^2 and the (n, n) weights that compute_weights returns.
@@ -105,7 +106,8 @@ class HyperParams:
 class ModelState:
     """Full Gibbs state: n stacked frames, n latents, noise variance, and the
     (n, n) weights lambda that compute_weights built from the latents.
-    A plain record of float arrays, unchecked: run checks a caller's state on entry."""
+    A plain record of float arrays, unchecked: run checks a caller's state on entry.
+    sweep advances it in place, the frames and lambda in their own buffers."""
 
     transformations: np.ndarray  # (n, p, d)
     latents: np.ndarray  # (n, d)
@@ -293,32 +295,29 @@ def sweep(
     state: ModelState, data: Dataset, hp: HyperParams, rng: np.random.Generator
 ) -> tuple[ModelState, float]:
     """One full Gibbs pass over a state with d < p, which only run checks;
-    returns the new state and its log posterior.  Frames are updated
-    sequentially so each draw conditions on the freshest neighbors; weights
-    are rebuilt from the new latents before the noise update.  The data part
-    y_i x_i^T / sigma^2 of every frame conditional is built once, before the
-    frame loop, because the latents and sigma^2 change only after it; and
-    the total squared residual once, for both the noise draw and the log
-    posterior, because sigma^2 does not enter it.  The data term is as large
-    as the frame stack and nothing after the frame loop reads it, so it is
-    divided in place and released when the loop ends: the later steps then
-    allocate their arrays without it."""
-    # The frames are redrawn in place, so only they are copied: the latents,
-    # weights and sigma^2 are replaced, and the caller's state is left as it was.
-    st = ModelState(state.transformations.copy(), state.latents, state.sigma2, state.lam)
-    data_term = data.y[:, :, None] * st.latents[:, None, :]
-    data_term /= st.sigma2
-    for i in range(st.n):
-        update_transformation(i, st, data_term, rng)
+    advances state in place and returns it with its log posterior.  Frames
+    are updated sequentially so each draw conditions on the freshest
+    neighbors; weights are rebuilt from the new latents before the noise
+    update.  The data part y_i x_i^T / sigma^2 of every frame conditional is
+    built once, before the frame loop, because the latents and sigma^2
+    change only after it; and the total squared residual once, for both the
+    noise draw and the log posterior, because sigma^2 does not enter it.
+    The data term is as large as the frame stack and nothing after the
+    frame loop reads it, so it is divided in place and released when the
+    loop ends: the later steps then allocate their arrays without it."""
+    data_term = data.y[:, :, None] * state.latents[:, None, :]
+    data_term /= state.sigma2
+    for i in range(state.n):
+        update_transformation(i, state, data_term, rng)
     del data_term
-    st.latents = update_latent(st, data, hp, rng)
-    st.lam = compute_weights(st.latents, hp.c_strength, hp.bandwidth)
-    sq_residual = _total_sq_residual(st, data)
-    st.sigma2 = update_noise(data, hp, sq_residual, rng)
+    state.latents = update_latent(state, data, hp, rng)
+    compute_weights(state.latents, hp.c_strength, hp.bandwidth, out=state.lam)
+    sq_residual = _total_sq_residual(state, data)
+    state.sigma2 = update_noise(data, hp, sq_residual, rng)
 
-    if not frames_orthonormal(st.transformations):
+    if not frames_orthonormal(state.transformations):
         raise ArithmeticError("orthonormality lost during sweep")
-    return st, log_posterior_unnorm(st, data, hp, sq_residual)
+    return state, log_posterior_unnorm(state, data, hp, sq_residual)
 
 
 def sweep_rng(seed: int, sweep_index: int) -> np.random.Generator:
@@ -345,24 +344,31 @@ def run(
     start_sweep: int = 0,
     on_sweep=None,
 ) -> PosteriorSummary:
-    """Run the Gibbs sampler, the chain's only sweep loop, from state: a fresh
-    chain's init_state(fit, hp), or a checkpoint's state after sweep
-    start_sweep - 1.  Sweep t, from start_sweep to n_sweeps - 1, draws from
-    sweep_rng(seed, t), so the trajectory is bit-identical to the unbroken
-    run's.  The states of kept_sweeps(hp, start_sweep) are averaged: their
-    latents, and their reconstructions V_i x_i.
+    """Run the Gibbs sampler, the chain's only sweep loop, advancing state in
+    place (summary.final_state is state): a fresh chain's init_state(fit, hp),
+    or a checkpoint's state after sweep start_sweep - 1.  Sweep t, from
+    start_sweep to n_sweeps - 1, draws from sweep_rng(seed, t), so the
+    trajectory is bit-identical to the unbroken run's.  The states of
+    kept_sweeps(hp, start_sweep) are averaged: their latents, and their
+    reconstructions V_i x_i.
     The one check of a caller's state: ValueError is raised before the first
-    sweep unless state has d < p, frames orthonormal within
-    ORTHONORMALITY_TOL, finite (n, d) latents, the (n, n) lambda that
-    compute_weights gives them under hp's c and w, and 0 < sigma^2 < inf,
-    and some sweep is kept.
+    sweep unless state has d < p, frames orthonormal within ORTHONORMALITY_TOL,
+    finite (n, d) latents, the (n, n) lambda compute_weights gives them under
+    hp's c and w, 0 < sigma^2 < inf and a kept sweep, and unless its frames
+    and lambda are writable C-contiguous arrays, which the chain advances.
     ``on_sweep(t, state, log_posterior)`` is called after every sweep, e.g.
     to stream a trace file; it is the only way out for per-sweep values.
+    It gets the live state, which the next sweep overwrites: copy what you keep.
     """
     if state.d >= state.p:
         raise ValueError(f"need d < p, got frames of shape {state.p}x{state.d}")
     if not frames_orthonormal(state.transformations):
         raise ValueError(f"frames are not orthonormal within {ORTHONORMALITY_TOL:g}")
+    # An F-ordered stack makes every neighbour sum copy it; an F-ordered lambda
+    # rounds those sums unlike the C-ordered one a resumed chain rebuilds.
+    for name, array in (("frames", state.transformations), ("lambda", state.lam)):
+        if not (array.flags.writeable and array.flags.c_contiguous):
+            raise ValueError(f"{name} must be writable and C-contiguous, to advance in place")
     n, d = state.n, state.d
     if state.latents.shape != (n, d) or not np.all(np.isfinite(state.latents)):
         raise ValueError(f"latents must be a finite (n, d) = {(n, d)} array")

@@ -61,33 +61,38 @@ class InteractionWeights:
             raise ValueError("lambda entries must not exceed the strength c")
 
 
-def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
-    """n x n squared Euclidean distances between the rows of points, n >= 2.
+def pairwise_sq_distances(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """n x n squared Euclidean distances between the rows of points, n >= 2
+    and d >= 1, in out if given.
 
-    Summed one coordinate at a time, without an n x n x d temporary.
+    Coordinate 0's squares are written into the result and each later one is
+    added from one (n, n) work array: no n x n x d temporary, no third array.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
-    if x.shape[0] < 2:
-        raise ValueError("need at least two points")
-    sq = np.zeros((x.shape[0], x.shape[0]))
-    for k in range(x.shape[1]):
-        dk = x[:, k, None] - x[None, :, k]
+    if x.shape[0] < 2 or x.shape[1] < 1:
+        raise ValueError("need at least two points of at least one coordinate")
+    sq = np.subtract.outer(x[:, 0], x[:, 0], out=out)
+    sq *= sq
+    dk = None  # the work array, made by coordinate 1 and reused after it
+    for k in range(1, x.shape[1]):
+        dk = np.subtract.outer(x[:, k], x[:, k], out=dk)
         dk *= dk
         sq += dk
     return sq
 
 
-def compute_weights(latents: np.ndarray, c_strength: float, bandwidth: float) -> np.ndarray:
+def compute_weights(latents: np.ndarray, c_strength: float, bandwidth: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """The (n, n) couplings lambda_ij = c * exp(-||x_i - x_j||^2 / (2 w^2)),
-    zero on the diagonal.  c and w are checked here; the array meets
-    InteractionWeights' invariants by construction and is not re-checked.
-    The kernel is applied in place to the array pairwise_sq_distances
-    returns, so the weights allocate no further (n, n) array."""
+    zero on the diagonal, in out if given.  c and w are checked here; the
+    array meets InteractionWeights' invariants by construction and is not
+    re-checked.  The kernel is applied in place to pairwise_sq_distances'
+    array, so only its one work array is allocated beside the weights."""
     if not 0 < c_strength < math.inf:
         raise ValueError(f"c_strength must be positive and finite, got {c_strength}")
     if not BANDWIDTH_FLOOR <= bandwidth < math.inf:
         raise ValueError(f"bandwidth must be finite and >= {BANDWIDTH_FLOOR:g}, got {bandwidth}")
-    lam = pairwise_sq_distances(latents)
+    lam = pairwise_sq_distances(latents, out)
     # An exponent that overflows tends to -inf, whose exp, 0, is the weight.
     with np.errstate(over="ignore"):
         np.negative(lam, out=lam)

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import warnings
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -856,14 +855,11 @@ def test_no_command_builds_validated_frames_or_weights(tmp_path, monkeypatch):
                  "--samples", "50", "--seed", "6"]) == 0
 
 
-# CPython 3.11 hands a call's arguments to the callee, so run alone holds
-# the start state that _run_chain builds in its argument list; 3.10 keeps
-# them on the caller's stack until the call returns.
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="arguments stay on the caller's stack")
 class TestChainMemory:
     # At n = 600 each (n, n) array is 2.9 MB, so lambda sets the peak: the
-    # last state's, and the new one with compute_weights' two difference
-    # arrays, read ~4.2 of them; keeping the start state's alive too reads ~5.2.
+    # chain's one lambda, rebuilt in place, and the lambda and work array of
+    # run's entry check read ~3.2 of them; a new lambda each sweep, beside the
+    # last and its difference arrays, read ~4.2.
     N = 600
 
     def run_fit(self, tmp_path, *flags):
@@ -873,31 +869,39 @@ class TestChainMemory:
             export_matrix_csv(path, rng.standard_normal((self.N, 5)), prefix="x")
         return main(["fit", str(path), "--burn-in", "1", "--thin", "1", *flags])
 
-    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
-    def test_fit_holds_two_weight_arrays(self, tmp_path, resume):
+    def fit_flags(self, tmp_path, resume):
         flags = ["--sweeps", "3", "--out", str(tmp_path / "fresh")]
-        if resume:
-            assert self.run_fit(tmp_path, *flags) == 0
-            flags = ["--sweeps", "6", "--resume", str(tmp_path / "fresh" / "checkpoint.json"),
-                     "--out", str(tmp_path / "resumed")]
+        if not resume:
+            return flags
+        assert self.run_fit(tmp_path, *flags) == 0
+        return ["--sweeps", "6", "--resume", str(tmp_path / "fresh" / "checkpoint.json"),
+                "--out", str(tmp_path / "resumed")]
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+    def test_fit_keeps_one_lambda_for_the_whole_chain(self, tmp_path, resume):
+        flags = self.fit_flags(tmp_path, resume)
         codes = []
         peak = traced_peak(lambda: codes.append(self.run_fit(tmp_path, *flags)))
         assert codes == [0]
-        assert peak <= 4.7 * self.N * self.N * 8
+        assert peak <= 3.5 * self.N * self.N * 8
 
-    def test_start_state_is_freed_after_the_first_sweep(self, tmp_path, monkeypatch):
-        start, gone = [], []
-        sweep = nlpca.gibbs.sweep
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+    def test_final_state_is_the_start_state_advanced(self, tmp_path, monkeypatch, resume):
+        flags = self.fit_flags(tmp_path, resume)
+        chains = []
+        chain = nlpca.cli.run
 
-        def spy(state, *args):
-            if not start:
-                start.append(weakref.ref(state))
-            gone.append(start[0]() is None)
-            return sweep(state, *args)
+        def spy(data, hp, seed, state, **kwargs):
+            start = (state, state.transformations, state.lam)
+            chains.append((start, chain(data, hp, seed, state=state, **kwargs)))
+            return chains[-1][1]
 
-        monkeypatch.setattr(nlpca.gibbs, "sweep", spy)
-        assert self.run_fit(tmp_path, "--sweeps", "3", "--out", str(tmp_path / "out")) == 0
-        assert gone[2]
+        monkeypatch.setattr(nlpca.cli, "run", spy)
+        assert self.run_fit(tmp_path, *flags) == 0
+        [((state, frames, lam), summary)] = chains
+        assert summary.final_state is state
+        assert np.shares_memory(summary.final_state.transformations, frames)
+        assert np.shares_memory(summary.final_state.lam, lam)
 
 
 def diag_fields(out):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -374,8 +375,8 @@ class TestSweep:
         _, ds = generate_sphere(12, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=5, burn_in=1)
         state = init_state(pca_fit(ds, 2), hp)
-        a1, lp1 = sweep(state, ds, hp, sweep_rng(99, 0))
-        a2_, lp2 = sweep(state, ds, hp, sweep_rng(99, 0))
+        a1, lp1 = sweep(copy.deepcopy(state), ds, hp, sweep_rng(99, 0))
+        a2_, lp2 = sweep(copy.deepcopy(state), ds, hp, sweep_rng(99, 0))
         assert np.array_equal(a1.transformations, a2_.transformations)
         assert np.array_equal(a1.latents, a2_.latents)
         assert a1.sigma2 == a2_.sigma2
@@ -469,16 +470,23 @@ class TestSweep:
         with pytest.raises(ArithmeticError, match="orthonormality"):
             sweep(state, data, hp, sweep_rng(0, 0))
 
-    def test_does_not_mutate_input_state(self):
+    def test_advances_the_given_state_in_place(self):
+        # The frames and lambda are written in their own buffers, to the
+        # bits a sweep of a copy gives.
         rng = np.random.default_rng(15)
         _, ds = generate_sphere(8, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=5, burn_in=1)
         state = init_state(pca_fit(ds, 2), hp)
-        frames_before = state.transformations.copy()
-        sigma_before = state.sigma2
-        sweep(state, ds, hp, sweep_rng(1, 0))
-        assert np.array_equal(state.transformations, frames_before)
-        assert state.sigma2 == sigma_before
+        frames, lam = state.transformations, state.lam
+        expected, expected_lp = sweep(copy.deepcopy(state), ds, hp, sweep_rng(1, 0))
+        advanced, lp = sweep(state, ds, hp, sweep_rng(1, 0))
+        assert advanced is state
+        assert state.transformations is frames and state.lam is lam
+        assert np.array_equal(frames, expected.transformations)
+        assert np.array_equal(lam, expected.lam)
+        assert np.array_equal(state.latents, expected.latents)
+        assert state.sigma2 == expected.sigma2
+        assert lp == expected_lp
 
     @pytest.mark.parametrize("a2", [1.5, math.inf])
     def test_returned_log_posterior_is_the_new_states(self, a2):
@@ -507,13 +515,25 @@ class TestSweepMemory:
         state, _ = sweep(init_state(fit, hp), data, hp, sweep_rng(0, 0))
         return state, data, hp
 
-    def test_sweep_peaks_below_three_frame_stacks(self, digits_shaped):
-        # The sweep keeps its frame copy and the data term, which is divided
-        # in place and released when the frame loop ends; an extra temporary
-        # of that size on top of both reads ~3.9 frame stacks.
+    def test_sweep_peaks_below_one_and_a_half_frame_stacks(self, digits_shaped):
+        # The sweep redraws the frames in place and holds the data term, which
+        # is divided in place and released when the frame loop ends: ~1.3
+        # frame stacks.  A copy of the frames on top reads ~2.4.
         state, data, hp = digits_shaped
         peak = traced_peak(lambda: sweep(state, data, hp, sweep_rng(0, 1)))
-        assert peak <= 3.0 * state.transformations.nbytes
+        assert peak <= 1.5 * state.transformations.nbytes
+
+    def test_sweep_rebuilds_lambda_beside_one_work_array(self):
+        # At n = 600, lambda (2.9 MB) dwarfs the frame stack (48 kB).  The
+        # weights are rebuilt in lambda's buffer, beside one work array, so
+        # a sweep reads ~1.05 lambdas; a new lambda beside the old reads ~3.1.
+        rng = np.random.default_rng(40)
+        data = Dataset(rng.standard_normal((600, 5)))
+        fit = pca_fit(data, 2)
+        hp = default_hyperparams(data, fit, n_sweeps=2, burn_in=1)
+        state = init_state(fit, hp)
+        peak = traced_peak(lambda: sweep(state, data, hp, sweep_rng(0, 0)))
+        assert peak <= 1.3 * state.lam.nbytes
 
     def test_residual_is_squared_in_its_einsum_array(self, digits_shaped):
         # One (n, p) array: a difference and a square beside it read ~3.0.
@@ -541,7 +561,7 @@ class TestRunSummary:
         seed, states, recon = 9, {}, {}
 
         def record(t, st, lp):
-            states[t], recon[t] = st, reconstructions(st)
+            states[t], recon[t] = copy.deepcopy(st), reconstructions(st)
 
         full = run(ds, hp, seed, state=init_state(pca_fit(ds, 2), hp), on_sweep=record)
         kept = list(kept_sweeps(hp, 0))
@@ -607,7 +627,8 @@ class TestRunSummary:
         states, full_lp, resumed_lp = {}, {}, {}
         full = run(
             ds, hp, seed, state=init_state(pca_fit(ds, 2), hp),
-            on_sweep=lambda t, st, lp: (states.__setitem__(t, st), full_lp.__setitem__(t, lp)),
+            on_sweep=lambda t, st, lp: (states.__setitem__(t, copy.deepcopy(st)),
+                                        full_lp.__setitem__(t, lp)),
         )
         resumed = run(
             ds, hp, seed, state=states[4], start_sweep=5,
@@ -662,6 +683,29 @@ class TestRunSummary:
         state = tiny_state(rng, data, hp, d=2)
         setattr(state, field, bad)
         with pytest.raises(ValueError, match=r"\(n, n\)" if field == "lam" else r"\(n, d\)"):
+            run(data, hp, 0, state=state)
+        assert calls == []
+
+    @pytest.mark.parametrize("field, name", [("transformations", "frames"), ("lam", "lambda")])
+    @pytest.mark.parametrize("fault", ["read-only", "fortran-order"])
+    def test_state_not_advanceable_in_place_refused_before_first_sweep(
+        self, monkeypatch, field, name, fault
+    ):
+        # The chain writes the frames and lambda in place.  An array it cannot
+        # write is refused, not left to fail inside the first frame step; so
+        # is a frame stack that every site's neighbour sum would copy, and a
+        # lambda whose neighbour sums would round unlike a resumed chain's.
+        calls = []
+        monkeypatch.setattr(gibbs, "sweep", lambda *args: calls.append(1))
+        rng = np.random.default_rng(41)
+        data = Dataset(rng.standard_normal((6, 3)))
+        hp = tiny_hp()
+        state = tiny_state(rng, data, hp, d=2)
+        if fault == "read-only":
+            getattr(state, field).setflags(write=False)
+        else:
+            setattr(state, field, np.asfortranarray(getattr(state, field)))
+        with pytest.raises(ValueError, match=f"{name} must be writable and C-contiguous"):
             run(data, hp, 0, state=state)
         assert calls == []
 

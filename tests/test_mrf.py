@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import vmf_log_density_unnorm
+from conftest import traced_peak, vmf_log_density_unnorm
 from nlpca.gibbs import default_hyperparams
 from nlpca.mrf import (
     BANDWIDTH_FLOOR,
@@ -54,6 +54,19 @@ class TestComputeWeights:
         x = rng.standard_normal((20, 3))
         lam = compute_weights(x, c_strength=0.7, bandwidth=1.3)
         assert np.max(np.abs(lam - naive_weights(x, 0.7, 1.3))) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_same_bits_as_broadcast_form(self, d):
+        # With and without out, the kernel of the broadcast distances.
+        rng = np.random.default_rng(80 + d)
+        for x in scaled_points(rng, d):
+            c, w = rng.uniform(0.1, 10.0, 2)
+            expected = c * np.exp(-broadcast_sq_distances(x) / (2.0 * w * w))
+            np.fill_diagonal(expected, 0.0)
+            assert np.array_equal(compute_weights(x, c, w), expected)
+            out = np.full((len(x), len(x)), np.nan)
+            assert compute_weights(x, c, w, out=out) is out
+            assert np.array_equal(out, expected)
 
     def test_monotone_in_distance(self):
         lam = compute_weights(np.array([[0.0], [1.0], [2.5]]), 1.0, 1.0)
@@ -117,6 +130,23 @@ def einsum_sq_distances(x):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def broadcast_sq_distances(x):
+    """The sum of broadcast per-coordinate differences, squared, into zeros:
+    the form before the result and one work array took the differences."""
+    sq = np.zeros((len(x), len(x)))
+    for k in range(x.shape[1]):
+        dk = x[:, k, None] - x[None, :, k]
+        dk *= dk
+        sq += dk
+    return sq
+
+
+def scaled_points(rng, d, count=30):
+    """count point sets of 2 to 59 rows in d dimensions, at scales 1e-3 to 1e3."""
+    for scale in 10.0 ** rng.uniform(-3, 3, count):
+        yield scale * rng.standard_normal((int(rng.integers(2, 60)), d))
+
+
 class TestPairwiseSqDistances:
     @pytest.mark.parametrize("d", [1, 2])
     def test_same_bits_as_einsum_form_up_to_two_dims(self, d):
@@ -137,6 +167,32 @@ class TestPairwiseSqDistances:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             pairwise_sq_distances(np.zeros((1, 2)))
+
+    def test_needs_one_coordinate(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            pairwise_sq_distances(np.zeros((3, 0)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_same_bits_as_broadcast_form(self, d):
+        rng = np.random.default_rng(40 + d)
+        for x in scaled_points(rng, d):
+            expected = broadcast_sq_distances(x)
+            assert np.array_equal(pairwise_sq_distances(x), expected)
+            out = np.full((len(x), len(x)), np.nan)
+            assert pairwise_sq_distances(x, out) is out
+            assert np.array_equal(out, expected)
+
+
+class TestWeightsMemory:
+    # At n = 600 each (n, n) float array is 2.9 MB, far above everything else.
+    N = 600
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_compute_weights_holds_one_work_array(self, d):
+        # The weights and one work array: ~2.0; a difference array per
+        # coordinate beside the sum read ~3.0.
+        x = np.random.default_rng(50 + d).standard_normal((self.N, d))
+        assert traced_peak(lambda: compute_weights(x, 1.0, 1.0)) <= 2.2 * self.N * self.N * 8
 
 
 class TestDefaultBandwidth:
@@ -178,6 +234,17 @@ class TestDefaultBandwidth:
             np.sqrt(pairwise_sq_distances(x))[np.triu_indices(50, k=1)].mean()
         )
         assert default_bandwidth(2.0**-600 * x) == 2.0**-600 * default_bandwidth(x)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_same_bits_as_broadcast_form(self, d):
+        # The power-of-two scaling, the broadcast distances and the pairs by
+        # np.triu_indices: the form before the work array.
+        rng = np.random.default_rng(70 + d)
+        for x in scaled_points(rng, d):
+            exponent = math.frexp(float(np.max(np.abs(x))))[1]
+            dist = np.sqrt(broadcast_sq_distances(np.ldexp(x, -exponent)))
+            expected = math.ldexp(float(dist[np.triu_indices(len(x), k=1)].mean()), exponent)
+            assert default_bandwidth(x) == expected
 
 
 def pilot_strength(n):

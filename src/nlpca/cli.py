@@ -194,9 +194,18 @@ def _pilot(args, data) -> tuple[PcaFit, HyperParams]:
     )
 
 
-def _run_chain(args, data, hp, seed, state, start_sweep):
+def _latents(state: ModelState) -> np.ndarray:
+    return state.latents
+
+
+def _reconstructions(state: ModelState) -> np.ndarray:
+    return np.einsum("npd,nd->np", state.transformations, state.latents)
+
+
+def _run_chain(args, data, hp, seed, state, start_sweep, mean_of):
     """Create --out and run the chain from start_sweep, streaming one
-    trace.csv row per sweep.  Returns the output directory and run's summary."""
+    trace.csv row per sweep and averaging mean_of(state) over the kept sweeps.
+    Returns the output directory and run's summary."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "trace.csv", "w", newline="") as fh:
@@ -206,9 +215,8 @@ def _run_chain(args, data, hp, seed, state, start_sweep):
         def on_sweep(t, state, log_posterior):
             writer.writerow([str(t), repr(float(state.sigma2)), repr(float(log_posterior))])
 
-        summary = run(
-            data, hp, seed, state=state, start_sweep=start_sweep, on_sweep=on_sweep
-        )
+        summary = run(data, hp, seed, state=state, mean_of=mean_of,
+                      start_sweep=start_sweep, on_sweep=on_sweep)
     return out, summary
 
 
@@ -256,8 +264,8 @@ def cmd_sphere_demo(args) -> int:
     all_sv = np.linalg.svd(data.y / np.sqrt(data.n), compute_uv=False)
     pca_total_analytic = float(data.n * np.sum(all_sv[args.dim:] ** 2))
 
-    out, summary = _run_chain(args, data, hp, seed, init_state(fit, hp), 0)
-    model_recon = summary.mean_reconstruction
+    out, summary = _run_chain(args, data, hp, seed, init_state(fit, hp), 0, _reconstructions)
+    model_recon = summary.mean
     model_errors = reconstruction_errors(data.y, model_recon)
     model_recon_raw = model_recon + data.column_means
     pca_recon_raw = pca_recon + data.column_means
@@ -293,33 +301,41 @@ def cmd_sphere_demo(args) -> int:
     return EXIT_OK
 
 
-def cmd_digits_demo(args) -> int:
-    seed = args.seed
-    images, labels = _read_input("IDX input", load_image_set, args.images, args.labels)
+def _digit_dataset(args) -> Dataset:
+    """The picked digits, pooled to 14 x 14, as a Dataset.  The pick is made
+    from the labels before any image is read, only the picked image rows are
+    read and pooled, and nothing read from the IDX files outlives this call
+    but the Dataset."""
+    rng = np.random.default_rng([_SUBSET_STREAM_TAG, args.seed])
+
+    def pick(labels):
+        try:
+            return select_digit_subset(labels, _DIGIT_CLASSES, _DIGIT_PER_CLASS, rng)
+        except ValueError as err:
+            raise InputFileError(f"{args.labels}: {err}") from err
+
+    images, labels = _read_input("IDX input", load_image_set, args.images, args.labels, pick)
     try:
-        idx = select_digit_subset(
-            labels,
-            _DIGIT_CLASSES,
-            _DIGIT_PER_CLASS,
-            np.random.default_rng([_SUBSET_STREAM_TAG, seed]),
-        )
-    except ValueError as err:
-        raise InputFileError(f"{args.labels}: {err}") from err
-    try:  # only the picked images are pooled, not the whole file
-        small = shrink_images(images[idx], _DIGIT_TARGET_SIDE, mode=args.pool)
+        small = shrink_images(images, _DIGIT_TARGET_SIDE, mode=args.pool)
     except ValueError as err:
         raise UsageError(str(err)) from err
-    data = to_dataset(small, labels[idx])
+    return to_dataset(small, labels)
+
+
+def cmd_digits_demo(args) -> int:
+    """Fit the 150 digits that _digit_dataset picks and reads, and count NN
+    mismatches of their PCA latents and of their posterior mean latents, the
+    one quantity the chain averages."""
+    seed = args.seed
+    data = _digit_dataset(args)
     fit, hp = _pilot(args, data)
     pca_mismatch = nn_mismatch_count(fit.latents, data.labels)
 
-    out, summary = _run_chain(args, data, hp, seed, init_state(fit, hp), 0)
-    model_mismatch = nn_mismatch_count(summary.mean_latents, data.labels)
+    out, summary = _run_chain(args, data, hp, seed, init_state(fit, hp), 0, _latents)
+    model_mismatch = nn_mismatch_count(summary.mean, data.labels)
 
     export_matrix_csv(out / "pca_latents.csv", fit.latents, labels=data.labels)
-    export_matrix_csv(
-        out / "model_latents.csv", summary.mean_latents, labels=data.labels
-    )
+    export_matrix_csv(out / "model_latents.csv", summary.mean, labels=data.labels)
 
     _save_summary(out, hp, seed, summary, {
         "n": data.n,
@@ -381,12 +397,12 @@ def cmd_fit(args) -> int:
         start_sweep = ck.counter
         seed = ck.seed  # the original stream must continue
 
-    out, summary = _run_chain(args, data, hp, seed, state, start_sweep)
+    out, summary = _run_chain(args, data, hp, seed, state, start_sweep, _latents)
 
     final = summary.final_state
     save_checkpoint(out / "checkpoint.json", CheckpointData(
         final.transformations, final.latents, final.sigma2, seed, hp.n_sweeps, fingerprint))
-    export_matrix_csv(out / "mean_latents.csv", summary.mean_latents, labels=data.labels)
+    export_matrix_csv(out / "mean_latents.csv", summary.mean, labels=data.labels)
 
     _save_summary(out, hp, seed, summary, {
         "n": data.n,

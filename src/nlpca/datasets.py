@@ -60,57 +60,82 @@ def generate_sphere(
     return raw, Dataset(raw)
 
 
-def _read_idx(path, fields: tuple[str, ...], payload: str) -> np.ndarray:
-    """Read an IDX file of unsigned bytes: the big-endian uint32 magic
-    0x0800 | len(fields), one uint32 per name in fields, then as many uint8
-    bytes as their product.  Returns the payload, read-only and shaped by the
-    header; ValueError names the file and the offending offset."""
+def _read_idx(path, fh, fields: tuple[str, ...], payload: str) -> tuple[int, ...]:
+    """Check the header of fh, path's IDX file of unsigned bytes opened for
+    binary reading, against the file's size from os.fstat: the big-endian
+    uint32 magic 0x0800 | len(fields), one uint32 per name in fields, then as
+    many uint8 bytes as their product.  Returns the header's values with fh
+    at the first payload byte, of which none is read; ValueError names the
+    file and the offending offset."""
     magic = 0x0800 | len(fields)
-    data = Path(path).read_bytes()
+    start = 4 + 4 * len(fields)
+    head = fh.read(start)
     # The magic is checked before the header length so that a too-short file
     # of the wrong kind is still reported as a magic mismatch.
-    if len(data) < 4:
-        raise ValueError(f"{path}: truncated header, file ends at offset {len(data)}")
-    found = struct.unpack(">I", data[:4])[0]
+    if len(head) < 4:
+        raise ValueError(f"{path}: truncated header, file ends at offset {len(head)}")
+    found = struct.unpack(">I", head[:4])[0]
     if found != magic:
         raise ValueError(
             f"{path}: wrong magic 0x{found:08x} at offset 0 (expected 0x{magic:08x})"
         )
-    start = 4 + 4 * len(fields)
-    if len(data) < start:
+    if len(head) < start:
         raise ValueError(
-            f"{path}: truncated header, file ends at offset {len(data)} (need {start} bytes)"
+            f"{path}: truncated header, file ends at offset {len(head)} (need {start} bytes)"
         )
-    values = struct.unpack(f">{len(fields)}I", data[4:start])
+    values = struct.unpack(f">{len(fields)}I", head[4:])
     for k, (name, value) in enumerate(zip(fields, values)):
         if value > 2**31 - 1:
             raise ValueError(
                 f"{path}: {name} {value} at offset {4 + 4 * k} overflows a signed int32"
             )
     expected = start + math.prod(values)
-    if len(data) < expected:
+    size = os.fstat(fh.fileno()).st_size
+    if size < expected:
         raise ValueError(
-            f"{path}: truncated file, ends at offset {len(data)} "
+            f"{path}: truncated file, ends at offset {size} "
             f"({payload} data needs {expected} bytes)"
         )
-    if len(data) > expected:
+    if size > expected:
         raise ValueError(f"{path}: trailing bytes after offset {expected}")
-    return np.frombuffer(data, dtype=np.uint8, offset=start).reshape(values)
+    return values
 
 
-def load_image_set(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+def _read_into(path, fh, out: np.ndarray) -> None:
+    """Fill the C-ordered uint8 array out from fh's position; ValueError if
+    the file ends first, as it does if it shrank after _read_idx's check."""
+    if fh.readinto(out) != out.nbytes:
+        raise ValueError(f"{path}: file ended while it was read")
+
+
+def load_image_set(images_path, labels_path, pick=None) -> tuple[np.ndarray, np.ndarray]:
     """Read an IDX image file (rank 3) and its IDX label file (rank 1), as
     MNIST ships them; returns the (n, rows, cols) uint8 images and the n uint8
-    labels, read-only views of the files' bytes.  ValueError names the file
-    for a malformed file (_read_idx), a label count that differs from the
-    image count, or a label outside 0-9."""
-    images = _read_idx(images_path, ("count", "rows", "cols"), "pixel")
-    labels = _read_idx(labels_path, ("count",), "label")
-    if labels.shape[0] != images.shape[0]:
-        raise ValueError(f"{labels_path}: {labels.shape[0]} labels for {images.shape[0]} images")
-    if labels.size and labels.max() > 9:
-        raise ValueError(f"{labels_path}: labels must be digits 0-9")
-    return images, labels
+    labels.  pick, if given, is called with all the labels and returns the
+    indices of the images to keep: only those image rows are read, and both
+    arrays hold those entries in pick's order.  ValueError names the file for
+    a malformed file (_read_idx checks each header against its file's size,
+    so no check depends on which rows are read), a label count that differs
+    from the image count, or a label outside 0-9; the checks run in that
+    order, the image file's header first, before pick is called."""
+    with open(images_path, "rb") as images_fh:
+        count, rows, cols = _read_idx(images_path, images_fh, ("count", "rows", "cols"), "pixel")
+        with open(labels_path, "rb") as labels_fh:
+            labels = np.empty(_read_idx(labels_path, labels_fh, ("count",), "label"), np.uint8)
+            _read_into(labels_path, labels_fh, labels)
+        if labels.shape[0] != count:
+            raise ValueError(f"{labels_path}: {labels.shape[0]} labels for {count} images")
+        if labels.size and labels.max() > 9:
+            raise ValueError(f"{labels_path}: labels must be digits 0-9")
+        picked = np.arange(count) if pick is None else np.asarray(pick(labels))
+        if picked.size and not 0 <= picked.min() <= picked.max() < count:
+            raise IndexError(f"picked image indices must be in 0..{count - 1}")
+        start = images_fh.tell()
+        images = np.empty((picked.size, rows, cols), np.uint8)
+        for k, i in enumerate(picked.tolist()):
+            images_fh.seek(start + i * rows * cols)
+            _read_into(images_path, images_fh, images[k])
+    return images, labels[picked]
 
 
 def write_idx(path, array: np.ndarray) -> None:

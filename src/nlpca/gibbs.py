@@ -13,10 +13,13 @@ interaction weights from the new latents (c and w stay fixed); and sigma^2
 from its Gamma full conditional.  sweep advances the state it is given in
 place and returns it with its log posterior; run is the one loop over
 sweeps, from the state it is given: init_state(fit, hp) for a fresh chain,
-fit being the rank-d PCA fit that default_hyperparams also reads.  Per-sweep
-values reach the caller only through run's on_sweep hook, as the live state;
-the last sweep's state, the start state advanced, and its log posterior are
-also in run's PosteriorSummary.  run is the one place where a caller's state
+fit being the rank-d PCA fit that default_hyperparams also reads.  run
+averages over the kept sweeps the one quantity its caller names, a function
+of the state such as the reconstructions V_i x_i or the latents, and holds
+nothing else across sweeps.  Other per-sweep values reach the caller only
+through run's on_sweep hook, as the live state; the last sweep's state, the
+start state advanced, and its log posterior are also in run's
+PosteriorSummary.  run is the one place where a caller's state
 is checked, once: ModelState is a plain record of the (n, p, d) frames, the
 (n, d) latents, sigma^2 and the (n, n) weights that compute_weights returns.
 
@@ -129,15 +132,15 @@ class ModelState:
 
 @dataclass(eq=False)
 class PosteriorSummary:
-    """Posterior averages of one Gibbs run, and its last sweep's state and log posterior.
+    """The posterior mean of one quantity over a Gibbs run's kept sweeps, and
+    the run's last sweep's state and log posterior.
 
-    mean_reconstruction averages the kept draws' V_i x_i, so it is unchanged
-    by (V_i R, R^T x_i) for one common rotation R, which the posterior cannot
-    tell apart; mean_latents averages the x_i entrywise.
+    mean averages run's mean_of(state) over the kept states: for the V_i x_i
+    it is unchanged by (V_i R, R^T x_i) for one common rotation R, which the
+    posterior cannot tell apart; for the latents it averages the x_i entrywise.
     """
 
-    mean_reconstruction: np.ndarray  # (n, p)
-    mean_latents: np.ndarray
+    mean: np.ndarray
     n_kept: int
     total_draws: int  # frame draws made by this run: n per sweep
     final_state: ModelState
@@ -341,6 +344,7 @@ def run(
     hp: HyperParams,
     seed: int,
     state: ModelState,
+    mean_of,
     start_sweep: int = 0,
     on_sweep=None,
 ) -> PosteriorSummary:
@@ -348,9 +352,10 @@ def run(
     place (summary.final_state is state): a fresh chain's init_state(fit, hp),
     or a checkpoint's state after sweep start_sweep - 1.  Sweep t, from
     start_sweep to n_sweeps - 1, draws from sweep_rng(seed, t), so the
-    trajectory is bit-identical to the unbroken run's.  The states of
-    kept_sweeps(hp, start_sweep) are averaged: their latents, and their
-    reconstructions V_i x_i.
+    trajectory is bit-identical to the unbroken run's.  summary.mean is the
+    average of ``mean_of(state)``, a float array such as the latents or the
+    reconstructions V_i x_i, over the states of kept_sweeps(hp, start_sweep):
+    their sum from zeros, divided once by their count.
     The one check of a caller's state: ValueError is raised before the first
     sweep unless state has d < p, frames orthonormal within ORTHONORMALITY_TOL,
     finite (n, d) latents, the (n, n) lambda compute_weights gives them under
@@ -380,19 +385,17 @@ def run(
     kept = kept_sweeps(hp, start_sweep)
     if not kept:
         raise ValueError("no sweeps were kept; check n_sweeps/burn_in/start_sweep")
-    sum_recon = np.zeros((n, state.p))
-    sum_x = np.zeros_like(state.latents)
-
+    # The first kept sweep's 0.0 + value makes the sum an array, with the bits
+    # of zeros + value; no name holds a value past its addition.
+    total = 0.0
     for t in range(start_sweep, hp.n_sweeps):
         state, log_post = sweep(state, data, hp, sweep_rng(seed, t))
         if t in kept:
-            sum_recon += np.einsum("npd,nd->np", state.transformations, state.latents)
-            sum_x += state.latents
+            total += mean_of(state)
         if on_sweep is not None:
             on_sweep(t, state, log_post)
     return PosteriorSummary(
-        mean_reconstruction=sum_recon / len(kept),
-        mean_latents=sum_x / len(kept),
+        mean=total / len(kept),
         n_kept=len(kept),
         total_draws=data.n * (hp.n_sweeps - start_sweep),
         final_state=state,

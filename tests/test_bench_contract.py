@@ -53,7 +53,8 @@ def test_run_calls_module_level_sweep_once_per_sweep(monkeypatch):
     monkeypatch.setattr(nlpca.gibbs, "sweep", counting_sweep)
     _, data = generate_sphere(6, 0.05, np.random.default_rng(0))
     hp = default_hyperparams(data, pca_fit(data, 2), n_sweeps=4, burn_in=1, thin=1)
-    summary = run(data, hp, seed=1, state=init_state(pca_fit(data, 2), hp))
+    summary = run(data, hp, seed=1, state=init_state(pca_fit(data, 2), hp),
+                  mean_of=lambda st: st.latents)
     assert len(calls) == hp.n_sweeps
     assert summary.total_draws == data.n * hp.n_sweeps
 
@@ -69,5 +70,5 @@ def test_sweep_calls_module_level_frame_step_once_per_site(monkeypatch):
     monkeypatch.setattr(nlpca.gibbs, "update_transformation", counting_step)
     _, data = generate_sphere(6, 0.05, np.random.default_rng(0))
     hp = default_hyperparams(data, pca_fit(data, 2), n_sweeps=3, burn_in=1, thin=1)
-    run(data, hp, seed=1, state=init_state(pca_fit(data, 2), hp))
+    run(data, hp, seed=1, state=init_state(pca_fit(data, 2), hp), mean_of=lambda st: st.latents)
     assert sites == list(range(data.n)) * hp.n_sweeps

@@ -285,6 +285,28 @@ class TestDigitsDemo:
         assert code == 0
         assert read_summary(out)["pool"] == "mean"
 
+    @pytest.fixture(scope="class")
+    def large_digit_files(self, tmp_path_factory):
+        # 20 000 28 x 28 images, 15.7 MB of pixels, a third of MNIST's training set.
+        tmp = tmp_path_factory.mktemp("large-idx")
+        rng = np.random.default_rng(124)
+        img, lbl = tmp / "images.idx3-ubyte", tmp / "labels.idx1-ubyte"
+        write_idx(img, rng.integers(0, 256, (20000, 28, 28), dtype=np.uint8))
+        write_idx(lbl, np.resize(np.array([1, 2, 3], dtype=np.uint8), 20000))
+        return img, lbl
+
+    @pytest.mark.parametrize("pool", ["stride", "mean"])
+    def test_only_the_picked_images_are_read(self, tmp_path, large_digit_files, pool):
+        # The 150 picked rows, the labels and the chain read ~1.7 MB;
+        # reading the whole image file held all of its 15.7 MB.
+        img, lbl = large_digit_files
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(
+            ["digits-demo", "--images", str(img), "--labels", str(lbl), "--pool", pool,
+             *TINY_CHAIN, "--out", str(tmp_path / "out")])))
+        assert codes == [0]
+        assert peak <= 0.25 * (img.stat().st_size - 16)
+
     def test_only_the_picked_images_are_pooled(self, tmp_path, digit_files, monkeypatch):
         # Pooling the whole file (180 images here, 60 000 in MNIST's training
         # set) before picking 150 held every pooled image in memory at once.

@@ -142,6 +142,46 @@ class TestIdxRoundTrip:
         with pytest.raises(ValueError, match="trailing"):
             load_image_set(path, write_partners(tmp_path, 2)[1])
 
+    def test_pick_reads_the_picked_rows_in_its_order(self, tmp_path):
+        rng = np.random.default_rng(14)
+        images, labels = make_image_set(rng, n=12, rows=4, cols=4)
+        write_idx(tmp_path / "i.idx", images)
+        write_idx(tmp_path / "l.idx", labels.astype(np.uint8))
+        seen = []
+
+        def pick(all_labels):
+            seen.append(all_labels.copy())
+            return np.array([11, 0, 5, 4])
+
+        got_images, got_labels = load_image_set(tmp_path / "i.idx", tmp_path / "l.idx", pick)
+        assert np.array_equal(seen[0], labels)
+        assert np.array_equal(got_images, images[[11, 0, 5, 4]])
+        assert np.array_equal(got_labels, labels[[11, 0, 5, 4]])
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_pick_outside_the_file_refused(self, tmp_path, index):
+        # A seek outside the payload would read header or end-of-file bytes.
+        img, lbl = write_partners(tmp_path, 3)
+        with pytest.raises(IndexError, match=r"in 0\.\.2"):
+            load_image_set(img, lbl, lambda labels: np.array([0, index]))
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [(lambda data: data[:-5], "truncated"), (lambda data: data + b"\x00", "trailing")],
+        ids=["truncated", "trailing"],
+    )
+    def test_size_refused_whichever_rows_are_picked(self, tmp_path, edit, match):
+        # The picked first two rows are whole in both files; the size check
+        # reads the file's length, not the rows, and runs before the pick.
+        path = tmp_path / "images.idx"
+        write_idx(path, np.zeros((4, 3, 3), dtype=np.uint8))
+        path.write_bytes(edit(path.read_bytes()))
+        picks = []
+        with pytest.raises(ValueError, match=match):
+            load_image_set(path, write_partners(tmp_path, 4)[1],
+                           lambda labels: picks.append(1) or np.array([0, 1]))
+        assert picks == []
+
     def test_header_fuzzing_rejected(self, tmp_path):
         # Any single-byte corruption of the 16-byte header must be rejected:
         # it changes the magic or makes the declared payload size wrong.

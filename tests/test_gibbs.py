@@ -95,6 +95,15 @@ def reconstructions(state):
     return np.stack([v @ x for v, x in zip(state.transformations, state.latents)])
 
 
+def einsum_reconstructions(state):
+    """Row i is V_i x_i, by the one einsum that sphere-demo averages."""
+    return np.einsum("npd,nd->np", state.transformations, state.latents)
+
+
+def latents(state):
+    return state.latents
+
+
 def batch_mean_se(values, batches=50):
     """Standard error of the mean of a correlated chain, by batch means."""
     means = values[: len(values) // batches * batches].reshape(batches, -1).mean(axis=1)
@@ -535,6 +544,18 @@ class TestSweepMemory:
         peak = traced_peak(lambda: sweep(state, data, hp, sweep_rng(0, 0)))
         assert peak <= 1.3 * state.lam.nbytes
 
+    def test_run_averaging_the_latents_holds_no_reconstruction(self, digits_shaped):
+        # Three kept sweeps averaging the (n, d) latents read ~1.28 frame
+        # stacks, the sweep's own peak.  An (n, p) reconstruction sum kept
+        # beside them, as digits-demo and fit once had, reads ~1.78.
+        _, data, hp = digits_shaped
+        hp = default_hyperparams(data, pca_fit(data, 2), n_sweeps=4, burn_in=1, thin=1)
+        state = init_state(pca_fit(data, 2), hp)
+        summaries = []
+        peak = traced_peak(lambda: summaries.append(run(data, hp, 0, state=state, mean_of=latents)))
+        assert summaries[0].n_kept == 3
+        assert peak <= 1.5 * state.transformations.nbytes
+
     def test_residual_is_squared_in_its_einsum_array(self, digits_shaped):
         # One (n, p) array: a difference and a square beside it read ~3.0.
         state, data, _ = digits_shaped
@@ -546,13 +567,27 @@ class TestRunSummary:
         rng = np.random.default_rng(16)
         _, ds = generate_sphere(10, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=6, burn_in=5, thin=1)
-        summary = run(ds, hp, seed=3, state=init_state(pca_fit(ds, 2), hp))
-        assert summary.n_kept == 1
-        final = summary.final_state
-        # One addition to zeros, divided by 1: the same product, bit for bit.
-        vx = np.einsum("npd,nd->np", final.transformations, final.latents)
-        assert np.array_equal(summary.mean_reconstruction, vx)
-        assert np.array_equal(summary.mean_latents, final.latents)
+        for mean_of in (einsum_reconstructions, latents):
+            summary = run(ds, hp, seed=3, state=init_state(pca_fit(ds, 2), hp), mean_of=mean_of)
+            assert summary.n_kept == 1
+            # One addition to zeros, divided by 1: the same values, bit for bit.
+            assert np.array_equal(summary.mean, mean_of(summary.final_state))
+
+    def test_mean_of_is_read_on_kept_sweeps_only(self):
+        rng = np.random.default_rng(42)
+        _, ds = generate_sphere(10, 0.05, rng)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=12, burn_in=4, thin=3)
+        sigma2, read = [], []
+
+        def mean_of(st):
+            read.append(len(sigma2))  # on_sweep has seen the sweeps before this one
+            return np.array([st.sigma2])
+
+        summary = run(ds, hp, seed=4, state=init_state(pca_fit(ds, 2), hp), mean_of=mean_of,
+                      on_sweep=lambda t, st, lp: sigma2.append(st.sigma2))
+        assert read == [4, 7, 10]
+        # Summed in sweep order from zero, then divided once.
+        assert np.array_equal(summary.mean, [(0.0 + sigma2[4] + sigma2[7] + sigma2[10]) / 3])
 
     def test_mean_reconstruction_averages_kept_states(self):
         rng = np.random.default_rng(38)
@@ -563,16 +598,18 @@ class TestRunSummary:
         def record(t, st, lp):
             states[t], recon[t] = copy.deepcopy(st), reconstructions(st)
 
-        full = run(ds, hp, seed, state=init_state(pca_fit(ds, 2), hp), on_sweep=record)
+        full = run(ds, hp, seed, state=init_state(pca_fit(ds, 2), hp),
+                   mean_of=einsum_reconstructions, on_sweep=record)
         kept = list(kept_sweeps(hp, 0))
         assert kept == [3, 6, 9, 12]
         expected = np.mean([recon[t] for t in kept], axis=0)
-        assert np.max(np.abs(full.mean_reconstruction - expected)) <= 1e-12
+        assert np.max(np.abs(full.mean - expected)) <= 1e-12
         # Resumed past burn-in: only the kept sweeps it runs are averaged.
-        resumed = run(ds, hp, seed, state=states[6], start_sweep=7)
+        resumed = run(ds, hp, seed, state=states[6], mean_of=einsum_reconstructions,
+                      start_sweep=7)
         assert resumed.n_kept == 2
         expected = np.mean([recon[t] for t in (9, 12)], axis=0)
-        assert np.max(np.abs(resumed.mean_reconstruction - expected)) <= 1e-12
+        assert np.max(np.abs(resumed.mean - expected)) <= 1e-12
 
     def test_trace_lengths(self):
         rng = np.random.default_rng(17)
@@ -580,7 +617,7 @@ class TestRunSummary:
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=12, burn_in=4, thin=3)
         swept = []
         summary = run(
-            ds, hp, seed=4, state=init_state(pca_fit(ds, 2), hp),
+            ds, hp, seed=4, state=init_state(pca_fit(ds, 2), hp), mean_of=latents,
             on_sweep=lambda t, st, lp: swept.append(t),
         )
         assert swept == list(range(12))
@@ -596,8 +633,9 @@ class TestRunSummary:
         raw = rng.standard_normal((30, 2)) @ basis.T
         ds = Dataset(raw)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=60, burn_in=30, thin=2)
-        summary = run(ds, hp, seed=5, state=init_state(pca_fit(ds, 2), hp))
-        model_err = np.sum((ds.y - summary.mean_reconstruction) ** 2)
+        summary = run(ds, hp, seed=5, state=init_state(pca_fit(ds, 2), hp),
+                      mean_of=einsum_reconstructions)
+        model_err = np.sum((ds.y - summary.mean) ** 2)
         pca_err = np.sum((ds.y - reconstruct_linear(pca_fit(ds, 2))) ** 2)
         assert model_err <= pca_err + 1e-6 * max(1.0, pca_err)
 
@@ -608,14 +646,14 @@ class TestRunSummary:
         def traced_run():
             trace = []
             summary = run(
-                ds, hp, seed=11, state=init_state(pca_fit(ds, 2), hp),
+                ds, hp, seed=11, state=init_state(pca_fit(ds, 2), hp), mean_of=latents,
                 on_sweep=lambda t, st, lp: trace.append((st.sigma2, lp)),
             )
             return summary, trace
 
         (s1, trace1), (s2, trace2) = traced_run(), traced_run()
         assert trace1 == trace2
-        assert np.array_equal(s1.mean_latents, s2.mean_latents)
+        assert np.array_equal(s1.mean, s2.mean)
 
     def test_resume_reproduces_unbroken_run(self):
         # Continuing from (state at sweep k, seed, counter k) must replay the
@@ -626,12 +664,12 @@ class TestRunSummary:
         seed = 21
         states, full_lp, resumed_lp = {}, {}, {}
         full = run(
-            ds, hp, seed, state=init_state(pca_fit(ds, 2), hp),
+            ds, hp, seed, state=init_state(pca_fit(ds, 2), hp), mean_of=latents,
             on_sweep=lambda t, st, lp: (states.__setitem__(t, copy.deepcopy(st)),
                                         full_lp.__setitem__(t, lp)),
         )
         resumed = run(
-            ds, hp, seed, state=states[4], start_sweep=5,
+            ds, hp, seed, state=states[4], mean_of=latents, start_sweep=5,
             on_sweep=lambda t, st, lp: resumed_lp.__setitem__(t, lp),
         )
         assert resumed_lp == {t: full_lp[t] for t in range(5, 10)}
@@ -651,7 +689,7 @@ class TestRunSummary:
         state = tiny_state(rng, data, hp, d=d)
         state.transformations[0] *= 2.0
         with pytest.raises(ValueError, match="not orthonormal"):
-            run(data, hp, 0, state=state)
+            run(data, hp, 0, state=state, mean_of=latents)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_square_frames_refused_before_first_sweep(self, monkeypatch, p):
@@ -663,7 +701,7 @@ class TestRunSummary:
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=p)
         with pytest.raises(ValueError, match="d < p"):
-            run(data, hp, 0, state=state)
+            run(data, hp, 0, state=state, mean_of=latents)
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -683,7 +721,7 @@ class TestRunSummary:
         state = tiny_state(rng, data, hp, d=2)
         setattr(state, field, bad)
         with pytest.raises(ValueError, match=r"\(n, n\)" if field == "lam" else r"\(n, d\)"):
-            run(data, hp, 0, state=state)
+            run(data, hp, 0, state=state, mean_of=latents)
         assert calls == []
 
     @pytest.mark.parametrize("field, name", [("transformations", "frames"), ("lam", "lambda")])
@@ -706,7 +744,7 @@ class TestRunSummary:
         else:
             setattr(state, field, np.asfortranarray(getattr(state, field)))
         with pytest.raises(ValueError, match=f"{name} must be writable and C-contiguous"):
-            run(data, hp, 0, state=state)
+            run(data, hp, 0, state=state, mean_of=latents)
         assert calls == []
 
     @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.inf, math.nan])
@@ -718,7 +756,7 @@ class TestRunSummary:
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=2, sigma2=sigma2)
         with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
-            run(data, hp, 0, state=state)
+            run(data, hp, 0, state=state, mean_of=latents)
         assert calls == []
 
     def test_nan_start_latent_rejected(self):
@@ -728,7 +766,7 @@ class TestRunSummary:
         state = tiny_state(rng, data, hp, d=2)
         state.latents[0, 0] = np.nan
         with pytest.raises(ValueError, match="latents"):
-            run(data, hp, 0, state=state)
+            run(data, hp, 0, state=state, mean_of=latents)
 
     def test_resume_keeping_no_sweep_refused_before_first_sweep(self, monkeypatch):
         calls = []
@@ -738,7 +776,7 @@ class TestRunSummary:
         hp = tiny_hp(n_sweeps=20, burn_in=5, thin=100)
         state = tiny_state(rng, data, hp, d=2)
         with pytest.raises(ValueError, match="no sweeps were kept"):
-            run(data, hp, 0, state=state, start_sweep=10)
+            run(data, hp, 0, state=state, mean_of=latents, start_sweep=10)
         assert calls == []
 
     @pytest.mark.parametrize("start_sweep", [0, 4, 5, 6, 7, 9, 10])

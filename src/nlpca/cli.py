@@ -55,7 +55,7 @@ from .gibbs import (
     run,
 )
 from .metrics import distance_to_unit_sphere, nn_mismatch_count, reconstruction_errors
-from .mrf import BANDWIDTH_FLOOR, compute_weights
+from .mrf import BANDWIDTH_FLOOR
 from .pca import Dataset, PcaFit, pca_fit, reconstruct_linear
 from .vmf import KAPPA_MAX, column_gibbs_pass
 
@@ -230,13 +230,13 @@ def _chain_settings(hp: HyperParams) -> dict:
     }
 
 
-def _save_summary(out, hp, seed: int, summary, fields: dict) -> None:
+def _save_summary(out, hp, seed: int, d: int, summary, fields: dict) -> None:
     """summary.json: the chain's settings and draw counts, then the command's
     own fields."""
     doc = {
         **_chain_settings(hp),
         "seed": seed,
-        "d": summary.final_state.d,
+        "d": d,
         "sweeps": hp.n_sweeps,
         "burn_in": hp.burn_in,
         "thin": hp.thin,
@@ -282,7 +282,7 @@ def cmd_sphere_demo(args) -> int:
         counts, edges = np.histogram(values, _HIST_BINS)
         export_histogram_csv(out / name, edges, counts)
 
-    _save_summary(out, hp, seed, summary, {
+    _save_summary(out, hp, seed, args.dim, summary, {
         "n": data.n,
         "noise": args.noise,
         "model_mean_reconstruction_error": float(model_errors.mean()),
@@ -337,7 +337,7 @@ def cmd_digits_demo(args) -> int:
     export_matrix_csv(out / "pca_latents.csv", fit.latents, labels=data.labels)
     export_matrix_csv(out / "model_latents.csv", summary.mean, labels=data.labels)
 
-    _save_summary(out, hp, seed, summary, {
+    _save_summary(out, hp, seed, args.dim, summary, {
         "n": data.n,
         "p": data.p,
         "classes": list(_DIGIT_CLASSES),
@@ -371,7 +371,7 @@ def cmd_fit(args) -> int:
         missing = fingerprint.keys() - ck.fingerprint.keys()
         if missing:
             raise InputFileError(f"{args.resume}: checkpoint missing fields {sorted(missing)}")
-        n, p, d = ck.transformations.shape
+        n, p, d = ck.state.transformations.shape
         if (n, p, d) != (data.n, data.p, args.dim):
             raise UsageError(
                 f"checkpoint is for n={n}, p={p}, d={d}; "
@@ -392,23 +392,20 @@ def cmd_fit(args) -> int:
                 f"checkpoint belongs to a different chain: {', '.join(changed)} "
                 "differ from the run that wrote it"
             )
-        state = ModelState(ck.transformations, ck.latents, ck.sigma2,
-                           compute_weights(ck.latents, hp.c_strength, hp.bandwidth))
+        state = ck.state
         start_sweep = ck.counter
         seed = ck.seed  # the original stream must continue
 
     out, summary = _run_chain(args, data, hp, seed, state, start_sweep, _latents)
 
-    final = summary.final_state
-    save_checkpoint(out / "checkpoint.json", CheckpointData(
-        final.transformations, final.latents, final.sigma2, seed, hp.n_sweeps, fingerprint))
+    save_checkpoint(out / "checkpoint.json", CheckpointData(state, seed, hp.n_sweeps, fingerprint))
     export_matrix_csv(out / "mean_latents.csv", summary.mean, labels=data.labels)
 
-    _save_summary(out, hp, seed, summary, {
+    _save_summary(out, hp, seed, args.dim, summary, {
         "n": data.n,
         "p": data.p,
         "start_sweep": start_sweep,
-        "final_sigma2": float(final.sigma2),
+        "final_sigma2": float(state.sigma2),
         "final_log_posterior": summary.final_log_posterior,
     })
     print(f"fit: {hp.n_sweeps - start_sweep} sweeps done; artifacts in {out}")

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .gibbs import ModelState
 from .pca import Dataset
 from .stiefel import ORTHONORMALITY_TOL, frames_orthonormal
 
@@ -301,12 +302,10 @@ class CheckpointData:
     """A sampler checkpoint, as save_checkpoint writes it and load_checkpoint
     returns it: the chain's state, the RNG seed plus completed-sweep counter
     for bit-exact resumption, and the fingerprint, the JSON values that
-    identify the chain.  The sizes n, p and d are the shape of
+    identify the chain.  The sizes n, p and d are the shape of the state's
     transformations, (n, p, d)."""
 
-    transformations: np.ndarray  # (n, p, d)
-    latents: np.ndarray  # (n, d)
-    sigma2: float
+    state: ModelState
     seed: int
     counter: int
     fingerprint: dict
@@ -323,8 +322,9 @@ def save_checkpoint(path, checkpoint: CheckpointData) -> None:
     The file is written beside its destination and moved into place with
     os.replace, so a reader never sees a partly written checkpoint.
     """
-    v = np.asarray(checkpoint.transformations, dtype=float)
-    x = np.asarray(checkpoint.latents, dtype=float)
+    state = checkpoint.state
+    v = np.asarray(state.transformations, dtype=float)
+    x = np.asarray(state.latents, dtype=float)
     n, p, d = v.shape
     if x.shape != (n, d):
         raise ValueError("latents do not match the transformations")
@@ -337,7 +337,7 @@ def save_checkpoint(path, checkpoint: CheckpointData) -> None:
             "n": int(n),
             "p": int(p),
             "d": int(d),
-            "sigma2": float(checkpoint.sigma2),
+            "sigma2": float(state.sigma2),
             "seed": int(checkpoint.seed),
             "counter": int(checkpoint.counter),
             "transformations": [v[i].reshape(-1).tolist() for i in range(n)],
@@ -405,4 +405,4 @@ def load_checkpoint(path) -> CheckpointData:
     if seed < 0 or counter < 0:
         raise ValueError(f"{path}: checkpoint seed and counter must be nonnegative")
     fingerprint = {k: doc[k] for k in doc.keys() - _STATE_KEYS}
-    return CheckpointData(v, x, sigma2, seed, counter, fingerprint)
+    return CheckpointData(ModelState(v, x, sigma2), seed, counter, fingerprint)

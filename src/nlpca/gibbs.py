@@ -17,11 +17,13 @@ fit being the rank-d PCA fit that default_hyperparams also reads.  run
 averages over the kept sweeps the one quantity its caller names, a function
 of the state such as the reconstructions V_i x_i or the latents, and holds
 nothing else across sweeps.  Other per-sweep values reach the caller only
-through run's on_sweep hook, as the live state; the last sweep's state, the
-start state advanced, and its log posterior are also in run's
-PosteriorSummary.  run is the one place where a caller's state
-is checked, once: ModelState is a plain record of the (n, p, d) frames, the
-(n, d) latents, sigma^2 and the (n, n) weights that compute_weights returns.
+through run's on_sweep hook, as the live state, which run leaves advanced to
+its last sweep; that sweep's log posterior is in run's PosteriorSummary.
+run is the one place where a caller's state is checked, once: ModelState is
+a plain record of the model's random variables, the (n, p, d) frames, the
+(n, d) latents and sigma^2.  The (n, n) weights are a function of the
+latents, so run builds them once with compute_weights, and sweep rebuilds
+them in that buffer after each latent step.
 
 The x-step is the paper's approximation: it ignores that the weights
 lambda_ij depend on x, so the chain does not exactly target
@@ -107,15 +109,13 @@ class HyperParams:
 
 @dataclass(eq=False)
 class ModelState:
-    """Full Gibbs state: n stacked frames, n latents, noise variance, and the
-    (n, n) weights lambda that compute_weights built from the latents.
-    A plain record of float arrays, unchecked: run checks a caller's state on entry.
-    sweep advances it in place, the frames and lambda in their own buffers."""
+    """Full Gibbs state: n stacked frames, n latents and the noise variance.
+    A plain record, unchecked: run checks a caller's state on entry.
+    sweep advances it in place, the frames in their own buffer."""
 
     transformations: np.ndarray  # (n, p, d)
     latents: np.ndarray  # (n, d)
     sigma2: float
-    lam: np.ndarray  # (n, n)
 
     @property
     def n(self) -> int:
@@ -133,7 +133,7 @@ class ModelState:
 @dataclass(eq=False)
 class PosteriorSummary:
     """The posterior mean of one quantity over a Gibbs run's kept sweeps, and
-    the run's last sweep's state and log posterior.
+    the run's last sweep's log posterior.
 
     mean averages run's mean_of(state) over the kept states: for the V_i x_i
     it is unchanged by (V_i R, R^T x_i) for one common rotation R, which the
@@ -143,7 +143,6 @@ class PosteriorSummary:
     mean: np.ndarray
     n_kept: int
     total_draws: int  # frame draws made by this run: n per sweep
-    final_state: ModelState
     final_log_posterior: float
 
 
@@ -193,13 +192,13 @@ def init_state(fit: PcaFit, hp: HyperParams) -> ModelState:
         transformations=np.repeat(fit.loadings[None], latents.shape[0], axis=0),
         latents=latents,
         sigma2=hp.tau2,
-        lam=compute_weights(latents, hp.c_strength, hp.bandwidth),
     )
 
 
 def update_transformation(
     i: int,
     state: ModelState,
+    lam: np.ndarray,
     data_term: np.ndarray,
     rng: np.random.Generator,
 ) -> None:
@@ -207,9 +206,9 @@ def update_transformation(
     started from the current V_i.
 
     The target is V_i's full conditional vMF(y_i x_i^T / sigma^2 +
-    sum_{j != i} lambda_ij V_j).  Each column is redrawn exactly given the
-    rest, so the pass leaves that conditional invariant without an SVD, a
-    rejection loop or a fallback.
+    sum_{j != i} lambda_ij V_j), lam being the (n, n) weights of the latents.
+    Each column is redrawn exactly given the rest, so the pass leaves that
+    conditional invariant without an SVD, a rejection loop or a fallback.
     Nothing is validated here: sweep checks every frame once per sweep.
     data_term is sweep's (n, p, d) stack of the y_i x_i^T / sigma^2: row i
     holds the same products and division as np.outer(y_i, x_i) / sigma^2.
@@ -218,7 +217,7 @@ def update_transformation(
     """
     v = state.transformations
     n, p, d = v.shape
-    c = np.dot(state.lam[i:i + 1], v.reshape(n, p * d)).reshape(p, d)
+    c = np.dot(lam[i:i + 1], v.reshape(n, p * d)).reshape(p, d)
     c += data_term[i]
     column_gibbs_pass(c, v[i], rng)
 
@@ -275,17 +274,18 @@ def update_noise(
 
 
 def log_posterior_unnorm(
-    state: ModelState, data: Dataset, hp: HyperParams, sq_residual: float
+    state: ModelState, lam: np.ndarray, data: Dataset, hp: HyperParams, sq_residual: float
 ) -> float:
-    """Unnormalized log posterior: Gaussian likelihood, MRF coupling term,
-    latent prior (omitted when a^2 is infinite), and the Gamma prior on the
-    precision.  sq_residual is the total squared residual of state's frames
-    and latents, _total_sq_residual(state, data), which sweep has already."""
+    """Unnormalized log posterior: Gaussian likelihood, MRF coupling term
+    under lam, the weights of state's latents, latent prior (omitted when a^2
+    is infinite), and the Gamma prior on the precision.  sq_residual is the
+    total squared residual of state's frames and latents,
+    _total_sq_residual(state, data), which sweep has already."""
     n, p = data.y.shape
     sigma2 = state.sigma2
     value = -sq_residual / (2.0 * sigma2)
     value -= 0.5 * n * p * math.log(sigma2)
-    value += mrf_log_density_unnorm(state.transformations, state.lam)
+    value += mrf_log_density_unnorm(state.transformations, lam)
     if not math.isinf(hp.a2):
         value -= float(np.sum(state.latents * state.latents)) / (2.0 * hp.a2)
     shape0, rate0 = noise_prior_params(hp)
@@ -295,12 +295,14 @@ def log_posterior_unnorm(
 
 
 def sweep(
-    state: ModelState, data: Dataset, hp: HyperParams, rng: np.random.Generator
+    state: ModelState, lam: np.ndarray, data: Dataset, hp: HyperParams,
+    rng: np.random.Generator,
 ) -> tuple[ModelState, float]:
     """One full Gibbs pass over a state with d < p, which only run checks;
-    advances state in place and returns it with its log posterior.  Frames
-    are updated sequentially so each draw conditions on the freshest
-    neighbors; weights are rebuilt from the new latents before the noise
+    advances state in place and returns it with its log posterior.  lam is
+    the (n, n) weights compute_weights gives state's latents under hp.
+    Frames are updated sequentially so each draw conditions on the freshest
+    neighbors; lam is rebuilt in place from the new latents before the noise
     update.  The data part y_i x_i^T / sigma^2 of every frame conditional is
     built once, before the frame loop, because the latents and sigma^2
     change only after it; and the total squared residual once, for both the
@@ -311,16 +313,16 @@ def sweep(
     data_term = data.y[:, :, None] * state.latents[:, None, :]
     data_term /= state.sigma2
     for i in range(state.n):
-        update_transformation(i, state, data_term, rng)
+        update_transformation(i, state, lam, data_term, rng)
     del data_term
     state.latents = update_latent(state, data, hp, rng)
-    compute_weights(state.latents, hp.c_strength, hp.bandwidth, out=state.lam)
+    compute_weights(state.latents, hp.c_strength, hp.bandwidth, out=lam)
     sq_residual = _total_sq_residual(state, data)
     state.sigma2 = update_noise(data, hp, sq_residual, rng)
 
     if not frames_orthonormal(state.transformations):
         raise ArithmeticError("orthonormality lost during sweep")
-    return state, log_posterior_unnorm(state, data, hp, sq_residual)
+    return state, log_posterior_unnorm(state, lam, data, hp, sq_residual)
 
 
 def sweep_rng(seed: int, sweep_index: int) -> np.random.Generator:
@@ -349,18 +351,19 @@ def run(
     on_sweep=None,
 ) -> PosteriorSummary:
     """Run the Gibbs sampler, the chain's only sweep loop, advancing state in
-    place (summary.final_state is state): a fresh chain's init_state(fit, hp),
-    or a checkpoint's state after sweep start_sweep - 1.  Sweep t, from
-    start_sweep to n_sweeps - 1, draws from sweep_rng(seed, t), so the
-    trajectory is bit-identical to the unbroken run's.  summary.mean is the
+    place to its last sweep: a fresh chain's init_state(fit, hp), or a
+    checkpoint's state after sweep start_sweep - 1.  The weights are built
+    once from the start latents, with compute_weights under hp's c and w,
+    and each sweep rebuilds them in that buffer.  Sweep t, from start_sweep
+    to n_sweeps - 1, draws from sweep_rng(seed, t), so the trajectory is
+    bit-identical to the unbroken run's.  summary.mean is the
     average of ``mean_of(state)``, a float array such as the latents or the
     reconstructions V_i x_i, over the states of kept_sweeps(hp, start_sweep):
     their sum from zeros, divided once by their count.
     The one check of a caller's state: ValueError is raised before the first
     sweep unless state has d < p, frames orthonormal within ORTHONORMALITY_TOL,
-    finite (n, d) latents, the (n, n) lambda compute_weights gives them under
-    hp's c and w, 0 < sigma^2 < inf and a kept sweep, and unless its frames
-    and lambda are writable C-contiguous arrays, which the chain advances.
+    finite (n, d) latents, 0 < sigma^2 < inf and a kept sweep, and unless its
+    frames are a writable C-contiguous array, which the chain advances.
     ``on_sweep(t, state, log_posterior)`` is called after every sweep, e.g.
     to stream a trace file; it is the only way out for per-sweep values.
     It gets the live state, which the next sweep overwrites: copy what you keep.
@@ -369,27 +372,24 @@ def run(
         raise ValueError(f"need d < p, got frames of shape {state.p}x{state.d}")
     if not frames_orthonormal(state.transformations):
         raise ValueError(f"frames are not orthonormal within {ORTHONORMALITY_TOL:g}")
-    # An F-ordered stack makes every neighbour sum copy it; an F-ordered lambda
-    # rounds those sums unlike the C-ordered one a resumed chain rebuilds.
-    for name, array in (("frames", state.transformations), ("lambda", state.lam)):
-        if not (array.flags.writeable and array.flags.c_contiguous):
-            raise ValueError(f"{name} must be writable and C-contiguous, to advance in place")
+    # An F-ordered stack makes every neighbour sum copy it.
+    flags = state.transformations.flags
+    if not (flags.writeable and flags.c_contiguous):
+        raise ValueError("frames must be writable and C-contiguous, to advance in place")
     n, d = state.n, state.d
     if state.latents.shape != (n, d) or not np.all(np.isfinite(state.latents)):
         raise ValueError(f"latents must be a finite (n, d) = {(n, d)} array")
-    if not np.array_equal(state.lam, compute_weights(state.latents, hp.c_strength, hp.bandwidth)):
-        raise ValueError(f"lambda must be the (n, n) = {(n, n)} weights that "
-                         "compute_weights gives the latents under hp")
     if not 0 < state.sigma2 < math.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {state.sigma2}")
     kept = kept_sweeps(hp, start_sweep)
     if not kept:
         raise ValueError("no sweeps were kept; check n_sweeps/burn_in/start_sweep")
+    lam = compute_weights(state.latents, hp.c_strength, hp.bandwidth)
     # The first kept sweep's 0.0 + value makes the sum an array, with the bits
     # of zeros + value; no name holds a value past its addition.
     total = 0.0
     for t in range(start_sweep, hp.n_sweeps):
-        state, log_post = sweep(state, data, hp, sweep_rng(seed, t))
+        state, log_post = sweep(state, lam, data, hp, sweep_rng(seed, t))
         if t in kept:
             total += mean_of(state)
         if on_sweep is not None:
@@ -398,7 +398,6 @@ def run(
         mean=total / len(kept),
         n_kept=len(kept),
         total_draws=data.n * (hp.n_sweeps - start_sweep),
-        final_state=state,
         final_log_posterior=log_post,
     )
 

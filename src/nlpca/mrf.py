@@ -116,8 +116,9 @@ def default_bandwidth(latents: np.ndarray) -> float:
     x = np.asarray(latents, dtype=float)
     exponent = math.frexp(float(np.max(np.abs(x))))[1]
     dist = np.sqrt(pairwise_sq_distances(np.ldexp(x, -exponent)))
-    iu = np.triu_indices(dist.shape[0], k=1)
-    w = math.ldexp(float(dist[iu].mean()), exponent)
+    # The pairs i < j in row-major order, by a mask an eighth of dist's size.
+    index = np.arange(dist.shape[0])
+    w = math.ldexp(float(dist[index[:, None] < index].mean()), exponent)
     if w == 0.0:
         raise ValueError("all latent points are identical; bandwidth would be zero")
     return w

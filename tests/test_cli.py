@@ -24,6 +24,7 @@ from nlpca.datasets import (
     write_idx,
 )
 from nlpca.gibbs import FRAME_KERNEL, LATENT_UPDATE
+from nlpca.mrf import compute_weights
 
 SPHERE_FAST = ["--sweeps", "40", "--burn-in", "20", "--thin", "2", "--n", "30"]
 TINY_CHAIN = ["--sweeps", "3", "--burn-in", "1", "--thin", "1", "--seed", "1"]
@@ -879,9 +880,10 @@ def test_no_command_builds_validated_frames_or_weights(tmp_path, monkeypatch):
 
 class TestChainMemory:
     # At n = 600 each (n, n) array is 2.9 MB, so lambda sets the peak: the
-    # chain's one lambda, rebuilt in place, and the lambda and work array of
-    # run's entry check read ~3.2 of them; a new lambda each sweep, beside the
-    # last and its difference arrays, read ~4.2.
+    # chain's one lambda, built once by run and rebuilt in place, beside one
+    # work array, and the pilot bandwidth's distances and pair mask read ~2.2
+    # of them.  A second lambda in run's entry check read ~3.2; two index
+    # arrays in place of the pair mask, ~2.6.
     N = 600
 
     def run_fit(self, tmp_path, *flags):
@@ -905,25 +907,40 @@ class TestChainMemory:
         codes = []
         peak = traced_peak(lambda: codes.append(self.run_fit(tmp_path, *flags)))
         assert codes == [0]
-        assert peak <= 3.5 * self.N * self.N * 8
+        assert peak <= 2.5 * self.N * self.N * 8
 
     @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
     def test_final_state_is_the_start_state_advanced(self, tmp_path, monkeypatch, resume):
+        # The frames advance in their own buffer, every sweep rebuilds the one
+        # lambda that run allocated, and the checkpoint saves the state run
+        # was given.
         flags = self.fit_flags(tmp_path, resume)
-        chains = []
-        chain = nlpca.cli.run
+        starts, sweeps = [], []
+        chain, one_sweep = nlpca.cli.run, nlpca.gibbs.sweep
 
-        def spy(data, hp, seed, state, **kwargs):
-            start = (state, state.transformations, state.lam)
-            chains.append((start, chain(data, hp, seed, state=state, **kwargs)))
-            return chains[-1][1]
+        def spy_run(data, hp, seed, state, **kwargs):
+            starts.append((state, state.transformations, hp))
+            return chain(data, hp, seed, state=state, **kwargs)
 
-        monkeypatch.setattr(nlpca.cli, "run", spy)
+        def spy_sweep(state, lam, *args):
+            sweeps.append((state, lam))
+            return one_sweep(state, lam, *args)
+
+        saved = []
+        save = nlpca.cli.save_checkpoint
+        monkeypatch.setattr(nlpca.cli, "run", spy_run)
+        monkeypatch.setattr(nlpca.gibbs, "sweep", spy_sweep)
+        monkeypatch.setattr(nlpca.cli, "save_checkpoint",
+                            lambda path, ck: (saved.append(ck), save(path, ck)))
         assert self.run_fit(tmp_path, *flags) == 0
-        [((state, frames, lam), summary)] = chains
-        assert summary.final_state is state
-        assert np.shares_memory(summary.final_state.transformations, frames)
-        assert np.shares_memory(summary.final_state.lam, lam)
+        [(state, frames, hp)] = starts
+        lam = sweeps[0][1]
+        assert len(sweeps) == 3
+        assert all(s is state and l is lam for s, l in sweeps)
+        assert state.transformations is frames
+        assert np.array_equal(lam, compute_weights(state.latents, hp.c_strength, hp.bandwidth))
+        [checkpoint] = saved
+        assert checkpoint.state is state
 
 
 def diag_fields(out):

@@ -19,6 +19,7 @@ from nlpca.datasets import (
     to_dataset,
     write_idx,
 )
+from nlpca.gibbs import ModelState
 
 
 def make_image_set(rng, n=30, rows=28, cols=28, classes=(1, 2, 3)):
@@ -411,21 +412,22 @@ class TestCheckpoint:
         v = np.linalg.qr(rng.standard_normal((n, p, d)))[0]
         x = rng.standard_normal((n, d))
         path = tmp_path / "ck.json"
-        save_checkpoint(path, CheckpointData(v, x, 0.125, 42, 17, FINGERPRINT))
+        save_checkpoint(path, CheckpointData(ModelState(v, x, 0.125), 42, 17, FINGERPRINT))
         ck = load_checkpoint(path)
         assert isinstance(ck, CheckpointData)
-        assert ck.transformations.shape == (n, p, d)
-        assert ck.sigma2 == 0.125
+        assert ck.state.transformations.shape == (n, p, d)
+        assert ck.state.sigma2 == 0.125
         assert (ck.seed, ck.counter) == (42, 17)
-        assert np.array_equal(ck.transformations, v)
-        assert np.array_equal(ck.latents, x)
+        assert np.array_equal(ck.state.transformations, v)
+        assert np.array_equal(ck.state.latents, x)
         assert ck.fingerprint == FINGERPRINT
         assert [f.name for f in tmp_path.iterdir()] == ["ck.json"]
 
     def test_schema_fields_present(self, tmp_path):
         path = tmp_path / "ck.json"
         save_checkpoint(
-            path, CheckpointData(np.zeros((2, 3, 1)), np.zeros((2, 1)), 1.0, 0, 0, FINGERPRINT)
+            path,
+            CheckpointData(ModelState(np.zeros((2, 3, 1)), np.zeros((2, 1)), 1.0), 0, 0, FINGERPRINT),
         )
         doc = json.loads(path.read_text())
         assert set(doc) == {
@@ -440,7 +442,7 @@ class TestCheckpoint:
         v = np.linalg.qr(rng.standard_normal((5, 4, 2)))[0]
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         save_checkpoint(first, CheckpointData(
-            v, rng.standard_normal((5, 2)), 0.1 + 0.2, 3, 250, FINGERPRINT))
+            ModelState(v, rng.standard_normal((5, 2)), 0.1 + 0.2), 3, 250, FINGERPRINT))
         save_checkpoint(second, load_checkpoint(first))
         assert second.read_bytes() == first.read_bytes()
 

@@ -77,13 +77,13 @@ def prior_side(hp, p, d, rng):
 def chain_side(hp, p, d, rng):
     """Successive-conditional draws: y given the state, then one sweep."""
     frames, latents, sigma2 = prior_draw(hp, p, d, rng)
-    state = ModelState(frames, latents, sigma2,
-                       compute_weights(latents, hp.c_strength, hp.bandwidth))
+    state = ModelState(frames, latents, sigma2)
+    lam = compute_weights(latents, hp.c_strength, hp.bandwidth)
     values = np.empty((DRAWS, len(NAMES)))
     for k in range(DRAWS):
         recon = np.einsum("npd,nd->np", state.transformations, state.latents)
         data = SimpleNamespace(y=recon + math.sqrt(state.sigma2) * rng.standard_normal((2, p)))
-        state, _ = sweep(state, data, hp, rng)
+        state, _ = sweep(state, lam, data, hp, rng)
         values[k] = statistics(state.transformations, state.latents, state.sigma2)
     return values
 

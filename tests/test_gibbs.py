@@ -55,26 +55,31 @@ def tiny_hp(**kw):
     return HyperParams(**defaults)
 
 
-def frame_conditional(i, state, data):
+def weights(state, hp):
+    """The (n, n) lambda of state's latents, as run builds it."""
+    return compute_weights(state.latents, hp.c_strength, hp.bandwidth)
+
+
+def frame_conditional(i, state, lam, data):
     """The vMF parameter y_i x_i^T / sigma^2 + sum_j lambda_ij V_j of site i."""
     c = np.outer(data.y[i], state.latents[i]) / state.sigma2
-    return c + conditional_param(i, state.transformations, state.lam)
+    return c + conditional_param(i, state.transformations, lam)
 
 
-def chain_site(i, state, data, rng, n):
+def chain_site(i, state, lam, data, rng, n):
     """n chained frame updates at site i, neighbours fixed; yields each V_i."""
     data_term = (data.y[:, :, None] * state.latents[:, None, :]) / state.sigma2
     for _ in range(n):
-        update_transformation(i, state, data_term, rng)
+        update_transformation(i, state, lam, data_term, rng)
         yield state.transformations[i].copy()
 
 
-def reference_sweep(state, data, hp, rng):
-    """The per-site sweep: one validated frame draw per site, then one
-    Gaussian latent draw per site, then the weights and sigma^2."""
-    st = ModelState(state.transformations.copy(), state.latents.copy(), state.sigma2, state.lam)
+def reference_sweep(state, lam, data, hp, rng):
+    """The per-site sweep: one validated frame draw per site under lam, then
+    one Gaussian latent draw per site, then sigma^2."""
+    st = ModelState(state.transformations.copy(), state.latents.copy(), state.sigma2)
     for i in range(st.n):
-        c = frame_conditional(i, st, data)
+        c = frame_conditional(i, st, lam, data)
         frame = StiefelPoint(st.transformations[i])
         st.transformations[i] = vmf_sample_column_gibbs(VmfParam(c), frame, 1, rng).matrix
     for i in range(st.n):
@@ -85,7 +90,6 @@ def reference_sweep(state, data, hp, rng):
             shrink = hp.a2 / (hp.a2 + st.sigma2)
             mean, var = shrink * proj, shrink * st.sigma2
         st.latents[i] = mean + math.sqrt(var) * rng.standard_normal(st.d)
-    st.lam = compute_weights(st.latents, hp.c_strength, hp.bandwidth)
     st.sigma2 = update_noise(data, hp, gibbs._total_sq_residual(st, data), rng)
     return st
 
@@ -115,9 +119,7 @@ def tiny_state(rng, data, hp, d=1, sigma2=0.5):
     frames = np.stack(
         [sample_uniform_stiefel(data.p, d, rng).matrix for _ in range(n)]
     )
-    latents = rng.standard_normal((n, d))
-    weights = compute_weights(latents, hp.c_strength, hp.bandwidth)
-    return ModelState(frames, latents, sigma2, weights)
+    return ModelState(frames, rng.standard_normal((n, d)), sigma2)
 
 
 class TestHyperParams:
@@ -181,7 +183,7 @@ class TestInitState:
         state = init_state(pca_fit(ds, 2), hp)
         v_pca = pca_fit(ds, 2).loadings
         for i in (0, 7, 19):
-            c = conditional_param(i, state.transformations, state.lam)
+            c = conditional_param(i, state.transformations, weights(state, hp))
             assert np.max(np.abs(vmf_mode(VmfParam(c)).matrix - v_pca)) <= 1e-8
 
     def test_log_posterior_finite(self):
@@ -190,7 +192,7 @@ class TestInitState:
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=10, burn_in=5)
         state = init_state(pca_fit(ds, 2), hp)
         sq_residual = gibbs._total_sq_residual(state, ds)
-        assert math.isfinite(log_posterior_unnorm(state, ds, hp, sq_residual))
+        assert math.isfinite(log_posterior_unnorm(state, weights(state, hp), ds, hp, sq_residual))
 
     def test_initial_reconstruction_matches_pca(self):
         rng = np.random.default_rng(4)
@@ -212,9 +214,9 @@ class TestUpdateTransformation:
         hp = tiny_hp(c_strength=1e-300)
         state = tiny_state(rng, data, hp, d=1)
         state.latents[:] = 0.0
-        state.lam[:] = 0.0
+        lam = np.zeros((data.n, data.n))
         n = 10_000
-        draws = np.array([v[:, 0] for v in chain_site(0, state, data, rng, n)])
+        draws = np.array([v[:, 0] for v in chain_site(0, state, lam, data, rng, n)])
         se = math.sqrt((1.0 / 3.0) / n)
         assert np.all(np.abs(draws.mean(axis=0)) <= 4 * se)
         var_diag = 3.0 / 15.0 - 1.0 / 9.0
@@ -230,7 +232,7 @@ class TestUpdateTransformation:
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=2, sigma2=1e-6)
         i = 2
-        mode = vmf_mode(VmfParam(frame_conditional(i, state, data))).matrix
+        mode = vmf_mode(VmfParam(frame_conditional(i, state, weights(state, hp), data))).matrix
         u = data.y[i] / np.linalg.norm(data.y[i])
         v = state.latents[i] / np.linalg.norm(state.latents[i])
         assert np.max(np.abs(mode @ v - u)) <= 1e-4
@@ -242,13 +244,13 @@ class TestUpdateTransformation:
         data = Dataset(np.array([[1.0, 0.4], [-1.0, -0.4], [0.5, -0.7], [-0.5, 0.7]]))
         hp = tiny_hp(a2=2.0)
         state = tiny_state(rng, data, hp, d=1, sigma2=0.8)
-        i = 1
-        c_vec = frame_conditional(i, state, data)[:, 0]
+        i, lam = 1, weights(state, hp)
+        c_vec = frame_conditional(i, state, lam, data)[:, 0]
         kappa = np.linalg.norm(c_vec)
         direction = c_vec / kappa
         n = 10_000
         cosines = np.array(
-            [direction @ v[:, 0] for v in chain_site(i, state, data, rng, n)]
+            [direction @ v[:, 0] for v in chain_site(i, state, lam, data, rng, n)]
         )
         target = circle_vmf_moment(kappa, math.cos)
         var = circle_vmf_moment(kappa, lambda t: math.cos(t) ** 2) - target**2
@@ -261,10 +263,10 @@ class TestUpdateTransformation:
         data = Dataset(rng.standard_normal((6, 3)))
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=2, sigma2=0.5)
-        i = 0
-        c = frame_conditional(i, state, data)
+        i, lam = 0, weights(state, hp)
+        c = frame_conditional(i, state, lam, data)
         chain = np.array(
-            [np.sum(c * v) for v in chain_site(i, state, data, rng, 10_000)]
+            [np.sum(c * v) for v in chain_site(i, state, lam, data, rng, 10_000)]
         )
         exact = np.array(
             [np.sum(c * vmf_sample_rejection(VmfParam(c), rng)[0].matrix)
@@ -297,8 +299,7 @@ class TestUpdateLatent:
         hp = tiny_hp(a2=1.0)
         n = data.n
         frames = np.stack([np.eye(2)] * n)
-        weights = compute_weights(rng.standard_normal((n, 2)), 1.0, 1.0)
-        state = ModelState(frames, rng.standard_normal((n, 2)), 1.0, weights)
+        state = ModelState(frames, rng.standard_normal((n, 2)), 1.0)
         m = 10_000
         draws = np.array([update_latent(state, data, hp, rng)[0] for _ in range(m)])
         target = data.y[0] / 2.0
@@ -326,7 +327,7 @@ class TestUpdateNoise:
         hp = tiny_hp(tau2=1.0)
         frames = np.array([[[1.0]]])
         latents = np.array([[0.0]])  # exact reconstruction of the zero row
-        state = ModelState(frames, latents, 1.0, np.zeros((1, 1)))
+        state = ModelState(frames, latents, 1.0)
         sq_residual = gibbs._total_sq_residual(state, data)
         assert sq_residual == 0.0
         shape, rate = 1.5, 1.0  # the conjugate (ETA + np)/2, (ETA tau^2 + 0)/2
@@ -384,8 +385,8 @@ class TestSweep:
         _, ds = generate_sphere(12, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=5, burn_in=1)
         state = init_state(pca_fit(ds, 2), hp)
-        a1, lp1 = sweep(copy.deepcopy(state), ds, hp, sweep_rng(99, 0))
-        a2_, lp2 = sweep(copy.deepcopy(state), ds, hp, sweep_rng(99, 0))
+        a1, lp1 = sweep(copy.deepcopy(state), weights(state, hp), ds, hp, sweep_rng(99, 0))
+        a2_, lp2 = sweep(copy.deepcopy(state), weights(state, hp), ds, hp, sweep_rng(99, 0))
         assert np.array_equal(a1.transformations, a2_.transformations)
         assert np.array_equal(a1.latents, a2_.latents)
         assert a1.sigma2 == a2_.sigma2
@@ -396,12 +397,13 @@ class TestSweep:
         _, ds = generate_sphere(10, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=5, burn_in=1)
         state = init_state(pca_fit(ds, 2), hp)
+        lam = weights(state, hp)
         for t in range(3):
-            state, _ = sweep(state, ds, hp, sweep_rng(0, t))
+            state, _ = sweep(state, lam, ds, hp, sweep_rng(0, t))
             gram = np.einsum("npk,npl->nkl", state.transformations, state.transformations)
             assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
             assert state.sigma2 > 0
-            assert np.array_equal(state.lam, state.lam.T)
+            assert np.array_equal(lam, lam.T)
 
     @pytest.mark.parametrize(
         "p, d, a2",
@@ -417,9 +419,10 @@ class TestSweep:
         data = Dataset(rng.standard_normal((7, p)))
         hp = tiny_hp(a2=a2, c_strength=2.0)
         state = tiny_state(rng, data, hp, d=d)
+        lam = weights(state, hp)
         for t in range(3):
-            reference = reference_sweep(state, data, hp, sweep_rng(4, t))
-            state, _ = sweep(state, data, hp, sweep_rng(4, t))
+            reference = reference_sweep(state, lam, data, hp, sweep_rng(4, t))
+            state, _ = sweep(state, lam, data, hp, sweep_rng(4, t))
             assert np.array_equal(state.transformations, reference.transformations)
             assert np.allclose(state.latents, reference.latents, rtol=0, atol=1e-13)
             assert state.sigma2 == pytest.approx(reference.sigma2, rel=1e-12, abs=0)
@@ -445,7 +448,7 @@ class TestSweep:
         monkeypatch.setattr(nlpca.stiefel, "null_space_basis", refuse)
         monkeypatch.setattr(nlpca.mrf, "conditional_param", refuse)
         monkeypatch.setattr(gibbs, "conditional_param", refuse, raising=False)
-        state, _ = sweep(state, data, hp, sweep_rng(4, 0))
+        state, _ = sweep(state, weights(state, hp), data, hp, sweep_rng(4, 0))
         assert frames_orthonormal(state.transformations)
 
     @pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (5, 3)])
@@ -458,7 +461,7 @@ class TestSweep:
         state = tiny_state(rng, data, hp, d=d)
         state.transformations[0] = np.nan
         with pytest.raises(ValueError):
-            sweep(state, data, hp, sweep_rng(0, 0))
+            sweep(state, weights(state, hp), data, hp, sweep_rng(0, 0))
 
     def test_guard_catches_nan_left_by_frame_step(self, monkeypatch):
         # NaN written by the last frame update reaches no other conditional;
@@ -469,30 +472,32 @@ class TestSweep:
         state = tiny_state(rng, data, hp, d=2)
         frame_step = gibbs.update_transformation
 
-        def nan_last_frame(i, st, data, rng):
-            frame_step(i, st, data, rng)
+        def nan_last_frame(i, st, lam, data_term, rng):
+            frame_step(i, st, lam, data_term, rng)
             if i == st.n - 1:
                 st.transformations[i, 0, 0] = np.nan
 
         monkeypatch.setattr(gibbs, "update_transformation", nan_last_frame)
         monkeypatch.setattr(gibbs, "update_latent", lambda st, *_: st.latents)
         with pytest.raises(ArithmeticError, match="orthonormality"):
-            sweep(state, data, hp, sweep_rng(0, 0))
+            sweep(state, weights(state, hp), data, hp, sweep_rng(0, 0))
 
     def test_advances_the_given_state_in_place(self):
-        # The frames and lambda are written in their own buffers, to the
-        # bits a sweep of a copy gives.
+        # The frames and the lambda sweep is given are written in their own
+        # buffers, to the bits a sweep of copies gives.
         rng = np.random.default_rng(15)
         _, ds = generate_sphere(8, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=5, burn_in=1)
         state = init_state(pca_fit(ds, 2), hp)
-        frames, lam = state.transformations, state.lam
-        expected, expected_lp = sweep(copy.deepcopy(state), ds, hp, sweep_rng(1, 0))
-        advanced, lp = sweep(state, ds, hp, sweep_rng(1, 0))
+        frames, lam = state.transformations, weights(state, hp)
+        expected_lam = lam.copy()
+        expected, expected_lp = sweep(copy.deepcopy(state), expected_lam, ds, hp, sweep_rng(1, 0))
+        advanced, lp = sweep(state, lam, ds, hp, sweep_rng(1, 0))
         assert advanced is state
-        assert state.transformations is frames and state.lam is lam
+        assert state.transformations is frames
         assert np.array_equal(frames, expected.transformations)
-        assert np.array_equal(lam, expected.lam)
+        assert np.array_equal(lam, expected_lam)
+        assert np.array_equal(lam, weights(state, hp))
         assert np.array_equal(state.latents, expected.latents)
         assert state.sigma2 == expected.sigma2
         assert lp == expected_lp
@@ -505,10 +510,11 @@ class TestSweep:
         data = Dataset(rng.standard_normal((7, 5)))
         hp = tiny_hp(a2=a2, c_strength=2.0)
         state = tiny_state(rng, data, hp, d=2)
+        lam = weights(state, hp)
         for t in range(3):
-            state, log_post = sweep(state, data, hp, sweep_rng(4, t))
+            state, log_post = sweep(state, lam, data, hp, sweep_rng(4, t))
             assert log_post == log_posterior_unnorm(
-                state, data, hp, gibbs._total_sq_residual(state, data)
+                state, lam, data, hp, gibbs._total_sq_residual(state, data)
             )
 
 
@@ -521,15 +527,17 @@ class TestSweepMemory:
         data = Dataset(rng.standard_normal((150, 196)))
         fit = pca_fit(data, 2)
         hp = default_hyperparams(data, fit, n_sweeps=2, burn_in=1)
-        state, _ = sweep(init_state(fit, hp), data, hp, sweep_rng(0, 0))
-        return state, data, hp
+        state = init_state(fit, hp)
+        lam = weights(state, hp)
+        state, _ = sweep(state, lam, data, hp, sweep_rng(0, 0))
+        return state, lam, data, hp
 
     def test_sweep_peaks_below_one_and_a_half_frame_stacks(self, digits_shaped):
         # The sweep redraws the frames in place and holds the data term, which
         # is divided in place and released when the frame loop ends: ~1.3
         # frame stacks.  A copy of the frames on top reads ~2.4.
-        state, data, hp = digits_shaped
-        peak = traced_peak(lambda: sweep(state, data, hp, sweep_rng(0, 1)))
+        state, lam, data, hp = digits_shaped
+        peak = traced_peak(lambda: sweep(state, lam, data, hp, sweep_rng(0, 1)))
         assert peak <= 1.5 * state.transformations.nbytes
 
     def test_sweep_rebuilds_lambda_beside_one_work_array(self):
@@ -541,24 +549,26 @@ class TestSweepMemory:
         fit = pca_fit(data, 2)
         hp = default_hyperparams(data, fit, n_sweeps=2, burn_in=1)
         state = init_state(fit, hp)
-        peak = traced_peak(lambda: sweep(state, data, hp, sweep_rng(0, 0)))
-        assert peak <= 1.3 * state.lam.nbytes
+        lam = weights(state, hp)
+        peak = traced_peak(lambda: sweep(state, lam, data, hp, sweep_rng(0, 0)))
+        assert peak <= 1.3 * lam.nbytes
 
     def test_run_averaging_the_latents_holds_no_reconstruction(self, digits_shaped):
         # Three kept sweeps averaging the (n, d) latents read ~1.28 frame
-        # stacks, the sweep's own peak.  An (n, p) reconstruction sum kept
-        # beside them, as digits-demo and fit once had, reads ~1.78.
-        _, data, hp = digits_shaped
+        # stacks, the sweep's own peak, beside the lambda that run builds.
+        # An (n, p) reconstruction sum kept beside them, as digits-demo and
+        # fit once had, reads 0.5 frame stacks more.
+        _, lam, data, hp = digits_shaped
         hp = default_hyperparams(data, pca_fit(data, 2), n_sweeps=4, burn_in=1, thin=1)
         state = init_state(pca_fit(data, 2), hp)
         summaries = []
         peak = traced_peak(lambda: summaries.append(run(data, hp, 0, state=state, mean_of=latents)))
         assert summaries[0].n_kept == 3
-        assert peak <= 1.5 * state.transformations.nbytes
+        assert peak <= 1.5 * state.transformations.nbytes + lam.nbytes
 
     def test_residual_is_squared_in_its_einsum_array(self, digits_shaped):
         # One (n, p) array: a difference and a square beside it read ~3.0.
-        state, data, _ = digits_shaped
+        state, _, data, _ = digits_shaped
         assert traced_peak(lambda: gibbs._total_sq_residual(state, data)) <= 1.5 * data.y.nbytes
 
 
@@ -568,10 +578,11 @@ class TestRunSummary:
         _, ds = generate_sphere(10, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=6, burn_in=5, thin=1)
         for mean_of in (einsum_reconstructions, latents):
-            summary = run(ds, hp, seed=3, state=init_state(pca_fit(ds, 2), hp), mean_of=mean_of)
+            state = init_state(pca_fit(ds, 2), hp)
+            summary = run(ds, hp, seed=3, state=state, mean_of=mean_of)
             assert summary.n_kept == 1
             # One addition to zeros, divided by 1: the same values, bit for bit.
-            assert np.array_equal(summary.mean, mean_of(summary.final_state))
+            assert np.array_equal(summary.mean, mean_of(state))
 
     def test_mean_of_is_read_on_kept_sweeps_only(self):
         rng = np.random.default_rng(42)
@@ -663,21 +674,21 @@ class TestRunSummary:
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=10, burn_in=2, thin=1)
         seed = 21
         states, full_lp, resumed_lp = {}, {}, {}
-        full = run(
-            ds, hp, seed, state=init_state(pca_fit(ds, 2), hp), mean_of=latents,
+        full = init_state(pca_fit(ds, 2), hp)
+        run(
+            ds, hp, seed, state=full, mean_of=latents,
             on_sweep=lambda t, st, lp: (states.__setitem__(t, copy.deepcopy(st)),
                                         full_lp.__setitem__(t, lp)),
         )
-        resumed = run(
-            ds, hp, seed, state=states[4], mean_of=latents, start_sweep=5,
+        resumed = states[4]
+        run(
+            ds, hp, seed, state=resumed, mean_of=latents, start_sweep=5,
             on_sweep=lambda t, st, lp: resumed_lp.__setitem__(t, lp),
         )
         assert resumed_lp == {t: full_lp[t] for t in range(5, 10)}
-        assert np.array_equal(
-            resumed.final_state.transformations, full.final_state.transformations
-        )
-        assert np.array_equal(resumed.final_state.latents, full.final_state.latents)
-        assert resumed.final_state.sigma2 == full.final_state.sigma2
+        assert np.array_equal(resumed.transformations, full.transformations)
+        assert np.array_equal(resumed.latents, full.latents)
+        assert resumed.sigma2 == full.sigma2
 
     @pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (4, 3)])
     def test_scaled_start_frame_rejected(self, p, d):
@@ -707,10 +718,8 @@ class TestRunSummary:
     @pytest.mark.parametrize(
         "field, bad",
         [("latents", np.zeros((5, 2))), ("latents", np.zeros((6, 1))),
-         ("latents", np.zeros(12)), ("lam", np.zeros((5, 5))), ("lam", np.zeros((6, 5))),
-         ("lam", np.zeros(36)), ("lam", np.zeros((6, 6)))],
-        ids=["latents-n", "latents-d", "latents-flat", "lam-n", "lam-ragged", "lam-flat",
-             "lam-values"],
+         ("latents", np.zeros(12))],
+        ids=["latents-n", "latents-d", "latents-flat"],
     )
     def test_misshapen_state_refused_before_first_sweep(self, monkeypatch, field, bad):
         calls = []
@@ -720,19 +729,15 @@ class TestRunSummary:
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=2)
         setattr(state, field, bad)
-        with pytest.raises(ValueError, match=r"\(n, n\)" if field == "lam" else r"\(n, d\)"):
+        with pytest.raises(ValueError, match=r"\(n, d\)"):
             run(data, hp, 0, state=state, mean_of=latents)
         assert calls == []
 
-    @pytest.mark.parametrize("field, name", [("transformations", "frames"), ("lam", "lambda")])
     @pytest.mark.parametrize("fault", ["read-only", "fortran-order"])
-    def test_state_not_advanceable_in_place_refused_before_first_sweep(
-        self, monkeypatch, field, name, fault
-    ):
-        # The chain writes the frames and lambda in place.  An array it cannot
-        # write is refused, not left to fail inside the first frame step; so
-        # is a frame stack that every site's neighbour sum would copy, and a
-        # lambda whose neighbour sums would round unlike a resumed chain's.
+    def test_state_not_advanceable_in_place_refused_before_first_sweep(self, monkeypatch, fault):
+        # The chain writes the frames in place.  A stack it cannot write is
+        # refused, not left to fail inside the first frame step; so is a
+        # frame stack that every site's neighbour sum would copy.
         calls = []
         monkeypatch.setattr(gibbs, "sweep", lambda *args: calls.append(1))
         rng = np.random.default_rng(41)
@@ -740,10 +745,10 @@ class TestRunSummary:
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=2)
         if fault == "read-only":
-            getattr(state, field).setflags(write=False)
+            state.transformations.setflags(write=False)
         else:
-            setattr(state, field, np.asfortranarray(getattr(state, field)))
-        with pytest.raises(ValueError, match=f"{name} must be writable and C-contiguous"):
+            state.transformations = np.asfortranarray(state.transformations)
+        with pytest.raises(ValueError, match="frames must be writable and C-contiguous"):
             run(data, hp, 0, state=state, mean_of=latents)
         assert calls == []
 
@@ -798,9 +803,9 @@ class TestLogPosterior:
         # sigma^2 stay fixed, so only the likelihood changes.
         for i in range(data.n):
             state.latents[i] = state.transformations[i].T @ data.y[i]
-        base = log_posterior_unnorm(state, data, hp, gibbs._total_sq_residual(state, data))
-        worse = ModelState(state.transformations.copy(), state.latents.copy(),
-                           state.sigma2, state.lam)
+        lam = weights(state, hp)
+        base = log_posterior_unnorm(state, lam, data, hp, gibbs._total_sq_residual(state, data))
+        worse = ModelState(state.transformations.copy(), state.latents.copy(), state.sigma2)
         worse.latents = -worse.latents
         resid_base = np.sum(
             (data.y - np.einsum("npd,nd->np", state.transformations, state.latents)) ** 2
@@ -809,7 +814,7 @@ class TestLogPosterior:
             (data.y - np.einsum("npd,nd->np", worse.transformations, worse.latents)) ** 2
         )
         assert resid_worse > resid_base
-        assert log_posterior_unnorm(worse, data, hp, gibbs._total_sq_residual(worse, data)) \
+        assert log_posterior_unnorm(worse, lam, data, hp, gibbs._total_sq_residual(worse, data)) \
             < base
 
     def test_right_rotation_invariance(self):
@@ -822,11 +827,11 @@ class TestLogPosterior:
             transformations=np.einsum("npd,de->npe", state.transformations, r),
             latents=state.latents @ r,
             sigma2=state.sigma2,
-            lam=state.lam,
         )
-        base = log_posterior_unnorm(state, data, hp, gibbs._total_sq_residual(state, data))
+        lam = weights(state, hp)
+        base = log_posterior_unnorm(state, lam, data, hp, gibbs._total_sq_residual(state, data))
         resid_rotated = gibbs._total_sq_residual(rotated, data)
-        assert abs(log_posterior_unnorm(rotated, data, hp, resid_rotated) - base) <= 1e-8 * max(
+        assert abs(log_posterior_unnorm(rotated, lam, data, hp, resid_rotated) - base) <= 1e-8 * max(
             1.0, abs(base)
         )
 
@@ -835,6 +840,7 @@ class TestLogPosterior:
         data = Dataset(rng.standard_normal((3, 3)))
         hp = tiny_hp(a2=2.0, tau2=0.7)
         state = tiny_state(rng, data, hp, d=1, sigma2=0.6)
+        lam = weights(state, hp)
 
         resid = 0.0
         for i in range(3):
@@ -845,12 +851,12 @@ class TestLogPosterior:
         for i in range(3):
             for j in range(i + 1, 3):
                 tr = float(state.transformations[i][:, 0] @ state.transformations[j][:, 0])
-                expected += state.lam[i, j] * tr
+                expected += lam[i, j] * tr
         expected -= sum(float(x @ x) for x in state.latents) / (2 * hp.a2)
         prec = 1.0 / state.sigma2
         expected += (ETA / 2 - 1) * math.log(prec) - (ETA * hp.tau2 / 2) * prec
 
-        got = log_posterior_unnorm(state, data, hp, gibbs._total_sq_residual(state, data))
+        got = log_posterior_unnorm(state, lam, data, hp, gibbs._total_sq_residual(state, data))
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_latent_prior_omitted_when_infinite(self):
@@ -859,7 +865,7 @@ class TestLogPosterior:
         hp_fin = tiny_hp(a2=2.0)
         hp_inf = tiny_hp(a2=math.inf)
         state = tiny_state(rng, data, hp_fin, d=1)
-        sq_residual = gibbs._total_sq_residual(state, data)
-        gap = (log_posterior_unnorm(state, data, hp_inf, sq_residual)
-               - log_posterior_unnorm(state, data, hp_fin, sq_residual))
+        sq_residual, lam = gibbs._total_sq_residual(state, data), weights(state, hp_fin)
+        gap = (log_posterior_unnorm(state, lam, data, hp_inf, sq_residual)
+               - log_posterior_unnorm(state, lam, data, hp_fin, sq_residual))
         assert gap == pytest.approx(float(np.sum(state.latents**2)) / 4.0, abs=1e-10)

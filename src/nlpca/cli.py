@@ -203,21 +203,27 @@ def _reconstructions(state: ModelState) -> np.ndarray:
 
 
 def _run_chain(args, data, hp, seed, state, start_sweep, mean_of):
-    """Create --out and run the chain from start_sweep, streaming one
-    trace.csv row per sweep and averaging mean_of(state) over the kept sweeps.
-    Returns the output directory and run's summary."""
+    """Create --out and run the chain from start_sweep, as run's one consumer:
+    one trace.csv row per sweep, and mean_of(state), such as the latents or
+    the reconstructions V_i x_i, averaged over kept_sweeps(hp, start_sweep),
+    their sum from 0.0 divided once by their count.  Returns the output
+    directory, that mean, summary.json's draw counts and the last sweep's
+    log posterior."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    kept = kept_sweeps(hp, start_sweep)
+    # The first kept sweep's 0.0 + value makes the sum an array, with the bits
+    # of zeros + value; no name holds a value past its addition.
+    total = 0.0
     with open(out / "trace.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sweep", "sigma2", "log_posterior"])
-
-        def on_sweep(t, state, log_posterior):
-            writer.writerow([str(t), repr(float(state.sigma2)), repr(float(log_posterior))])
-
-        summary = run(data, hp, seed, state=state, mean_of=mean_of,
-                      start_sweep=start_sweep, on_sweep=on_sweep)
-    return out, summary
+        for t, state, log_post in run(data, hp, seed, state=state, start_sweep=start_sweep):
+            if t in kept:
+                total += mean_of(state)
+            writer.writerow([str(t), repr(float(state.sigma2)), repr(float(log_post))])
+    draws = {"kept_sweeps": len(kept), "total_draws": data.n * (hp.n_sweeps - start_sweep)}
+    return out, total / len(kept), draws, log_post
 
 
 def _chain_settings(hp: HyperParams) -> dict:
@@ -230,9 +236,9 @@ def _chain_settings(hp: HyperParams) -> dict:
     }
 
 
-def _save_summary(out, hp, seed: int, d: int, summary, fields: dict) -> None:
-    """summary.json: the chain's settings and draw counts, then the command's
-    own fields."""
+def _save_summary(out, hp, seed: int, d: int, draws: dict, fields: dict) -> None:
+    """summary.json: the chain's settings, _run_chain's draw counts, then the
+    command's own fields."""
     doc = {
         **_chain_settings(hp),
         "seed": seed,
@@ -243,8 +249,7 @@ def _save_summary(out, hp, seed: int, d: int, summary, fields: dict) -> None:
         "tau2": hp.tau2,
         "frame_kernel": FRAME_KERNEL,
         "latent_update": LATENT_UPDATE,
-        "kept_sweeps": summary.n_kept,
-        "total_draws": summary.total_draws,
+        **draws,
     }
     doc.update(fields)
     save_json(out / "summary.json", doc)
@@ -264,8 +269,8 @@ def cmd_sphere_demo(args) -> int:
     all_sv = np.linalg.svd(data.y / np.sqrt(data.n), compute_uv=False)
     pca_total_analytic = float(data.n * np.sum(all_sv[args.dim:] ** 2))
 
-    out, summary = _run_chain(args, data, hp, seed, init_state(fit, hp), 0, _reconstructions)
-    model_recon = summary.mean
+    out, model_recon, draws, _ = _run_chain(
+        args, data, hp, seed, init_state(fit, hp), 0, _reconstructions)
     model_errors = reconstruction_errors(data.y, model_recon)
     model_recon_raw = model_recon + data.column_means
     pca_recon_raw = pca_recon + data.column_means
@@ -282,7 +287,7 @@ def cmd_sphere_demo(args) -> int:
         counts, edges = np.histogram(values, _HIST_BINS)
         export_histogram_csv(out / name, edges, counts)
 
-    _save_summary(out, hp, seed, args.dim, summary, {
+    _save_summary(out, hp, seed, args.dim, draws, {
         "n": data.n,
         "noise": args.noise,
         "model_mean_reconstruction_error": float(model_errors.mean()),
@@ -331,13 +336,14 @@ def cmd_digits_demo(args) -> int:
     fit, hp = _pilot(args, data)
     pca_mismatch = nn_mismatch_count(fit.latents, data.labels)
 
-    out, summary = _run_chain(args, data, hp, seed, init_state(fit, hp), 0, _latents)
-    model_mismatch = nn_mismatch_count(summary.mean, data.labels)
+    out, model_latents, draws, _ = _run_chain(
+        args, data, hp, seed, init_state(fit, hp), 0, _latents)
+    model_mismatch = nn_mismatch_count(model_latents, data.labels)
 
     export_matrix_csv(out / "pca_latents.csv", fit.latents, labels=data.labels)
-    export_matrix_csv(out / "model_latents.csv", summary.mean, labels=data.labels)
+    export_matrix_csv(out / "model_latents.csv", model_latents, labels=data.labels)
 
-    _save_summary(out, hp, seed, args.dim, summary, {
+    _save_summary(out, hp, seed, args.dim, draws, {
         "n": data.n,
         "p": data.p,
         "classes": list(_DIGIT_CLASSES),
@@ -396,17 +402,18 @@ def cmd_fit(args) -> int:
         start_sweep = ck.counter
         seed = ck.seed  # the original stream must continue
 
-    out, summary = _run_chain(args, data, hp, seed, state, start_sweep, _latents)
+    out, mean_latents, draws, log_post = _run_chain(
+        args, data, hp, seed, state, start_sweep, _latents)
 
     save_checkpoint(out / "checkpoint.json", CheckpointData(state, seed, hp.n_sweeps, fingerprint))
-    export_matrix_csv(out / "mean_latents.csv", summary.mean, labels=data.labels)
+    export_matrix_csv(out / "mean_latents.csv", mean_latents, labels=data.labels)
 
-    _save_summary(out, hp, seed, args.dim, summary, {
+    _save_summary(out, hp, seed, args.dim, draws, {
         "n": data.n,
         "p": data.p,
         "start_sweep": start_sweep,
         "final_sigma2": float(state.sigma2),
-        "final_log_posterior": summary.final_log_posterior,
+        "final_log_posterior": log_post,
     })
     print(f"fit: {hp.n_sweeps - start_sweep} sweeps done; artifacts in {out}")
     return EXIT_OK

@@ -11,19 +11,17 @@ started from the current V_i, a kernel that leaves its vMF full conditional
 exactly invariant; every x_i from the paper's Gaussian conditional; the
 interaction weights from the new latents (c and w stay fixed); and sigma^2
 from its Gamma full conditional.  sweep advances the state it is given in
-place and returns it with its log posterior; run is the one loop over
-sweeps, from the state it is given: init_state(fit, hp) for a fresh chain,
-fit being the rank-d PCA fit that default_hyperparams also reads.  run
-averages over the kept sweeps the one quantity its caller names, a function
-of the state such as the reconstructions V_i x_i or the latents, and holds
-nothing else across sweeps.  Other per-sweep values reach the caller only
-through run's on_sweep hook, as the live state, which run leaves advanced to
-its last sweep; that sweep's log posterior is in run's PosteriorSummary.
-run is the one place where a caller's state is checked, once: ModelState is
-a plain record of the model's random variables, the (n, p, d) frames, the
-(n, d) latents and sigma^2.  The (n, n) weights are a function of the
-latents, so run builds them once with compute_weights, and sweep rebuilds
-them in that buffer after each latent step.
+place and returns it with its log posterior.  run is the one loop over
+sweeps, a generator, from the state it is given: init_state(fit, hp) for a
+fresh chain, fit being the rank-d PCA fit that default_hyperparams also
+reads.  It yields (t, state, log posterior) after every sweep t, the state
+being the caller's own object advanced in place, and holds nothing else
+across sweeps: a caller averages, streams or stops on what it reads there.
+run is the one place where a caller's state is checked, once, at the first
+next(): ModelState is a plain record of the model's random variables, the
+(n, p, d) frames, the (n, d) latents and sigma^2.  The (n, n) weights are a
+function of the latents, so run builds them once with compute_weights, and
+sweep rebuilds them in that buffer after each latent step.
 
 The x-step is the paper's approximation: it ignores that the weights
 lambda_ij depend on x, so the chain does not exactly target
@@ -35,6 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,6 @@ from .vmf import column_gibbs_pass
 __all__ = [
     "HyperParams",
     "ModelState",
-    "PosteriorSummary",
     "default_hyperparams",
     "init_state",
     "update_transformation",
@@ -110,7 +108,7 @@ class HyperParams:
 @dataclass(eq=False)
 class ModelState:
     """Full Gibbs state: n stacked frames, n latents and the noise variance.
-    A plain record, unchecked: run checks a caller's state on entry.
+    A plain record, unchecked: run checks a caller's state at the first next().
     sweep advances it in place, the frames in their own buffer."""
 
     transformations: np.ndarray  # (n, p, d)
@@ -128,22 +126,6 @@ class ModelState:
     @property
     def d(self) -> int:
         return self.transformations.shape[2]
-
-
-@dataclass(eq=False)
-class PosteriorSummary:
-    """The posterior mean of one quantity over a Gibbs run's kept sweeps, and
-    the run's last sweep's log posterior.
-
-    mean averages run's mean_of(state) over the kept states: for the V_i x_i
-    it is unchanged by (V_i R, R^T x_i) for one common rotation R, which the
-    posterior cannot tell apart; for the latents it averages the x_i entrywise.
-    """
-
-    mean: np.ndarray
-    n_kept: int
-    total_draws: int  # frame draws made by this run: n per sweep
-    final_log_posterior: float
 
 
 def default_hyperparams(
@@ -342,31 +324,22 @@ def kept_sweeps(hp: HyperParams, start_sweep: int) -> range:
 
 
 def run(
-    data: Dataset,
-    hp: HyperParams,
-    seed: int,
-    state: ModelState,
-    mean_of,
-    start_sweep: int = 0,
-    on_sweep=None,
-) -> PosteriorSummary:
-    """Run the Gibbs sampler, the chain's only sweep loop, advancing state in
-    place to its last sweep: a fresh chain's init_state(fit, hp), or a
-    checkpoint's state after sweep start_sweep - 1.  The weights are built
-    once from the start latents, with compute_weights under hp's c and w,
-    and each sweep rebuilds them in that buffer.  Sweep t, from start_sweep
-    to n_sweeps - 1, draws from sweep_rng(seed, t), so the trajectory is
-    bit-identical to the unbroken run's.  summary.mean is the
-    average of ``mean_of(state)``, a float array such as the latents or the
-    reconstructions V_i x_i, over the states of kept_sweeps(hp, start_sweep):
-    their sum from zeros, divided once by their count.
-    The one check of a caller's state: ValueError is raised before the first
-    sweep unless state has d < p, frames orthonormal within ORTHONORMALITY_TOL,
-    finite (n, d) latents, 0 < sigma^2 < inf and a kept sweep, and unless its
-    frames are a writable C-contiguous array, which the chain advances.
-    ``on_sweep(t, state, log_posterior)`` is called after every sweep, e.g.
-    to stream a trace file; it is the only way out for per-sweep values.
-    It gets the live state, which the next sweep overwrites: copy what you keep.
+    data: Dataset, hp: HyperParams, seed: int, state: ModelState, start_sweep: int = 0
+) -> Iterator[tuple[int, ModelState, float]]:
+    """The Gibbs sampler, the chain's only sweep loop: a generator that
+    advances state in place and yields (t, state, log_posterior) after each
+    sweep t from start_sweep to n_sweeps - 1.  state is a fresh chain's
+    init_state(fit, hp) or a checkpoint's state after sweep start_sweep - 1,
+    and every yield is that object, which the next sweep overwrites: copy
+    what you keep.  Sweep t draws from sweep_rng(seed, t), so a chain closed
+    after sweep k continues bit for bit from its state with start_sweep =
+    k + 1.  The weights are built once from the start latents, with
+    compute_weights under hp's c and w, and each sweep rebuilds them in that
+    buffer.  The one check of a caller's state, at the first next():
+    ValueError unless state has d < p, frames orthonormal within
+    ORTHONORMALITY_TOL, finite (n, d) latents, 0 < sigma^2 < inf and a sweep
+    in kept_sweeps(hp, start_sweep), and unless its frames are a writable
+    C-contiguous array, which the chain advances.
     """
     if state.d >= state.p:
         raise ValueError(f"need d < p, got frames of shape {state.p}x{state.d}")
@@ -381,23 +354,9 @@ def run(
         raise ValueError(f"latents must be a finite (n, d) = {(n, d)} array")
     if not 0 < state.sigma2 < math.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {state.sigma2}")
-    kept = kept_sweeps(hp, start_sweep)
-    if not kept:
+    if not kept_sweeps(hp, start_sweep):
         raise ValueError("no sweeps were kept; check n_sweeps/burn_in/start_sweep")
     lam = compute_weights(state.latents, hp.c_strength, hp.bandwidth)
-    # The first kept sweep's 0.0 + value makes the sum an array, with the bits
-    # of zeros + value; no name holds a value past its addition.
-    total = 0.0
     for t in range(start_sweep, hp.n_sweeps):
         state, log_post = sweep(state, lam, data, hp, sweep_rng(seed, t))
-        if t in kept:
-            total += mean_of(state)
-        if on_sweep is not None:
-            on_sweep(t, state, log_post)
-    return PosteriorSummary(
-        mean=total / len(kept),
-        n_kept=len(kept),
-        total_draws=data.n * (hp.n_sweeps - start_sweep),
-        final_log_posterior=log_post,
-    )
-
+        yield t, state, log_post

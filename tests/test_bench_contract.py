@@ -2,8 +2,10 @@
 
 perfbench/launch.py rebinds every function named in its LAYERS table inside
 the nlpca modules, times each class it names through its __post_init__, and
-times one sweep per call of nlpca.gibbs.sweep, which run must therefore look
-up by its global name once per sweep.
+times one sweep per call of nlpca.gibbs.sweep, which the run generator must
+therefore look up by its global name once per sweep, and only for a sweep
+its caller asks for.  LAYERS names gibbs.run, so run keeps that name while
+the table does.
 Likewise sweep must look up nlpca.gibbs.update_transformation once per site.
 """
 
@@ -42,7 +44,8 @@ def test_every_timed_layer_resolves(module_name):
     assert untimed == []
 
 
-def test_run_calls_module_level_sweep_once_per_sweep(monkeypatch):
+def counted_sweeps(monkeypatch) -> list:
+    """One entry per call of nlpca.gibbs.sweep from here on."""
     calls = []
     original = nlpca.gibbs.sweep
 
@@ -51,12 +54,30 @@ def test_run_calls_module_level_sweep_once_per_sweep(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(nlpca.gibbs, "sweep", counting_sweep)
+    return calls
+
+
+def test_run_calls_module_level_sweep_once_per_sweep(monkeypatch):
+    calls = counted_sweeps(monkeypatch)
     _, data = generate_sphere(6, 0.05, np.random.default_rng(0))
     hp = default_hyperparams(data, pca_fit(data, 2), n_sweeps=4, burn_in=1, thin=1)
-    summary = run(data, hp, seed=1, state=init_state(pca_fit(data, 2), hp),
-                  mean_of=lambda st: st.latents)
+    swept = [t for t, _, _ in run(data, hp, 1, init_state(pca_fit(data, 2), hp))]
     assert len(calls) == hp.n_sweeps
-    assert summary.total_draws == data.n * hp.n_sweeps
+    assert swept == list(range(hp.n_sweeps))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_closed_run_sweeps_no_further(monkeypatch, k):
+    # A caller that stops after k yields has paid for k sweeps, not k + 1.
+    calls = counted_sweeps(monkeypatch)
+    _, data = generate_sphere(6, 0.05, np.random.default_rng(0))
+    hp = default_hyperparams(data, pca_fit(data, 2), n_sweeps=6, burn_in=1, thin=1)
+    chain = run(data, hp, 1, init_state(pca_fit(data, 2), hp))
+    assert calls == []
+    for _ in range(k):
+        next(chain)
+    chain.close()
+    assert len(calls) == k
 
 
 def test_sweep_calls_module_level_frame_step_once_per_site(monkeypatch):
@@ -70,5 +91,5 @@ def test_sweep_calls_module_level_frame_step_once_per_site(monkeypatch):
     monkeypatch.setattr(nlpca.gibbs, "update_transformation", counting_step)
     _, data = generate_sphere(6, 0.05, np.random.default_rng(0))
     hp = default_hyperparams(data, pca_fit(data, 2), n_sweeps=3, burn_in=1, thin=1)
-    run(data, hp, seed=1, state=init_state(pca_fit(data, 2), hp), mean_of=lambda st: st.latents)
+    list(run(data, hp, 1, init_state(pca_fit(data, 2), hp)))
     assert sites == list(range(data.n)) * hp.n_sweeps

@@ -1,5 +1,7 @@
 import copy
+import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from conftest import circle_vmf_moment, traced_peak
 import nlpca.mrf
 import nlpca.stiefel
 import nlpca.vmf
-from nlpca import gibbs
+from nlpca import cli, gibbs
 from nlpca.datasets import generate_sphere
 from nlpca.gibbs import (
     ETA,
@@ -106,6 +108,18 @@ def einsum_reconstructions(state):
 
 def latents(state):
     return state.latents
+
+
+def run_chain(out, data, hp, seed, state, mean_of, start_sweep=0):
+    """cli._run_chain, run's one consumer, writing trace.csv into out:
+    (out, mean, draw counts, last log posterior)."""
+    return cli._run_chain(SimpleNamespace(out=out), data, hp, seed, state, start_sweep, mean_of)
+
+
+def trace_sigma2(out):
+    """The sigma2 column of out/trace.csv, as floats."""
+    with open(out / "trace.csv", newline="") as fh:
+        return [float(row["sigma2"]) for row in csv.DictReader(fh)]
 
 
 def batch_mean_se(values, batches=50):
@@ -557,13 +571,24 @@ class TestSweepMemory:
         # Three kept sweeps averaging the (n, d) latents read ~1.28 frame
         # stacks, the sweep's own peak, beside the lambda that run builds.
         # An (n, p) reconstruction sum kept beside them, as digits-demo and
-        # fit once had, reads 0.5 frame stacks more.
+        # fit once had, reads 0.5 frame stacks more.  The sum is
+        # _run_chain's, without its trace.csv writer: CPython's csv writer
+        # allocates a 128 kB record buffer at its first row, whatever the
+        # row's length.
         _, lam, data, hp = digits_shaped
         hp = default_hyperparams(data, pca_fit(data, 2), n_sweeps=4, burn_in=1, thin=1)
         state = init_state(pca_fit(data, 2), hp)
-        summaries = []
-        peak = traced_peak(lambda: summaries.append(run(data, hp, 0, state=state, mean_of=latents)))
-        assert summaries[0].n_kept == 3
+        kept = kept_sweeps(hp, 0)
+
+        def average_latents():
+            total = 0.0
+            for t, st, _ in run(data, hp, 0, state):
+                if t in kept:
+                    total += st.latents
+            return total / len(kept)
+
+        peak = traced_peak(average_latents)
+        assert len(kept) == 3
         assert peak <= 1.5 * state.transformations.nbytes + lam.nbytes
 
     def test_residual_is_squared_in_its_einsum_array(self, digits_shaped):
@@ -573,70 +598,66 @@ class TestSweepMemory:
 
 
 class TestRunSummary:
-    def test_single_kept_sweep_matches_final_state(self):
+    def test_single_kept_sweep_matches_final_state(self, tmp_path):
         rng = np.random.default_rng(16)
         _, ds = generate_sphere(10, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=6, burn_in=5, thin=1)
         for mean_of in (einsum_reconstructions, latents):
             state = init_state(pca_fit(ds, 2), hp)
-            summary = run(ds, hp, seed=3, state=state, mean_of=mean_of)
-            assert summary.n_kept == 1
+            _, mean, draws, _ = run_chain(tmp_path, ds, hp, 3, state, mean_of)
+            assert draws["kept_sweeps"] == 1
             # One addition to zeros, divided by 1: the same values, bit for bit.
-            assert np.array_equal(summary.mean, mean_of(state))
+            assert np.array_equal(mean, mean_of(state))
 
-    def test_mean_of_is_read_on_kept_sweeps_only(self):
+    def test_mean_of_is_read_on_kept_sweeps_only(self, tmp_path):
         rng = np.random.default_rng(42)
         _, ds = generate_sphere(10, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=12, burn_in=4, thin=3)
-        sigma2, read = [], []
+        read = []
 
         def mean_of(st):
-            read.append(len(sigma2))  # on_sweep has seen the sweeps before this one
+            read.append(st.sigma2)
             return np.array([st.sigma2])
 
-        summary = run(ds, hp, seed=4, state=init_state(pca_fit(ds, 2), hp), mean_of=mean_of,
-                      on_sweep=lambda t, st, lp: sigma2.append(st.sigma2))
-        assert read == [4, 7, 10]
+        _, mean, _, _ = run_chain(tmp_path, ds, hp, 4, init_state(pca_fit(ds, 2), hp), mean_of)
+        sigma2 = trace_sigma2(tmp_path)
+        assert read == [sigma2[4], sigma2[7], sigma2[10]]
         # Summed in sweep order from zero, then divided once.
-        assert np.array_equal(summary.mean, [(0.0 + sigma2[4] + sigma2[7] + sigma2[10]) / 3])
+        assert np.array_equal(mean, [(0.0 + sigma2[4] + sigma2[7] + sigma2[10]) / 3])
 
-    def test_mean_reconstruction_averages_kept_states(self):
+    def test_mean_reconstruction_averages_kept_states(self, tmp_path):
         rng = np.random.default_rng(38)
         _, ds = generate_sphere(10, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=14, burn_in=3, thin=3)
         seed, states, recon = 9, {}, {}
-
-        def record(t, st, lp):
+        for t, st, _ in run(ds, hp, seed, init_state(pca_fit(ds, 2), hp)):
             states[t], recon[t] = copy.deepcopy(st), reconstructions(st)
-
-        full = run(ds, hp, seed, state=init_state(pca_fit(ds, 2), hp),
-                   mean_of=einsum_reconstructions, on_sweep=record)
+        _, full_mean, _, _ = run_chain(
+            tmp_path, ds, hp, seed, init_state(pca_fit(ds, 2), hp), einsum_reconstructions)
         kept = list(kept_sweeps(hp, 0))
         assert kept == [3, 6, 9, 12]
         expected = np.mean([recon[t] for t in kept], axis=0)
-        assert np.max(np.abs(full.mean - expected)) <= 1e-12
+        assert np.max(np.abs(full_mean - expected)) <= 1e-12
         # Resumed past burn-in: only the kept sweeps it runs are averaged.
-        resumed = run(ds, hp, seed, state=states[6], mean_of=einsum_reconstructions,
-                      start_sweep=7)
-        assert resumed.n_kept == 2
+        _, resumed_mean, draws, _ = run_chain(
+            tmp_path, ds, hp, seed, states[6], einsum_reconstructions, start_sweep=7)
+        assert draws["kept_sweeps"] == 2
         expected = np.mean([recon[t] for t in (9, 12)], axis=0)
-        assert np.max(np.abs(resumed.mean - expected)) <= 1e-12
+        assert np.max(np.abs(resumed_mean - expected)) <= 1e-12
 
-    def test_trace_lengths(self):
+    def test_trace_lengths(self, tmp_path):
         rng = np.random.default_rng(17)
         _, ds = generate_sphere(10, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=12, burn_in=4, thin=3)
-        swept = []
-        summary = run(
-            ds, hp, seed=4, state=init_state(pca_fit(ds, 2), hp), mean_of=latents,
-            on_sweep=lambda t, st, lp: swept.append(t),
-        )
+        swept = [t for t, _, _ in run(ds, hp, 4, init_state(pca_fit(ds, 2), hp))]
         assert swept == list(range(12))
+        _, _, draws, _ = run_chain(tmp_path, ds, hp, 4, init_state(pca_fit(ds, 2), hp), latents)
+        assert len(trace_sigma2(tmp_path)) == 12
         # kept sweeps: t = 4, 7, 10
-        assert summary.n_kept == 3
-        assert summary.total_draws == 10 * 12
+        assert draws["kept_sweeps"] == 3
+        assert draws["total_draws"] == 10 * 12
 
-    def test_noiseless_planar_data_not_worse_than_pca(self):
+    def test_noiseless_planar_data_not_worse_than_pca(self, tmp_path):
         # Points exactly in a 2-plane: the final fit must not lose to the
         # (exact) PCA initialization.
         rng = np.random.default_rng(18)
@@ -644,27 +665,27 @@ class TestRunSummary:
         raw = rng.standard_normal((30, 2)) @ basis.T
         ds = Dataset(raw)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=60, burn_in=30, thin=2)
-        summary = run(ds, hp, seed=5, state=init_state(pca_fit(ds, 2), hp),
-                      mean_of=einsum_reconstructions)
-        model_err = np.sum((ds.y - summary.mean) ** 2)
+        _, mean, _, _ = run_chain(
+            tmp_path, ds, hp, 5, init_state(pca_fit(ds, 2), hp), einsum_reconstructions)
+        model_err = np.sum((ds.y - mean) ** 2)
         pca_err = np.sum((ds.y - reconstruct_linear(pca_fit(ds, 2))) ** 2)
         assert model_err <= pca_err + 1e-6 * max(1.0, pca_err)
 
-    def test_bit_identical_traces_for_same_seed(self):
+    def test_bit_identical_traces_for_same_seed(self, tmp_path):
         rng = np.random.default_rng(19)
         _, ds = generate_sphere(10, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=8, burn_in=4, thin=2)
-        def traced_run():
-            trace = []
-            summary = run(
-                ds, hp, seed=11, state=init_state(pca_fit(ds, 2), hp), mean_of=latents,
-                on_sweep=lambda t, st, lp: trace.append((st.sigma2, lp)),
-            )
-            return summary, trace
+        def traced_run(out):
+            trace = [(st.sigma2, lp) for _, st, lp in
+                     run(ds, hp, 11, init_state(pca_fit(ds, 2), hp))]
+            _, mean, _, _ = run_chain(out, ds, hp, 11, init_state(pca_fit(ds, 2), hp), latents)
+            return mean, trace, (out / "trace.csv").read_bytes()
 
-        (s1, trace1), (s2, trace2) = traced_run(), traced_run()
+        (m1, trace1, file1), (m2, trace2, file2) = (
+            traced_run(tmp_path / "a"), traced_run(tmp_path / "b"))
         assert trace1 == trace2
-        assert np.array_equal(s1.mean, s2.mean)
+        assert file1 == file2
+        assert np.array_equal(m1, m2)
 
     def test_resume_reproduces_unbroken_run(self):
         # Continuing from (state at sweep k, seed, counter k) must replay the
@@ -672,19 +693,12 @@ class TestRunSummary:
         rng = np.random.default_rng(20)
         _, ds = generate_sphere(10, 0.05, rng)
         hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=10, burn_in=2, thin=1)
-        seed = 21
-        states, full_lp, resumed_lp = {}, {}, {}
+        seed, states, full_lp = 21, {}, {}
         full = init_state(pca_fit(ds, 2), hp)
-        run(
-            ds, hp, seed, state=full, mean_of=latents,
-            on_sweep=lambda t, st, lp: (states.__setitem__(t, copy.deepcopy(st)),
-                                        full_lp.__setitem__(t, lp)),
-        )
+        for t, st, lp in run(ds, hp, seed, full):
+            states[t], full_lp[t] = copy.deepcopy(st), lp
         resumed = states[4]
-        run(
-            ds, hp, seed, state=resumed, mean_of=latents, start_sweep=5,
-            on_sweep=lambda t, st, lp: resumed_lp.__setitem__(t, lp),
-        )
+        resumed_lp = {t: lp for t, _, lp in run(ds, hp, seed, resumed, start_sweep=5)}
         assert resumed_lp == {t: full_lp[t] for t in range(5, 10)}
         assert np.array_equal(resumed.transformations, full.transformations)
         assert np.array_equal(resumed.latents, full.latents)
@@ -700,7 +714,7 @@ class TestRunSummary:
         state = tiny_state(rng, data, hp, d=d)
         state.transformations[0] *= 2.0
         with pytest.raises(ValueError, match="not orthonormal"):
-            run(data, hp, 0, state=state, mean_of=latents)
+            next(run(data, hp, 0, state))
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_square_frames_refused_before_first_sweep(self, monkeypatch, p):
@@ -712,7 +726,7 @@ class TestRunSummary:
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=p)
         with pytest.raises(ValueError, match="d < p"):
-            run(data, hp, 0, state=state, mean_of=latents)
+            next(run(data, hp, 0, state))
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -730,7 +744,7 @@ class TestRunSummary:
         state = tiny_state(rng, data, hp, d=2)
         setattr(state, field, bad)
         with pytest.raises(ValueError, match=r"\(n, d\)"):
-            run(data, hp, 0, state=state, mean_of=latents)
+            next(run(data, hp, 0, state))
         assert calls == []
 
     @pytest.mark.parametrize("fault", ["read-only", "fortran-order"])
@@ -749,7 +763,7 @@ class TestRunSummary:
         else:
             state.transformations = np.asfortranarray(state.transformations)
         with pytest.raises(ValueError, match="frames must be writable and C-contiguous"):
-            run(data, hp, 0, state=state, mean_of=latents)
+            next(run(data, hp, 0, state))
         assert calls == []
 
     @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.inf, math.nan])
@@ -761,7 +775,7 @@ class TestRunSummary:
         hp = tiny_hp()
         state = tiny_state(rng, data, hp, d=2, sigma2=sigma2)
         with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
-            run(data, hp, 0, state=state, mean_of=latents)
+            next(run(data, hp, 0, state))
         assert calls == []
 
     def test_nan_start_latent_rejected(self):
@@ -771,7 +785,7 @@ class TestRunSummary:
         state = tiny_state(rng, data, hp, d=2)
         state.latents[0, 0] = np.nan
         with pytest.raises(ValueError, match="latents"):
-            run(data, hp, 0, state=state, mean_of=latents)
+            next(run(data, hp, 0, state))
 
     def test_resume_keeping_no_sweep_refused_before_first_sweep(self, monkeypatch):
         calls = []
@@ -781,7 +795,7 @@ class TestRunSummary:
         hp = tiny_hp(n_sweeps=20, burn_in=5, thin=100)
         state = tiny_state(rng, data, hp, d=2)
         with pytest.raises(ValueError, match="no sweeps were kept"):
-            run(data, hp, 0, state=state, mean_of=latents, start_sweep=10)
+            next(run(data, hp, 0, state, start_sweep=10))
         assert calls == []
 
     @pytest.mark.parametrize("start_sweep", [0, 4, 5, 6, 7, 9, 10])
@@ -790,6 +804,72 @@ class TestRunSummary:
         assert list(kept_sweeps(hp, start_sweep)) == [
             t for t in range(start_sweep, 10) if t >= 4 and (t - 4) % 3 == 0
         ]
+
+
+class TestRunGenerator:
+    """run is a generator: its checks wait for the first next(), every yield
+    is the caller's state, and a chain closed after sweep k resumes from
+    that state with start_sweep = k + 1, as a stop rule needs."""
+
+    @pytest.mark.parametrize("fault, message", [("square", "d < p"),
+                                                ("scaled", "not orthonormal")])
+    def test_checks_wait_for_the_first_next(self, fault, message):
+        rng = np.random.default_rng(43)
+        data = Dataset(rng.standard_normal((6, 3)))
+        hp = tiny_hp()
+        state = tiny_state(rng, data, hp, d=3 if fault == "square" else 2)
+        if fault == "scaled":
+            state.transformations[0] *= 2.0
+        chain = run(data, hp, 0, state)
+        with pytest.raises(ValueError, match=message):
+            next(chain)
+
+    def test_every_yield_is_the_callers_state(self):
+        rng = np.random.default_rng(44)
+        _, ds = generate_sphere(10, 0.05, rng)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=5, burn_in=1, thin=1)
+        state = init_state(pca_fit(ds, 2), hp)
+        frames = state.transformations
+        yielded = [(t, st) for t, st, _ in run(ds, hp, 2, state)]
+        assert [t for t, _ in yielded] == list(range(5))
+        assert all(st is state for _, st in yielded)
+        assert state.transformations is frames
+
+    @pytest.fixture
+    def unbroken(self):
+        rng = np.random.default_rng(45)
+        _, ds = generate_sphere(10, 0.05, rng)
+        hp = default_hyperparams(ds, pca_fit(ds, 2), n_sweeps=10, burn_in=2, thin=1)
+        states, log_posts = {}, {}
+        for t, st, lp in run(ds, hp, 6, init_state(pca_fit(ds, 2), hp)):
+            states[t], log_posts[t] = copy.deepcopy(st), lp
+        return ds, hp, states, log_posts
+
+    @staticmethod
+    def closed_after(ds, hp, k):
+        """The state of a chain whose caller breaks out after sweep k."""
+        state = init_state(pca_fit(ds, 2), hp)
+        chain = run(ds, hp, 6, state)
+        for t, _, _ in chain:
+            if t == k:
+                break
+        chain.close()
+        return state
+
+    @pytest.mark.parametrize("k", [0, 3, 8])
+    def test_closing_after_sweep_k_leaves_sweep_k_state(self, unbroken, k):
+        ds, hp, states, _ = unbroken
+        state = self.closed_after(ds, hp, k)
+        assert np.array_equal(state.transformations, states[k].transformations)
+        assert np.array_equal(state.latents, states[k].latents)
+        assert state.sigma2 == states[k].sigma2
+
+    @pytest.mark.parametrize("k", [0, 3, 8])
+    def test_resuming_a_closed_chain_replays_the_rest(self, unbroken, k):
+        ds, hp, _, log_posts = unbroken
+        state = self.closed_after(ds, hp, k)
+        resumed = {t: lp for t, _, lp in run(ds, hp, 6, state, start_sweep=k + 1)}
+        assert resumed == {t: log_posts[t] for t in range(k + 1, 10)}
 
 
 class TestLogPosterior:
